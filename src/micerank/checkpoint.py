@@ -45,7 +45,6 @@ __all__ = [
     "load_weights",
     "serialize_weights",
     "weights_fingerprint",
-    "file_fingerprint",
 ]
 
 MAGIC = b"MICEWTS1"
@@ -115,10 +114,6 @@ def weights_fingerprint(weights) -> bytes:
     digest coincides with the sha256 of the file bytes.
     """
     return hashlib.sha256(serialize_weights(weights, MaskStep.BASELINE)).digest()
-
-
-def file_fingerprint(path) -> bytes:
-    return hashlib.sha256(Path(path).read_bytes()).digest()
 
 
 def save_weights(path, weights, step: MaskStep = MaskStep.BASELINE) -> None:
@@ -201,29 +196,24 @@ def load_weights(path, dtype=np.float32):
         interaction_layers=int(meta[9]),
     )
     step = _CODE_STEPS.get(float(meta[10]), MaskStep.BASELINE)
+    if kind not in (0, 1):
+        raise CheckpointFormatError(f"unknown model kind {kind} in {path}")
+    common = {
+        name: _param(entries, name, dtype)
+        for name in ("token_emb", "pos_emb", "score_w", "score_b")
+    }
     if kind == 0:
-        weights = Weights(
-            config=config,
-            token_emb=_param(entries, "token_emb", dtype),
-            pos_emb=_param(entries, "pos_emb", dtype),
-            layers=[_layer(entries, f"layers.{i}", dtype) for i in range(config.layers)],
-            score_w=_param(entries, "score_w", dtype),
-            score_b=_param(entries, "score_b", dtype),
-        )
-    elif kind == 1:
+        layers = [_layer(entries, f"layers.{i}", dtype) for i in range(config.layers)]
+        weights = Weights(config=config, layers=layers, **common)
+    else:
         weights = MiceWeights(
             config=config,
-            token_emb=_param(entries, "token_emb", dtype),
-            pos_emb=_param(entries, "pos_emb", dtype),
             lower=[_layer(entries, f"lower.{i}", dtype) for i in range(config.split_depth)],
             interaction=[
                 _layer(entries, f"interaction.{i}", dtype)
                 for i in range(config.interaction_layers)
             ],
-            score_w=_param(entries, "score_w", dtype),
-            score_b=_param(entries, "score_b", dtype),
+            **common,
         )
-    else:
-        raise CheckpointFormatError(f"unknown model kind {kind} in {path}")
     weights._fingerprint = weights_fingerprint(weights)
     return weights, step

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import checkpoint, doccache, evalbench, mice, retrieval, training, transformer
 from .masking import MaskSpec, MaskStep
-from .tensor import NumericError
+from .tensor import NumericError, no_grad
 
 __all__ = ["main", "dispatch"]
 
@@ -162,6 +162,25 @@ def _dtype(args):
     return np.float64 if args.precision == "f64" else np.float32
 
 
+def _load_model(args, dtype):
+    """``(weights, step, corpus, vocab)`` for the commands that score the
+    corpus with ``--model``; the vocabulary is rebuilt from the corpus and
+    must match the checkpoint's size."""
+    weights, step = checkpoint.load_weights(args.model, dtype=dtype)
+    corpus = retrieval.read_jsonl(args.corpus)
+    vocab = retrieval.build_vocab(text for _, text in corpus)
+    if vocab.size != weights.config.vocab_size:
+        raise ValueError(
+            f"corpus vocabulary ({vocab.size}) does not match checkpoint "
+            f"({weights.config.vocab_size})"
+        )
+    return weights, step, corpus, vocab
+
+
+def _doc_tokens(corpus, vocab) -> dict:
+    return {d: retrieval.ensure_nonempty(vocab.encode(t)) for d, t in corpus}
+
+
 def _load_data(corpus_path, queries_path, qrels_path=None) -> training.SynthData:
     corpus = retrieval.read_jsonl(corpus_path)
     queries = retrieval.read_jsonl(queries_path)
@@ -252,20 +271,14 @@ def _rerank_run(args, scorer, queries, candidates_by_query, on_missing) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    weights, _ = checkpoint.load_weights(args.model, dtype=_dtype(args))
+    weights, _, corpus, vocab = _load_model(args, _dtype(args))
     step = MaskStep.parse(args.step)
     config = weights.config
     split = args.split_depth if args.split_depth is not None else config.split_depth
     spec = MaskSpec(step, split_depth=split, total_layers=config.layers)
-    corpus = retrieval.read_jsonl(args.corpus)
-    vocab = retrieval.build_vocab(text for _, text in corpus)
-    if vocab.size != config.vocab_size:
-        raise ValueError(
-            f"corpus vocabulary ({vocab.size}) does not match checkpoint ({config.vocab_size})"
-        )
-    doc_tokens = {d: retrieval.ensure_nonempty(vocab.encode(t)) for d, t in corpus}
     scorer = retrieval.CrossEncoderScorer(
-        weights, spec, vocab, doc_tokens, batch_size=args.batch_size, threads=args.threads
+        weights, spec, vocab, _doc_tokens(corpus, vocab),
+        batch_size=args.batch_size, threads=args.threads,
     )
     queries = retrieval.read_jsonl(args.queries)
     candidates = retrieval.read_trec_run(args.candidates)
@@ -273,18 +286,9 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_encode_docs(args) -> int:
-    weights, _ = checkpoint.load_weights(args.model, dtype=np.float32)
+    weights, _, corpus, vocab = _load_model(args, np.float32)
     if not isinstance(weights, mice.MiceWeights):
         raise ValueError("encode-docs needs a mid-fusion checkpoint (kind mice)")
-    corpus = retrieval.read_jsonl(args.corpus)
-    vocab = retrieval.build_vocab(text for _, text in corpus)
-    if vocab.size != weights.config.vocab_size:
-        raise ValueError(
-            f"corpus vocabulary ({vocab.size}) does not match checkpoint "
-            f"({weights.config.vocab_size})"
-        )
-    from .tensor import no_grad
-
     states = []
     with no_grad():
         for doc_id, text in corpus:
@@ -315,41 +319,30 @@ def _cmd_bm25(args) -> int:
 
 
 def _cmd_rerank(args) -> int:
-    dtype = _dtype(args)
-    weights, trained_step = checkpoint.load_weights(args.model, dtype=dtype)
-    corpus = retrieval.read_jsonl(args.corpus)
-    vocab = retrieval.build_vocab(text for _, text in corpus)
-    if vocab.size != weights.config.vocab_size:
-        raise ValueError(
-            f"corpus vocabulary ({vocab.size}) does not match checkpoint "
-            f"({weights.config.vocab_size})"
-        )
-    doc_tokens = {d: retrieval.ensure_nonempty(vocab.encode(t)) for d, t in corpus}
+    weights, trained_step, corpus, vocab = _load_model(args, _dtype(args))
     on_missing = "raise" if args.strict else "skip"
+    chunking = dict(batch_size=args.batch_size, threads=args.threads)
     if args.mode == "ce":
         if not isinstance(weights, transformer.Weights):
             raise ValueError("ce mode needs a cross-encoder checkpoint")
         step = MaskStep.parse(args.step) if args.step else trained_step
         spec = transformer.spec_for(step, weights.config)
         scorer = retrieval.CrossEncoderScorer(
-            weights, spec, vocab, doc_tokens, batch_size=args.batch_size, threads=args.threads
+            weights, spec, vocab, _doc_tokens(corpus, vocab), **chunking
         )
+    elif not isinstance(weights, mice.MiceWeights):
+        raise ValueError(f"{args.mode} mode needs a mid-fusion checkpoint")
+    elif args.mode == "mice":
+        scorer = retrieval.MiceScorer(weights, vocab, _doc_tokens(corpus, vocab), **chunking)
+    elif not args.cache:
+        raise ValueError("mice-precomp mode needs --cache")
     else:
-        if not isinstance(weights, mice.MiceWeights):
-            raise ValueError(f"{args.mode} mode needs a mid-fusion checkpoint")
-        if args.mode == "mice":
-            scorer = retrieval.MiceScorer(
-                weights, vocab, doc_tokens, batch_size=args.batch_size, threads=args.threads
-            )
-        else:
-            if not args.cache:
-                raise ValueError("mice-precomp mode needs --cache")
-            cache = doccache.read_cache(
-                args.cache, expected_hash=weights.fingerprint(), strict=args.strict
-            )
-            scorer = retrieval.MiceCacheScorer(
-                weights, vocab, cache, batch_size=args.batch_size, threads=args.threads
-            )
+        # The cache holds every document's states, so the corpus only
+        # supplies the vocabulary.
+        cache = doccache.read_cache(
+            args.cache, expected_hash=weights.fingerprint(), strict=args.strict
+        )
+        scorer = retrieval.MiceCacheScorer(weights, vocab, cache, **chunking)
     queries = retrieval.read_jsonl(args.queries)
     candidates = retrieval.read_trec_run(args.candidates)
     return _rerank_run(args, scorer, queries, candidates, on_missing)
@@ -384,7 +377,6 @@ def _cmd_bench(args) -> int:
         trials=args.trials,
         warmup=args.warmup,
         seed=args.seed,
-        threads=args.threads,
     )
     print(report.summary())
     if args.out:

@@ -202,7 +202,6 @@ class BenchReport:
     flops_per_pair: int
     trials: int
     warmup: int
-    threads: int
 
     def __post_init__(self):
         if self.trials < 10:
@@ -242,7 +241,6 @@ def bench_latency(
     trials: int = 10,
     warmup: int = 3,
     seed: int = 0,
-    threads: int = 1,
 ) -> BenchReport:
     """Time batched scoring under ``mode`` and report latency, throughput,
     analytic FLOPs and the tensor-buffer memory high-water mark.
@@ -317,7 +315,6 @@ def bench_latency(
         flops_per_pair=count_flops(config, n, m, mode),
         trials=trials,
         warmup=warmup,
-        threads=threads,
     )
 
 

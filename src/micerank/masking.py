@@ -39,6 +39,7 @@ they are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -192,32 +193,39 @@ def allowed_sources(
     raise ValueError(f"unknown step {step!r}")
 
 
-def _segment_table(step: MaskStep, layer_index: int, split_depth: int) -> np.ndarray:
+def _segment_table(step: MaskStep, severed: bool) -> np.ndarray:
+    """Segment-level allow table of ``step``, in the stream-severed regime
+    (step 3 at or below the split) or the one above it."""
     table = np.zeros((len(Segment), len(Segment)), dtype=bool)
     for target in Segment:
-        for source in allowed_sources(step, target, layer_index, split_depth):
+        for source in allowed_sources(step, target, 1, int(severed)):
             table[target, source] = True
     return table
 
 
-_MASK_CACHE: dict = {}
+def _expand(step: MaskStep, severed: bool, rows: np.ndarray, cols: np.ndarray) -> AttentionMask:
+    """Read-only position-level mask; ``rows`` and ``cols`` are segment codes."""
+    allow = _segment_table(step, severed)[rows[:, None], cols[None, :]]
+    allow.setflags(write=False)
+    return AttentionMask(allow)
+
+
+# Room for every mask of the MiniLM operating point (max_query 16, max_doc
+# 64) in both layer regimes.
+_MASK_CACHE_SIZE = 16 * 64 * 2
 
 
 def build_mask(layout: SegmentLayout, spec: MaskSpec, layer_index: int) -> AttentionMask:
     """Expand the segment-level rules of ``spec`` to position granularity."""
     if spec.total_layers and not 1 <= layer_index <= spec.total_layers:
         raise ValueError(f"layer index {layer_index} outside 1..{spec.total_layers}")
-    key = (layout.query_len, layout.doc_len, spec.step, spec.severed(layer_index))
-    hit = _MASK_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _joint_mask(layout, spec.step, spec.severed(layer_index))
+
+
+@functools.lru_cache(maxsize=_MASK_CACHE_SIZE)
+def _joint_mask(layout: SegmentLayout, step: MaskStep, severed: bool) -> AttentionMask:
     seg = layout.segments()
-    table = _segment_table(spec.step, layer_index, spec.split_depth)
-    allow = table[seg[:, None], seg[None, :]]
-    allow.setflags(write=False)
-    mask = AttentionMask(allow)
-    _MASK_CACHE[key] = mask
-    return mask
+    return _expand(step, severed, seg, seg)
 
 
 # --------------------------------------------------------------------------
@@ -227,47 +235,30 @@ def build_mask(layout: SegmentLayout, spec: MaskSpec, layer_index: int) -> Atten
 # --------------------------------------------------------------------------
 
 
-def _stream_codes_query(query_len: int) -> np.ndarray:
-    seg = np.empty(query_len + 2, dtype=np.int8)
-    seg[0] = Segment.CLS
-    seg[1 : query_len + 1] = Segment.Q
-    seg[query_len + 1] = Segment.SEP1
-    return seg
+def _stream_codes(length: int, body: Segment) -> np.ndarray:
+    """Segment codes of the query stream ``[CLS, Q x n, SEP1]`` (``body`` Q)
+    or of the document stream ``[D x m, SEP2]`` (``body`` D)."""
+    if body is Segment.Q:
+        return np.array([Segment.CLS, *[Segment.Q] * length, Segment.SEP1], dtype=np.int8)
+    return np.array([*[Segment.D] * length, Segment.SEP2], dtype=np.int8)
 
 
-def _stream_codes_doc(doc_len: int) -> np.ndarray:
-    seg = np.empty(doc_len + 1, dtype=np.int8)
-    seg[:doc_len] = Segment.D
-    seg[doc_len] = Segment.SEP2
-    return seg
+@functools.lru_cache(maxsize=_MASK_CACHE_SIZE)
+def _stream_mask(length: int, body: Segment) -> AttentionMask:
+    seg = _stream_codes(length, body)
+    return _expand(MaskStep.STEP3, True, seg, seg)
 
 
 def query_stream_mask(query_len: int) -> AttentionMask:
     """Intra-stream mask over ``[CLS, Q x n, SEP1]``: CLS reads the stream,
     query tokens read each other and their sink, SEP1 only itself."""
-    key = ("qstream", query_len)
-    hit = _MASK_CACHE.get(key)
-    if hit is None:
-        seg = _stream_codes_query(query_len)
-        table = _segment_table(MaskStep.STEP3, 1, 1)
-        allow = table[seg[:, None], seg[None, :]]
-        allow.setflags(write=False)
-        hit = _MASK_CACHE[key] = AttentionMask(allow)
-    return hit
+    return _stream_mask(query_len, Segment.Q)
 
 
 def doc_stream_mask(doc_len: int) -> AttentionMask:
     """Intra-stream mask over ``[D x m, SEP2]``: document tokens read each
     other and their sink, SEP2 only itself."""
-    key = ("dstream", doc_len)
-    hit = _MASK_CACHE.get(key)
-    if hit is None:
-        seg = _stream_codes_doc(doc_len)
-        table = _segment_table(MaskStep.STEP3, 1, 1)
-        allow = table[seg[:, None], seg[None, :]]
-        allow.setflags(write=False)
-        hit = _MASK_CACHE[key] = AttentionMask(allow)
-    return hit
+    return _stream_mask(doc_len, Segment.D)
 
 
 def interaction_mask(query_len: int, doc_len: int) -> AttentionMask:
@@ -278,13 +269,11 @@ def interaction_mask(query_len: int, doc_len: int) -> AttentionMask:
     tokens read themselves, their sink and the document tokens; CLS and SEP1
     never read the document side, and nobody reads SEP2.
     """
-    key = ("interaction", query_len, doc_len)
-    hit = _MASK_CACHE.get(key)
-    if hit is None:
-        rows = _stream_codes_query(query_len)
-        cols = np.concatenate([rows, _stream_codes_doc(doc_len)])
-        table = _segment_table(MaskStep.STEP3, 2, 1)  # post-split rules
-        allow = table[rows[:, None], cols[None, :]]
-        allow.setflags(write=False)
-        hit = _MASK_CACHE[key] = AttentionMask(allow)
-    return hit
+    return _interaction_mask(query_len, doc_len)
+
+
+@functools.lru_cache(maxsize=_MASK_CACHE_SIZE)
+def _interaction_mask(query_len: int, doc_len: int) -> AttentionMask:
+    rows = _stream_codes(query_len, Segment.Q)
+    cols = np.concatenate([rows, _stream_codes(doc_len, Segment.D)])
+    return _expand(MaskStep.STEP3, False, rows, cols)  # post-split rules

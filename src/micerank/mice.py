@@ -23,8 +23,8 @@ gradients; the cache is an inference-only optimization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -37,9 +37,10 @@ from .transformer import (
     LayerWeights,
     ModelConfig,
     Weights,
+    _init_parameters,
+    _ParameterSet,
     embed,
     encoder_layer,
-    init_layer_weights,
     score_from_cls,
 )
 
@@ -86,7 +87,7 @@ class DocState:
 
 
 @dataclass
-class MiceWeights:
+class MiceWeights(_ParameterSet):
     """Parameters of the mid-fusion model.
 
     ``lower`` serves both streams (one parameter set, two uses); each entry
@@ -94,6 +95,7 @@ class MiceWeights:
     encoder layer.
     """
 
+    STACKS = ("lower", "interaction")
     config: ModelConfig
     token_emb: Tensor
     pos_emb: Tensor
@@ -101,7 +103,6 @@ class MiceWeights:
     interaction: list[LayerWeights]
     score_w: Tensor
     score_b: Tensor
-    _fingerprint: bytes | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.lower) != self.config.split_depth:
@@ -114,44 +115,15 @@ class MiceWeights:
                 f"got {len(self.interaction)}"
             )
 
-    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield "token_emb", self.token_emb
-        yield "pos_emb", self.pos_emb
-        for i, lw in enumerate(self.lower):
-            yield from lw.named(f"lower.{i}")
-        for i, lw in enumerate(self.interaction):
-            yield from lw.named(f"interaction.{i}")
-        yield "score_w", self.score_w
-        yield "score_b", self.score_b
-
-    def parameter_count(self) -> int:
-        return sum(t.size for _, t in self.named_parameters())
-
-    def fingerprint(self) -> bytes:
-        if self._fingerprint is None:
-            from .checkpoint import weights_fingerprint
-
-            self._fingerprint = weights_fingerprint(self)
-        return self._fingerprint
-
-    def invalidate_fingerprint(self) -> None:
-        self._fingerprint = None
-
 
 def init_mice_weights(config: ModelConfig, seed: int = 0, dtype=np.float32) -> MiceWeights:
     """Fresh randomly-initialized mid-fusion parameters."""
     if not config.interaction_layers:
         raise ValueError("config.interaction_layers must be set for a mid-fusion model")
-    rng = np.random.default_rng(seed)
-    dtype = np.dtype(dtype)
-    d = config.hidden
-    token_emb = Tensor((rng.standard_normal((config.vocab_size, d)) * 0.02).astype(dtype), requires_grad=True)
-    pos_emb = Tensor((rng.standard_normal((config.position_count, d)) * 0.02).astype(dtype), requires_grad=True)
-    lower = [init_layer_weights(config, rng, dtype) for _ in range(config.split_depth)]
-    inter = [init_layer_weights(config, rng, dtype) for _ in range(config.interaction_layers)]
-    score_w = Tensor((rng.standard_normal((d, 1)) * 0.02).astype(dtype), requires_grad=True)
-    score_b = Tensor(np.zeros(1, dtype=dtype), requires_grad=True)
-    return MiceWeights(config, token_emb, pos_emb, lower, inter, score_w, score_b)
+    split = config.split_depth
+    params = _init_parameters(config, split + config.interaction_layers, seed, dtype)
+    layers = params.pop("layers")
+    return MiceWeights(config, lower=layers[:split], interaction=layers[split:], **params)
 
 
 def _copy_param(t: Tensor) -> Tensor:
@@ -201,57 +173,53 @@ def from_cross_encoder(ce: Weights, split_depth: int, interaction_count: int) ->
 # --------------------------------------------------------------------------
 
 
-def _query_stream_batch(queries: Sequence[Sequence[int]], weights: MiceWeights):
-    """Lower-layer forward over query streams; returns (states, lengths)."""
-    config = weights.config
-    qs = [list(q)[: config.max_query] for q in queries]
-    if any(not q for q in qs):
-        raise ValueError("query must hold at least one token")
-    lengths = [len(q) + 2 for q in qs]
+def _stream_batch(
+    streams: Sequence[Sequence[int]],
+    weights: MiceWeights,
+    cap: int,
+    head: Sequence[int],
+    first_position: int,
+    stream_mask,
+):
+    """Lower-layer forward over a batch of one kind of stream; returns
+    (states, lengths).
+
+    Each stream is head-truncated to ``cap`` tokens and laid out as
+    ``[*head, tokens, SEP]`` at positions counting up from
+    ``first_position``; ``stream_mask`` maps the token count to its
+    intra-stream mask.
+    """
+    bodies = [list(t)[:cap] for t in streams]
+    if any(not b for b in bodies):
+        raise ValueError("queries and documents must hold at least one token")
+    lengths = [len(head) + len(b) + 1 for b in bodies]
     s_max = max(lengths)
-    batch = len(qs)
+    batch = len(bodies)
     token_ids = np.full((batch, s_max), PAD_ID, dtype=np.int64)
     pos_ids = np.zeros((batch, s_max), dtype=np.int64)
     allow = np.zeros((batch, s_max, s_max), dtype=bool)
-    for e, q in enumerate(qs):
-        n = len(q)
-        s = n + 2
-        token_ids[e, :s] = [CLS_ID, *q, SEP_ID]
-        pos_ids[e, :s] = range(s)
-        allow[e, :s, :s] = query_stream_mask(n).allow
+    for e, (b, s) in enumerate(zip(bodies, lengths)):
+        token_ids[e, :s] = [*head, *b, SEP_ID]
+        pos_ids[e, :s] = range(first_position, first_position + s)
+        allow[e, :s, :s] = stream_mask(len(b)).allow
         idx = np.arange(s, s_max)
         allow[e, idx, idx] = True
     states = embed(weights, token_ids, pos_ids)
     for lw in weights.lower:
-        states = encoder_layer(states, allow, lw, config.heads)
+        states = encoder_layer(states, allow, lw, weights.config.heads)
     return states, lengths
+
+
+def _query_stream_batch(queries: Sequence[Sequence[int]], weights: MiceWeights):
+    """Query streams ``[CLS, q_1..q_n, SEP1]`` from position 0."""
+    cap = weights.config.max_query
+    return _stream_batch(queries, weights, cap, [CLS_ID], 0, query_stream_mask)
 
 
 def _doc_stream_batch(docs: Sequence[Sequence[int]], weights: MiceWeights):
-    """Lower-layer forward over document streams; returns (states, lengths)."""
+    """Document streams ``[d_1..d_m, SEP2]`` from the fixed document offset."""
     config = weights.config
-    ds = [list(d)[: config.max_doc] for d in docs]
-    if any(not d for d in ds):
-        raise ValueError("document must hold at least one token")
-    lengths = [len(d) + 1 for d in ds]
-    s_max = max(lengths)
-    batch = len(ds)
-    token_ids = np.full((batch, s_max), PAD_ID, dtype=np.int64)
-    pos_ids = np.zeros((batch, s_max), dtype=np.int64)
-    allow = np.zeros((batch, s_max, s_max), dtype=bool)
-    doc0 = config.max_query + 2
-    for e, d in enumerate(ds):
-        m = len(d)
-        s = m + 1
-        token_ids[e, :s] = [*d, SEP_ID]
-        pos_ids[e, :s] = range(doc0, doc0 + s)
-        allow[e, :s, :s] = doc_stream_mask(m).allow
-        idx = np.arange(s, s_max)
-        allow[e, idx, idx] = True
-    states = embed(weights, token_ids, pos_ids)
-    for lw in weights.lower:
-        states = encoder_layer(states, allow, lw, config.heads)
-    return states, lengths
+    return _stream_batch(docs, weights, config.max_doc, [], config.max_query + 2, doc_stream_mask)
 
 
 def encode_query(query_ids: Sequence[int], weights: MiceWeights) -> Tensor:

@@ -143,6 +143,18 @@ def build_corpus_stats(corpus: Iterable[tuple[str, str]]) -> CorpusStats:
     return CorpusStats(postings, doc_len, total, avg)
 
 
+def _idf(df: int, stats: CorpusStats) -> float:
+    return np.log(1.0 + (stats.total_docs - df + 0.5) / (df + 0.5))
+
+
+def _term_weight(
+    idf: float, tf: int, doc_len: int, stats: CorpusStats, k1: float, b: float
+) -> float:
+    """One query term's contribution to one document's BM25 score."""
+    norm = k1 * (1.0 - b + b * doc_len / stats.avg_doc_len)
+    return idf * tf * (k1 + 1.0) / (tf + norm)
+
+
 def bm25_score(
     query_terms: Sequence[str],
     doc_id: str,
@@ -154,16 +166,12 @@ def bm25_score(
     if doc_id not in stats.doc_len:
         raise KeyError(f"unknown doc id {doc_id!r}")
     dl = stats.doc_len[doc_id]
-    norm = k1 * (1.0 - b + b * dl / stats.avg_doc_len)
     score = 0.0
     for term in query_terms:
         entry = stats.postings.get(term)
         if not entry or doc_id not in entry:
             continue
-        tf = entry[doc_id]
-        df = len(entry)
-        idf = np.log(1.0 + (stats.total_docs - df + 0.5) / (df + 0.5))
-        score += idf * tf * (k1 + 1.0) / (tf + norm)
+        score += _term_weight(_idf(len(entry), stats), entry[doc_id], dl, stats, k1, b)
     return float(score)
 
 
@@ -181,13 +189,10 @@ def bm25_retrieve(
         entry = stats.postings.get(term)
         if not entry:
             continue
-        df = len(entry)
-        idf = np.log(1.0 + (stats.total_docs - df + 0.5) / (df + 0.5))
+        idf = _idf(len(entry), stats)
         for doc_id, tf in entry.items():
-            dl = stats.doc_len[doc_id]
-            norm = k1 * (1.0 - b + b * dl / stats.avg_doc_len)
             accum[doc_id] = accum.get(doc_id, 0.0) + float(
-                idf * tf * (k1 + 1.0) / (tf + norm)
+                _term_weight(idf, tf, stats.doc_len[doc_id], stats, k1, b)
             )
     ranked = sorted(accum.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k]
@@ -214,18 +219,21 @@ class BM25Scorer:
 
 
 class _NeuralScorer:
-    """Shared chunking/threading machinery for model-backed scorers."""
+    """Shared chunking/threading machinery for model-backed scorers.
 
-    def __init__(self, vocab: Vocab, doc_tokens: Mapping[str, Sequence[int]],
-                 batch_size: int = 64, threads: int = 1):
+    ``docs`` answers ``c in docs`` for the candidates this scorer can score:
+    a map from doc id to token ids, or a document-state cache.
+    """
+
+    def __init__(self, vocab: Vocab, docs, batch_size: int = 64, threads: int = 1):
         self.vocab = vocab
-        self.doc_tokens = doc_tokens
+        self.docs = docs
         self.batch_size = batch_size
         self.threads = max(1, threads)
 
     def available(self, candidates: Sequence[str]):
-        missing = [c for c in candidates if c not in self.doc_tokens]
-        return [c for c in candidates if c in self.doc_tokens], missing
+        missing = [c for c in candidates if c not in self.docs]
+        return [c for c in candidates if c in self.docs], missing
 
     def score(self, query_text: str, candidates: Sequence[str]) -> dict:
         q_ids = ensure_nonempty(tokenize(query_text, self.vocab))
@@ -262,7 +270,7 @@ class CrossEncoderScorer(_NeuralScorer):
         self.spec = spec
 
     def _score_chunk(self, q_ids, chunk) -> np.ndarray:
-        pairs = [(q_ids, ensure_nonempty(self.doc_tokens[c])) for c in chunk]
+        pairs = [(q_ids, ensure_nonempty(self.docs[c])) for c in chunk]
         return transformer.score_pairs(pairs, self.spec, self.weights).data
 
 
@@ -273,53 +281,24 @@ class MiceScorer(_NeuralScorer):
         super().__init__(vocab, doc_tokens, **kw)
         self.weights = weights
 
+    def _doc_state(self, doc_id: str):
+        return mice_mod.encode_document(
+            ensure_nonempty(self.docs[doc_id]), self.weights, doc_id=doc_id
+        )
+
     def _score_chunk(self, q_ids, chunk) -> np.ndarray:
-        items = [
-            (q_ids, mice_mod.encode_document(
-                ensure_nonempty(self.doc_tokens[c]), self.weights, doc_id=c))
-            for c in chunk
-        ]
+        items = [(q_ids, self._doc_state(c)) for c in chunk]
         return mice_mod.mice_score_batch(items, self.weights)
 
 
-class MiceCacheScorer:
+class MiceCacheScorer(MiceScorer):
     """Mid-fusion scoring against precomputed document states."""
 
     def __init__(self, weights, vocab: Vocab, cache, batch_size: int = 64, threads: int = 1):
-        self.weights = weights
-        self.vocab = vocab
-        self.cache = cache
-        self.batch_size = batch_size
-        self.threads = max(1, threads)
+        super().__init__(weights, vocab, cache, batch_size=batch_size, threads=threads)
 
-    def available(self, candidates: Sequence[str]):
-        missing = [c for c in candidates if c not in self.cache]
-        return [c for c in candidates if c in self.cache], missing
-
-    def score(self, query_text: str, candidates: Sequence[str]) -> dict:
-        q_ids = ensure_nonempty(tokenize(query_text, self.vocab))
-        return self.score_ids(q_ids, candidates)
-
-    def score_ids(self, q_ids: Sequence[int], candidates: Sequence[str]) -> dict:
-        chunks = [
-            list(candidates[i : i + self.batch_size])
-            for i in range(0, len(candidates), self.batch_size)
-        ]
-
-        def run(chunk):
-            items = [(q_ids, self.cache.get(c)) for c in chunk]
-            return mice_mod.mice_score_batch(items, self.weights)
-
-        out: dict = {}
-        with no_grad():
-            if self.threads > 1 and len(chunks) > 1:
-                with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                    for chunk, scores in zip(chunks, pool.map(run, chunks)):
-                        out.update(zip(chunk, scores))
-            else:
-                for chunk in chunks:
-                    out.update(zip(chunk, run(chunk)))
-        return out
+    def _doc_state(self, doc_id: str):
+        return self.docs.get(doc_id)
 
 
 def rerank(

@@ -279,6 +279,14 @@ def synth_corpus(
     terms = [f"w{i:03d}" for i in range(vocab_size)]
     n_topics = max(2, min(n_docs, n_docs // 6 + 1))
     pool_size = max(4, (vocab_size // 2) // n_topics)
+    # Topic t draws from the terms after t * pool_size, so the last topic a
+    # document or query is given must still find one there.
+    last_topic = min(n_topics, max(n_docs, n_queries)) - 1
+    if last_topic * pool_size >= vocab_size:
+        raise ValueError(
+            f"vocab_size {vocab_size} is too small for {n_topics} topics of "
+            f"{pool_size} terms: need at least {last_topic * pool_size + 1}"
+        )
     shuffled = list(terms)
     rng.shuffle(shuffled)
     pools = [

@@ -139,22 +139,20 @@ class LayerWeights:
 
 
 @dataclass
-class Weights:
-    """Cross-encoder parameters; read-only after load / shareable."""
+class _ParameterSet:
+    """What the cross-encoder and mid-fusion parameter sets share. Both hold
+    ``token_emb``, ``pos_emb``, ``score_w`` and ``score_b``; ``STACKS`` names
+    their lists of layers, in serialization order."""
 
-    config: ModelConfig
-    token_emb: Tensor
-    pos_emb: Tensor
-    layers: list[LayerWeights]
-    score_w: Tensor
-    score_b: Tensor
-    _fingerprint: bytes | None = field(default=None, repr=False, compare=False)
+    STACKS = ()
+    _fingerprint: bytes | None = field(default=None, repr=False, compare=False, kw_only=True)
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         yield "token_emb", self.token_emb
         yield "pos_emb", self.pos_emb
-        for i, lw in enumerate(self.layers):
-            yield from lw.named(f"layers.{i}")
+        for stack in self.STACKS:
+            for i, lw in enumerate(getattr(self, stack)):
+                yield from lw.named(f"{stack}.{i}")
         yield "score_w", self.score_w
         yield "score_b", self.score_b
 
@@ -173,37 +171,58 @@ class Weights:
         self._fingerprint = None
 
 
+@dataclass
+class Weights(_ParameterSet):
+    """Cross-encoder parameters; read-only after load / shareable."""
+
+    STACKS = ("layers",)
+    config: ModelConfig
+    token_emb: Tensor
+    pos_emb: Tensor
+    layers: list[LayerWeights]
+    score_w: Tensor
+    score_b: Tensor
+
+
+def _normal(rng: np.random.Generator, shape, dtype) -> Tensor:
+    return Tensor((rng.standard_normal(shape) * 0.02).astype(dtype), requires_grad=True)
+
+
 def init_layer_weights(config: ModelConfig, rng: np.random.Generator, dtype) -> LayerWeights:
     d, f = config.hidden, config.ff
-
-    def mat(rows, cols):
-        return Tensor((rng.standard_normal((rows, cols)) * 0.02).astype(dtype), requires_grad=True)
-
     return LayerWeights(
-        wq=mat(d, d),
-        wk=mat(d, d),
-        wv=mat(d, d),
-        wo=mat(d, d),
+        wq=_normal(rng, (d, d), dtype),
+        wk=_normal(rng, (d, d), dtype),
+        wv=_normal(rng, (d, d), dtype),
+        wo=_normal(rng, (d, d), dtype),
         ln_attn_gain=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
         ln_attn_bias=Tensor(np.zeros(d, dtype=dtype), requires_grad=True),
-        w1=mat(d, f),
-        w2=mat(f, d),
+        w1=_normal(rng, (d, f), dtype),
+        w2=_normal(rng, (f, d), dtype),
         ln_ffn_gain=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
         ln_ffn_bias=Tensor(np.zeros(d, dtype=dtype), requires_grad=True),
     )
 
 
+def _init_parameters(config: ModelConfig, layer_count: int, seed: int, dtype) -> dict:
+    """Seeded parameters of either model: embeddings, ``layer_count`` encoder
+    layers and the score head, drawn in that order. Returns constructor
+    keywords; the layers sit under ``layers``."""
+    rng = np.random.default_rng(seed)
+    dtype = np.dtype(dtype)
+    d = config.hidden
+    return dict(
+        token_emb=_normal(rng, (config.vocab_size, d), dtype),
+        pos_emb=_normal(rng, (config.position_count, d), dtype),
+        layers=[init_layer_weights(config, rng, dtype) for _ in range(layer_count)],
+        score_w=_normal(rng, (d, 1), dtype),
+        score_b=Tensor(np.zeros(1, dtype=dtype), requires_grad=True),
+    )
+
+
 def init_ce_weights(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Weights:
     """Fresh randomly-initialized cross-encoder parameters."""
-    rng = np.random.default_rng(seed)
-    d = config.hidden
-    dtype = np.dtype(dtype)
-    token_emb = Tensor((rng.standard_normal((config.vocab_size, d)) * 0.02).astype(dtype), requires_grad=True)
-    pos_emb = Tensor((rng.standard_normal((config.position_count, d)) * 0.02).astype(dtype), requires_grad=True)
-    layers = [init_layer_weights(config, rng, dtype) for _ in range(config.layers)]
-    score_w = Tensor((rng.standard_normal((d, 1)) * 0.02).astype(dtype), requires_grad=True)
-    score_b = Tensor(np.zeros(1, dtype=dtype), requires_grad=True)
-    return Weights(config, token_emb, pos_emb, layers, score_w, score_b)
+    return Weights(config, **_init_parameters(config, config.layers, seed, dtype))
 
 
 # --------------------------------------------------------------------------

@@ -169,6 +169,50 @@ class TestPipeline:
         assert "tokens" in json.loads(out.read_text())
 
 
+class TestModelLoader:
+    @pytest.mark.parametrize("command,model,extra", [
+        ("ablate", "ce", ["--step", "2"]),
+        ("encode-docs", "mice", []),
+        ("rerank", "ce", ["--mode", "ce"]),
+    ])
+    def test_vocabulary_size_mismatch_is_data_error(
+        self, workspace, tmp_path, capsys, command, model, extra
+    ):
+        corpus = tmp_path / "corpus.jsonl"
+        retrieval.write_jsonl(corpus, [("d0", "alpha beta"), ("d1", "gamma")])
+        data = workspace / "data"
+        scoring = [] if command == "encode-docs" else [
+            "--queries", str(data / "queries.jsonl"),
+            "--candidates", str(workspace / "bm25.trec"),
+        ]
+        code = dispatch([
+            command, "--model", str(workspace / model / "model.bin"), *extra,
+            "--corpus", str(corpus), *scoring, "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "does not match checkpoint" in capsys.readouterr().err
+
+    def test_precomp_rerank_tokenizes_only_queries(self, workspace, tmp_path, monkeypatch):
+        data = workspace / "data"
+        encoded = []
+        encode = retrieval.Vocab.encode
+
+        def counting_encode(vocab, text):
+            encoded.append(text)
+            return encode(vocab, text)
+
+        monkeypatch.setattr(retrieval.Vocab, "encode", counting_encode)
+        assert dispatch([
+            "rerank", "--model", str(workspace / "mice" / "model.bin"), "--mode", "mice-precomp",
+            "--queries", str(data / "queries.jsonl"), "--corpus", str(data / "corpus.jsonl"),
+            "--candidates", str(workspace / "bm25.trec"), "--cache", str(workspace / "cache.bin"),
+            "--out", str(tmp_path / "precomp.trec"),
+        ]) == 0
+        queries = {text for _, text in retrieval.read_jsonl(data / "queries.jsonl")}
+        assert encoded and set(encoded) <= queries
+        assert len(encoded) == len(retrieval.read_trec_run(tmp_path / "precomp.trec"))
+
+
 class TestExitCodes:
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert dispatch(["synth"]) == 1
@@ -182,6 +226,13 @@ class TestExitCodes:
 
     def test_no_command_rejected(self):
         assert dispatch([]) == 1
+
+    def test_synth_vocabulary_too_small_is_data_error(self, tmp_path, capsys):
+        code = dispatch([
+            "synth", "--out-dir", str(tmp_path), "--docs", "2000", "--vocab-size", "1024",
+        ])
+        assert code == 2
+        assert "vocab_size 1024" in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert dispatch([

@@ -237,7 +237,7 @@ class TestBenchReport:
         report = BenchReport(
             mode="ce", batch=8, n=4, m=12, latency_mean_ms=1.5, latency_std_ms=0.2,
             docs_per_second=5333.0, peak_bytes=12345, flops_per_pair=999,
-            trials=10, warmup=3, threads=1,
+            trials=10, warmup=3,
         )
         assert BenchReport.from_json(report.to_json()) == report
 
@@ -246,7 +246,7 @@ class TestBenchReport:
             BenchReport(
                 mode="ce", batch=1, n=1, m=1, latency_mean_ms=1, latency_std_ms=0,
                 docs_per_second=1, peak_bytes=0, flops_per_pair=1,
-                trials=9, warmup=3, threads=1,
+                trials=9, warmup=3,
             )
         with pytest.raises(ValueError):
             bench_latency(BENCH_CFG, "ce", batch=2, n=2, m=4, trials=5, warmup=3)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from micerank import masking
 from micerank.masking import (
     AttentionMask,
     MaskSpec,
@@ -220,3 +221,20 @@ class TestCachingAndStreams:
         spec = MaskSpec(MaskStep.STEP3, split_depth=2, total_layers=4)
         joint = build_mask(SegmentLayout(n, m), spec, 3).allow
         np.testing.assert_array_equal(interaction_mask(n, m).allow, joint[: n + 2, :])
+
+    @pytest.mark.parametrize("mask_fn,args", [
+        (query_stream_mask, (3,)),
+        (doc_stream_mask, (5,)),
+        (interaction_mask, (3, 5)),
+    ])
+    def test_stream_masks_cached_and_readonly(self, mask_fn, args):
+        a = mask_fn(*args)
+        assert mask_fn(*args) is a
+        with pytest.raises(ValueError):
+            a.allow[0, 0] = False
+
+    def test_every_mask_cache_is_bounded(self):
+        caches = {name: f for name, f in vars(masking).items() if hasattr(f, "cache_info")}
+        assert len(caches) >= 3, sorted(caches)  # joint, stream and interaction masks
+        for name, cache in caches.items():
+            assert cache.cache_info().maxsize is not None, name

@@ -144,6 +144,22 @@ class TestSynthCorpus:
         b = synth_corpus(seed=8, n_docs=40, n_queries=16, vocab_size=64)
         assert _dataset_bytes(a) != _dataset_bytes(b)
 
+    def test_too_small_vocabulary_names_the_sizes(self):
+        # 2000 docs make 334 topic pools of 4 terms; the last one starts at
+        # term 333 * 4, so the smallest vocabulary that fills it is 1333.
+        with pytest.raises(ValueError, match=r"vocab_size 1024 .* 334 topics.* 1333"):
+            synth_corpus(n_docs=2000, vocab_size=1024)
+
+    @pytest.mark.parametrize("n_docs,n_queries,smallest", [
+        (2000, 64, 1333), (60, 16, 41), (7, 64, 5), (1, 2, 5), (1, 1, 1),
+    ])
+    def test_smallest_vocabulary_is_accepted(self, n_docs, n_queries, smallest):
+        data = synth_corpus(n_docs=n_docs, n_queries=n_queries, vocab_size=smallest)
+        assert len(data.corpus) == n_docs
+        if smallest > 1:
+            with pytest.raises(ValueError, match="vocab_size"):
+                synth_corpus(n_docs=n_docs, n_queries=n_queries, vocab_size=smallest - 1)
+
     def test_every_query_has_a_relevant_doc(self):
         data = synth_corpus(seed=3, n_docs=30, n_queries=25, vocab_size=80)
         for qid, _ in data.queries:
