@@ -63,25 +63,18 @@ class CheckpointFormatError(ValueError):
     """The file is not a valid weights checkpoint."""
 
 
+# The ModelConfig fields ``meta.config`` stores between kind and step code,
+# in file order.
+_CONFIG_FIELDS = (
+    "layers", "hidden", "heads", "ff", "vocab_size",
+    "max_query", "max_doc", "split_depth", "interaction_layers",
+)
+
+
 def _meta_vector(weights, step: MaskStep) -> np.ndarray:
-    cfg = weights.config
     kind = 1.0 if isinstance(weights, MiceWeights) else 0.0
-    return np.array(
-        [
-            kind,
-            cfg.layers,
-            cfg.hidden,
-            cfg.heads,
-            cfg.ff,
-            cfg.vocab_size,
-            cfg.max_query,
-            cfg.max_doc,
-            cfg.split_depth,
-            cfg.interaction_layers,
-            _STEP_CODES[step],
-        ],
-        dtype=np.float32,
-    )
+    config = [getattr(weights.config, name) for name in _CONFIG_FIELDS]
+    return np.array([kind, *config, _STEP_CODES[step]], dtype=np.float32)
 
 
 def _write_entry(buf, name: str, payload: np.ndarray) -> None:
@@ -181,21 +174,11 @@ def load_weights(path, dtype=np.float32):
     dtype = np.dtype(dtype)
     entries = _read_entries(path)
     meta = entries.get("meta.config")
-    if meta is None or meta.shape != (11,):
+    if meta is None or meta.shape != (len(_CONFIG_FIELDS) + 2,):
         raise CheckpointFormatError(f"{path} lacks a valid meta.config entry")
     kind = int(meta[0])
-    config = ModelConfig(
-        layers=int(meta[1]),
-        hidden=int(meta[2]),
-        heads=int(meta[3]),
-        ff=int(meta[4]),
-        vocab_size=int(meta[5]),
-        max_query=int(meta[6]),
-        max_doc=int(meta[7]),
-        split_depth=int(meta[8]),
-        interaction_layers=int(meta[9]),
-    )
-    step = _CODE_STEPS.get(float(meta[10]), MaskStep.BASELINE)
+    config = ModelConfig(**{name: int(v) for name, v in zip(_CONFIG_FIELDS, meta[1:-1])})
+    step = _CODE_STEPS.get(float(meta[-1]), MaskStep.BASELINE)
     if kind not in (0, 1):
         raise CheckpointFormatError(f"unknown model kind {kind} in {path}")
     common = {

@@ -43,6 +43,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(status)
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a count flag: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="micerank", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
@@ -72,10 +80,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--init-from", help="checkpoint to start from (e.g. CE for mid-fusion)")
     p.add_argument("--variant", choices=training.VARIANTS)
     p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", type=int)
+    p.add_argument("--batch-size", type=positive_int)
     p.add_argument("--lr", type=float, dest="lr_peak")
     p.add_argument("--warmup", type=int, dest="warmup_steps")
-    p.add_argument("--validate-every", type=int)
+    p.add_argument("--validate-every", type=positive_int)
     p.add_argument("--layers", type=int)
     p.add_argument("--hidden", type=int)
     p.add_argument("--heads", type=int)
@@ -94,8 +102,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--candidates", required=True, help="TREC run with first-stage candidates")
     p.add_argument("--out", required=True)
-    p.add_argument("--k-out", type=int)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--k-out", type=positive_int)
+    p.add_argument("--batch-size", type=positive_int, default=64)
 
     p = sub.add_parser("encode-docs", parents=[common], help="precompute document states")
     p.add_argument("--model", required=True)
@@ -105,7 +113,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bm25", parents=[common], help="first-stage retrieval")
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--k", type=int, default=1000)
+    p.add_argument("--k", type=positive_int, default=1000)
     p.add_argument("--k1", type=float, default=0.9)
     p.add_argument("--b", type=float, default=0.4)
     p.add_argument("--out", required=True)
@@ -119,8 +127,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--cache", help="document-state cache (mice-precomp mode)")
     p.add_argument("--step", help="mask override for ce mode (default: as trained)")
     p.add_argument("--out", required=True)
-    p.add_argument("--k-out", type=int)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--k-out", type=positive_int)
+    p.add_argument("--batch-size", type=positive_int, default=64)
     p.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
                    help="fail on cache/checkpoint mismatch or missing documents")
 
@@ -131,7 +139,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench", parents=[common], help="latency/memory benchmark")
     p.add_argument("--mode", choices=evalbench.MODES, required=True)
-    p.add_argument("--batch", type=int, default=8)
+    p.add_argument("--batch", type=positive_int, default=8)
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--m", type=int, default=128)
     p.add_argument("--trials", type=int, default=10)
@@ -446,3 +454,7 @@ def dispatch(argv) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -120,15 +120,11 @@ class SegmentLayout:
         return self.query_len + self.doc_len + 3
 
     def segments(self) -> np.ndarray:
-        """Segment code per position, as an int8 vector."""
-        n, m = self.query_len, self.doc_len
-        seg = np.empty(self.length, dtype=np.int8)
-        seg[0] = Segment.CLS
-        seg[1 : n + 1] = Segment.Q
-        seg[n + 1] = Segment.SEP1
-        seg[n + 2 : n + 2 + m] = Segment.D
-        seg[n + 2 + m] = Segment.SEP2
-        return seg
+        """Segment code per position, as an int8 vector: the query stream's
+        codes followed by the document stream's."""
+        return np.concatenate(
+            [_stream_codes(self.query_len, Segment.Q), _stream_codes(self.doc_len, Segment.D)]
+        )
 
     def segment_at(self, position: int) -> Segment:
         return Segment(self.segments()[position])
@@ -159,9 +155,6 @@ class MaskSpec:
     def severed(self, layer_index: int) -> bool:
         """True when this layer fully separates the query and document streams."""
         return self.step is MaskStep.STEP3 and layer_index <= self.split_depth
-
-
-BASELINE_SPEC = MaskSpec(MaskStep.BASELINE)
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .masking import doc_stream_mask, interaction_mask, query_stream_mask
+from .masking import Segment, doc_stream_mask, interaction_mask, query_stream_mask
 from .tensor import Tensor, check_finite
 from .transformer import (
-    CLS_ID,
-    PAD_ID,
-    SEP_ID,
     LayerWeights,
     ModelConfig,
     Weights,
@@ -41,6 +38,8 @@ from .transformer import (
     _ParameterSet,
     embed,
     encoder_layer,
+    frame_stream,
+    pad_frames,
     score_from_cls,
 )
 
@@ -173,58 +172,24 @@ def from_cross_encoder(ce: Weights, split_depth: int, interaction_count: int) ->
 # --------------------------------------------------------------------------
 
 
-def _stream_batch(
-    streams: Sequence[Sequence[int]],
-    weights: MiceWeights,
-    cap: int,
-    head: Sequence[int],
-    first_position: int,
-    stream_mask,
-):
-    """Lower-layer forward over a batch of one kind of stream; returns
-    (states, lengths).
-
-    Each stream is head-truncated to ``cap`` tokens and laid out as
-    ``[*head, tokens, SEP]`` at positions counting up from
-    ``first_position``; ``stream_mask`` maps the token count to its
-    intra-stream mask.
-    """
-    bodies = [list(t)[:cap] for t in streams]
-    if any(not b for b in bodies):
-        raise ValueError("queries and documents must hold at least one token")
-    lengths = [len(head) + len(b) + 1 for b in bodies]
-    s_max = max(lengths)
-    batch = len(bodies)
-    token_ids = np.full((batch, s_max), PAD_ID, dtype=np.int64)
-    pos_ids = np.zeros((batch, s_max), dtype=np.int64)
-    allow = np.zeros((batch, s_max, s_max), dtype=bool)
-    for e, (b, s) in enumerate(zip(bodies, lengths)):
-        token_ids[e, :s] = [*head, *b, SEP_ID]
-        pos_ids[e, :s] = range(first_position, first_position + s)
-        allow[e, :s, :s] = stream_mask(len(b)).allow
-        idx = np.arange(s, s_max)
-        allow[e, idx, idx] = True
+def _stream_batch(streams: Sequence[Sequence[int]], kind: Segment, weights: MiceWeights):
+    """Lower-layer forward over a batch of one kind of stream (``Segment.Q``
+    or ``Segment.D``), framed as in a scored pair; returns (states, lengths)."""
+    frames = [frame_stream(t, kind, weights.config) for t in streams]
+    if kind is Segment.Q:
+        masks = [query_stream_mask(len(tokens) - 2) for tokens, _ in frames]
+    else:
+        masks = [doc_stream_mask(len(tokens) - 1) for tokens, _ in frames]
+    token_ids, pos_ids, (allow,) = pad_frames(frames, [masks])
     states = embed(weights, token_ids, pos_ids)
     for lw in weights.lower:
         states = encoder_layer(states, allow, lw, weights.config.heads)
-    return states, lengths
-
-
-def _query_stream_batch(queries: Sequence[Sequence[int]], weights: MiceWeights):
-    """Query streams ``[CLS, q_1..q_n, SEP1]`` from position 0."""
-    cap = weights.config.max_query
-    return _stream_batch(queries, weights, cap, [CLS_ID], 0, query_stream_mask)
-
-
-def _doc_stream_batch(docs: Sequence[Sequence[int]], weights: MiceWeights):
-    """Document streams ``[d_1..d_m, SEP2]`` from the fixed document offset."""
-    config = weights.config
-    return _stream_batch(docs, weights, config.max_doc, [], config.max_query + 2, doc_stream_mask)
+    return states, [len(tokens) for tokens, _ in frames]
 
 
 def encode_query(query_ids: Sequence[int], weights: MiceWeights) -> Tensor:
     """Query-stream states [(n+2), d] after the shared lower layers."""
-    states, _ = _query_stream_batch([query_ids], weights)
+    states, _ = _stream_batch([query_ids], Segment.Q, weights)
     return states.reshape(states.shape[1:])
 
 
@@ -235,7 +200,7 @@ def encode_document(doc_ids: Sequence[int], weights: MiceWeights, doc_id: str = 
     result is byte-reproducible and identical to what a cache round-trip in
     the same precision returns.
     """
-    states, lengths = _doc_stream_batch([doc_ids], weights)
+    states, lengths = _stream_batch([doc_ids], Segment.D, weights)
     frozen = np.array(states.data[0], copy=True)
     frozen.setflags(write=False)
     return DocState(
@@ -310,7 +275,7 @@ def mice_score_batch(
     """Scores [B] for (query ids, DocState) pairs, batched over items."""
     for _, doc in items:
         _check_hash(doc, weights)
-    q_states, q_lengths = _query_stream_batch([q for q, _ in items], weights)
+    q_states, q_lengths = _stream_batch([q for q, _ in items], Segment.Q, weights)
     d_lengths = [doc.states.shape[0] for _, doc in items]
     sd_max = max(d_lengths)
     d = weights.config.hidden
@@ -332,7 +297,7 @@ def mice_train_scores(
 ) -> Tensor:
     """Differentiable scores [B] with documents re-encoded online, so the
     shared lower layers receive document gradients too."""
-    q_states, q_lengths = _query_stream_batch([q for q, _ in pairs], weights)
-    d_states, d_lengths = _doc_stream_batch([d for _, d in pairs], weights)
+    q_states, q_lengths = _stream_batch([q for q, _ in pairs], Segment.Q, weights)
+    d_states, d_lengths = _stream_batch([d for _, d in pairs], Segment.D, weights)
     q_states = _run_interactions(q_states, d_states, q_lengths, d_lengths, weights)
     return check_finite(score_from_cls(q_states, weights), "relevance score")

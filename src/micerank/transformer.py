@@ -6,10 +6,13 @@ layernorm. Every head of a layer shares one boolean allow-matrix, injected
 into the attention softmax.
 
 Input convention for a scored pair: ``[CLS] q_1..q_n [SEP] d_1..d_m [SEP]``
-with learned absolute position embeddings. Document positions start at the
-fixed offset ``max_query + 2`` regardless of the actual query length, so a
-document's rows are identical whether it is encoded jointly with a query or
-on its own — the property that makes precomputed document states reusable.
+with learned absolute position embeddings. A pair is the query stream
+``[CLS] q [SEP]`` followed by the document stream ``d [SEP]``, each framed by
+:func:`frame_stream` with the same token and position ids the mid-fusion
+model gives it. Document positions start at the fixed offset
+``max_query + 2`` regardless of the actual query length, so a document's rows
+are identical whether it is encoded jointly with a query or on its own — the
+property that makes precomputed document states reusable.
 
 Over-length inputs are head-truncated (the leading ``max_query`` /
 ``max_doc`` tokens are kept); queries are never truncated below one token.
@@ -25,7 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .masking import MaskSpec, SegmentLayout, build_mask
+from .masking import AttentionMask, MaskSpec, Segment, SegmentLayout, build_mask
 from .tensor import (
     ShapeError,
     Tensor,
@@ -300,90 +303,109 @@ def encoder_layer(
 
 
 # --------------------------------------------------------------------------
-# pair batching
+# input layout
 # --------------------------------------------------------------------------
 
 
+def frame_stream(
+    ids: Sequence[int], kind: Segment, config: ModelConfig
+) -> tuple[list[int], list[int]]:
+    """Token and position ids of one stream.
+
+    ``kind`` ``Segment.Q`` frames the query stream ``[CLS, q_1..q_n, SEP1]``
+    from position 0; ``Segment.D`` frames the document stream
+    ``[d_1..d_m, SEP2]`` from position ``max_query + 2``. Positions count up
+    by one from there. The body is head-truncated to ``max_query`` or
+    ``max_doc`` tokens and must not be empty.
+    """
+    if kind is Segment.Q:
+        name, cap, head, first = "query", config.max_query, [CLS_ID], 0
+    else:
+        name, cap, head, first = "document", config.max_doc, [], config.max_query + 2
+    body = list(ids)[:cap]
+    if not body:
+        raise ValueError(f"{name} must hold at least one token")
+    tokens = [*head, *body, SEP_ID]
+    return tokens, list(range(first, first + len(tokens)))
+
+
 def truncate_pair(q_ids: Sequence[int], d_ids: Sequence[int], config: ModelConfig):
-    """Apply the head-truncation policy; empty inputs are rejected."""
-    q = list(q_ids)[: config.max_query]
-    d = list(d_ids)[: config.max_doc]
-    if not q:
-        raise ValueError("query must hold at least one token")
-    if not d:
-        raise ValueError("document must hold at least one token")
-    return q, d
+    """The query and document tokens a pair keeps after head truncation;
+    empty inputs are rejected."""
+    q, _ = frame_stream(q_ids, Segment.Q, config)
+    d, _ = frame_stream(d_ids, Segment.D, config)
+    return q[1:-1], d[:-1]
 
 
 def pair_positions(n: int, m: int, config: ModelConfig) -> list[int]:
-    """Position ids for [CLS, q*n, SEP1, d*m, SEP2]; document positions are
-    anchored at max_query + 2 so they do not depend on the query length."""
-    doc0 = config.max_query + 2
-    return (
-        [0]
-        + list(range(1, n + 1))
-        + [n + 1]
-        + list(range(doc0, doc0 + m))
-        + [doc0 + m]
-    )
+    """Position ids for [CLS, q*n, SEP1, d*m, SEP2]: the query stream's
+    followed by the document stream's, so document positions are anchored at
+    max_query + 2 and do not depend on the query length."""
+    _, q_pos = frame_stream([PAD_ID] * n, Segment.Q, config)
+    _, d_pos = frame_stream([PAD_ID] * m, Segment.D, config)
+    return q_pos + d_pos
 
 
-@dataclass
-class _PairBatch:
-    token_ids: np.ndarray  # [B, s] int
-    pos_ids: np.ndarray  # [B, s] int
-    allow_low: np.ndarray  # [B, s, s] bool, layers <= split_depth
-    allow_high: np.ndarray  # [B, s, s] bool, layers above
-    lengths: list[int]
+def pad_frames(
+    frames: Sequence[tuple[list[int], list[int]]],
+    regimes: Sequence[Sequence[AttentionMask]],
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Stack ``(tokens, positions)`` frames into a padded batch.
 
-
-def _build_pair_batch(
-    pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
-    spec: MaskSpec,
-    config: ModelConfig,
-) -> _PairBatch:
-    prepared = [truncate_pair(q, d, config) for q, d in pairs]
-    lengths = [len(q) + len(d) + 3 for q, d in prepared]
+    Returns [B, s] token ids (pad slots hold ``PAD_ID``), [B, s] position ids
+    and, for each layer regime in ``regimes`` (one square mask per frame), a
+    [B, s, s] allow matrix. Pad rows attend only to themselves and no real
+    row reads a pad column.
+    """
+    lengths = [len(tokens) for tokens, _ in frames]
     s_max = max(lengths)
-    batch = len(prepared)
+    batch = len(frames)
     token_ids = np.full((batch, s_max), PAD_ID, dtype=np.int64)
     pos_ids = np.zeros((batch, s_max), dtype=np.int64)
-    allow_low = np.zeros((batch, s_max, s_max), dtype=bool)
-    allow_high = np.zeros((batch, s_max, s_max), dtype=bool)
-    for e, (q, d) in enumerate(prepared):
-        n, m = len(q), len(d)
-        s = n + m + 3
-        token_ids[e, :s] = [CLS_ID, *q, SEP_ID, *d, SEP_ID]
-        pos_ids[e, :s] = pair_positions(n, m, config)
-        layout = SegmentLayout(n, m)
-        # Two layer regimes at most: stream-severed (step 3, layers up to the
-        # split) and the shared rules everywhere else.
-        low = build_mask(layout, spec, 1)
-        if spec.severed(1) and (
-            not spec.total_layers or spec.split_depth < spec.total_layers
-        ):
-            high = build_mask(layout, spec, spec.split_depth + 1)
-        else:
-            high = low
-        allow_low[e, :s, :s] = low.allow
-        allow_high[e, :s, :s] = high.allow
-        if s < s_max:
-            idx = np.arange(s, s_max)
-            allow_low[e, idx, idx] = True
-            allow_high[e, idx, idx] = True
-    return _PairBatch(token_ids, pos_ids, allow_low, allow_high, lengths)
+    allows = [np.zeros((batch, s_max, s_max), dtype=bool) for _ in regimes]
+    for e, ((tokens, positions), s) in enumerate(zip(frames, lengths)):
+        token_ids[e, :s] = tokens
+        pos_ids[e, :s] = positions
+        pad = np.arange(s, s_max)
+        for allow, masks in zip(allows, regimes):
+            allow[e, :s, :s] = masks[e].allow
+            allow[e, pad, pad] = True
+    return token_ids, pos_ids, allows
 
 
-def _run_stack(
-    states: Tensor,
-    batch: _PairBatch,
+def _pair_states(
+    pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
     spec: MaskSpec,
     weights: Weights,
-    depth: int,
+    depth: int | None,
 ) -> Tensor:
-    for layer_index in range(1, depth + 1):
-        allow = batch.allow_low if spec.severed(layer_index) else batch.allow_high
-        states = encoder_layer(states, allow, weights.layers[layer_index - 1], weights.config.heads)
+    """States [B, s, d] of a batch of pairs after the first ``depth`` layers
+    (default: all). Each pair is its query stream followed by its document
+    stream."""
+    config = weights.config
+    if depth is None:
+        depth = config.layers
+    if not 1 <= depth <= config.layers:
+        raise ValueError(f"depth {depth} outside 1..{config.layers}")
+    frames, layouts = [], []
+    for q_ids, d_ids in pairs:
+        q_tokens, q_pos = frame_stream(q_ids, Segment.Q, config)
+        d_tokens, d_pos = frame_stream(d_ids, Segment.D, config)
+        frames.append((q_tokens + d_tokens, q_pos + d_pos))
+        layouts.append(SegmentLayout(len(q_tokens) - 2, len(d_tokens) - 1))
+    # Layers differ in their mask only where spec.severed tells them apart
+    # (step 3 up to the split), so one allow matrix serves each regime the
+    # run reaches; it is built at the regime's first layer.
+    first_layer = {}
+    for i in range(1, depth + 1):
+        first_layer.setdefault(spec.severed(i), i)
+    token_ids, pos_ids, allows = pad_frames(
+        frames, [[build_mask(layout, spec, i) for layout in layouts] for i in first_layer.values()]
+    )
+    allow_for = dict(zip(first_layer, allows))
+    states = embed(weights, token_ids, pos_ids)
+    for i, lw in enumerate(weights.layers[:depth], start=1):
+        states = encoder_layer(states, allow_for[spec.severed(i)], lw, config.heads)
     return states
 
 
@@ -405,13 +427,7 @@ def score_pairs(
     ``depth`` limits the stack to the first layers (default: all of them);
     the classification head is applied to whatever layer the run stops at.
     """
-    if depth is None:
-        depth = weights.config.layers
-    if not 1 <= depth <= weights.config.layers:
-        raise ValueError(f"depth {depth} outside 1..{weights.config.layers}")
-    batch = _build_pair_batch(pairs, spec, weights.config)
-    states = embed(weights, batch.token_ids, batch.pos_ids)
-    states = _run_stack(states, batch, spec, weights, depth)
+    states = _pair_states(pairs, spec, weights, depth)
     return check_finite(score_from_cls(states, weights), "relevance score")
 
 
@@ -434,10 +450,7 @@ def joint_states(
     depth: int,
 ) -> np.ndarray:
     """Hidden states [s, d] of a single pair after ``depth`` masked layers."""
-    batch = _build_pair_batch([(query_ids, doc_ids)], spec, weights.config)
-    states = embed(weights, batch.token_ids, batch.pos_ids)
-    states = _run_stack(states, batch, spec, weights, depth)
-    return states.data[0]
+    return _pair_states([(query_ids, doc_ids)], spec, weights, depth).data[0]
 
 
 def spec_for(step, config: ModelConfig) -> MaskSpec:

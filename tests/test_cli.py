@@ -5,10 +5,15 @@ asserted directly.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import micerank
 from micerank import checkpoint, retrieval
 from micerank.cli import dispatch
 from micerank.evalbench import BenchReport
@@ -234,6 +239,39 @@ class TestExitCodes:
         assert code == 2
         assert "vocab_size 1024" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("rerank", "--batch-size", "-1"),
+        ("rerank", "--batch-size", "0"),
+        ("rerank", "--k-out", "-2"),
+        ("ablate", "--batch-size", "0"),
+        ("ablate", "--k-out", "0"),
+        ("bm25", "--k", "-1"),
+        ("bench", "--batch", "0"),
+        ("train", "--batch-size", "0"),
+        ("train", "--validate-every", "0"),
+    ])
+    def test_count_below_one_is_usage_error(
+        self, workspace, tmp_path, capsys, command, flag, value
+    ):
+        data = workspace / "data"
+        inputs = [
+            "--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "queries.jsonl"),
+        ]
+        scoring = [*inputs, "--candidates", str(workspace / "bm25.trec")]
+        argv = {
+            "rerank": ["--model", str(workspace / "ce" / "model.bin"), "--mode", "ce", *scoring],
+            "ablate": ["--model", str(workspace / "ce" / "model.bin"), "--step", "2", *scoring],
+            "bm25": inputs,
+            "bench": ["--mode", "ce", "--trials", "1", "--warmup", "0", "--layers", "2",
+                      "--hidden", "8", "--heads", "2", "--ff", "8", "--vocab-size", "16",
+                      "--n", "2", "--m", "3", "--ell-star", "1", "--k-inter", "1"],
+            "train": [*inputs, "--qrels", str(data / "qrels.tsv"),
+                      "--out-dir", str(tmp_path / "model"), *TINY_TRAIN],
+        }[command]
+        out = [] if command in ("bench", "train") else ["--out", str(tmp_path / "run.trec")]
+        assert dispatch([command, *argv, *out, flag, value]) == 1
+        assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert dispatch([
             "eval", "--run", str(tmp_path / "absent.trec"),
@@ -278,3 +316,28 @@ class TestExitCodes:
         ])
         assert code == 3
         assert "numeric" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    """``python -m micerank`` runs the same command line as the script."""
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(micerank.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", *argv], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_synth_writes_the_corpus(self, tmp_path):
+        result = self.run("micerank", "synth", "--out-dir", str(tmp_path), "--docs", "10",
+                          "--queries", "4", "--vocab-size", "64")
+        assert result.returncode == 0, result.stderr
+        assert len(retrieval.read_jsonl(tmp_path / "corpus.jsonl")) == 10
+
+    @pytest.mark.parametrize("module", ["micerank", "micerank.cli"])
+    def test_no_command_is_usage_error(self, module):
+        result = self.run(module)
+        assert result.returncode == 1
+        assert "error" in result.stderr
