@@ -4,7 +4,8 @@ operations.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric failure.
 Machine-readable output goes to ``--out`` paths; a short human summary is
 printed to stdout. All commands accept ``--seed``, ``--precision`` and
-``--threads`` (default from the MICE_THREADS environment variable).
+``--threads`` (at least 1; default from the MICE_THREADS environment
+variable).
 """
 
 from __future__ import annotations
@@ -56,8 +57,10 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--precision", choices=("f32", "f64"), default="f32")
+    # A string default goes through ``type`` too, so a bad MICE_THREADS is
+    # a usage error of the command that would read it, not a traceback.
     common.add_argument(
-        "--threads", type=int, default=int(os.environ.get("MICE_THREADS", "1"))
+        "--threads", type=positive_int, default=os.environ.get("MICE_THREADS", "1")
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -66,10 +69,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--docs", type=int, default=120)
     p.add_argument("--queries", type=int, default=64)
     p.add_argument("--vocab-size", type=int, default=256)
-
-    p = sub.add_parser("build-vocab", parents=[common], help="derive the word vocabulary")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", parents=[common], help="distillation training")
     p.add_argument("--corpus", required=True)
@@ -93,18 +92,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--ell-star", type=int, dest="split_depth")
     p.add_argument("--k-inter", type=int, dest="interaction_layers")
 
-    p = sub.add_parser("ablate", parents=[common], help="rerank under a masking step")
-    p.add_argument("--model", required=True)
-    p.add_argument("--step", required=True, help="baseline or 0..3")
-    p.add_argument("--ell-star", type=int, dest="split_depth",
-                   help="override the stream-split depth for step 3")
-    p.add_argument("--queries", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--candidates", required=True, help="TREC run with first-stage candidates")
-    p.add_argument("--out", required=True)
-    p.add_argument("--k-out", type=positive_int)
-    p.add_argument("--batch-size", type=positive_int, default=64)
-
     p = sub.add_parser("encode-docs", parents=[common], help="precompute document states")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
@@ -118,19 +105,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--b", type=float, default=0.4)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("rerank", parents=[common], help="neural re-ranking of candidates")
+    # ``ablate`` is the same command; the TREC tag records the name typed.
+    p = sub.add_parser("rerank", aliases=["ablate"], parents=[common],
+                       help="neural re-ranking of candidates (ablate: under a masking step)")
     p.add_argument("--model", required=True)
     p.add_argument("--mode", choices=evalbench.MODES, default="ce")
     p.add_argument("--queries", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--candidates", required=True)
+    p.add_argument("--candidates", required=True, help="TREC run with first-stage candidates")
     p.add_argument("--cache", help="document-state cache (mice-precomp mode)")
-    p.add_argument("--step", help="mask override for ce mode (default: as trained)")
+    p.add_argument("--step", help="mask for ce mode: baseline or 0..3 (default: as trained)")
+    p.add_argument("--ell-star", type=int, dest="split_depth",
+                   help="override the step-3 stream-split depth (ce mode)")
     p.add_argument("--out", required=True)
     p.add_argument("--k-out", type=positive_int)
     p.add_argument("--batch-size", type=positive_int, default=64)
     p.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
-                   help="fail on cache/checkpoint mismatch or missing documents")
+                   help="fail on candidates that cannot be scored (--no-strict skips "
+                   "them); a cache from another checkpoint always fails")
 
     p = sub.add_parser("eval", parents=[common], help="score a run against qrels")
     p.add_argument("--run", required=True)
@@ -217,14 +209,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_build_vocab(args) -> int:
-    corpus = retrieval.read_jsonl(args.corpus)
-    vocab = retrieval.build_vocab(text for _, text in corpus)
-    vocab.save(args.out)
-    print(f"vocabulary of {vocab.size} ids ({vocab.size - transformer.FIRST_WORD_ID} words) -> {args.out}")
-    return 0
-
-
 def _cmd_train(args) -> int:
     if args.config:
         cfg = training.parse_config_text(Path(args.config).read_text())
@@ -256,41 +240,6 @@ def _cmd_train(args) -> int:
         f"(last {last:.4f}); checkpoint {result.checkpoint_path}"
     )
     return 0
-
-
-def _rerank_run(args, scorer, queries, candidates_by_query, on_missing) -> int:
-    rankings = []
-    skipped_total = 0
-    for qid, text in queries:
-        candidates = [d for d, _ in candidates_by_query.get(qid, [])]
-        if not candidates:
-            continue
-        ranking = retrieval.rerank(
-            qid, text, candidates, scorer, k_out=args.k_out, on_missing=on_missing
-        )
-        skipped_total += len(ranking.skipped)
-        rankings.append(ranking)
-    retrieval.write_trec_run(args.out, rankings, tag=args.command)
-    print(
-        f"reranked {len(rankings)} queries -> {args.out}"
-        + (f" ({skipped_total} candidates skipped)" if skipped_total else "")
-    )
-    return 0
-
-
-def _cmd_ablate(args) -> int:
-    weights, _, corpus, vocab = _load_model(args, _dtype(args))
-    step = MaskStep.parse(args.step)
-    config = weights.config
-    split = args.split_depth if args.split_depth is not None else config.split_depth
-    spec = MaskSpec(step, split_depth=split, total_layers=config.layers)
-    scorer = retrieval.CrossEncoderScorer(
-        weights, spec, vocab, _doc_tokens(corpus, vocab),
-        batch_size=args.batch_size, threads=args.threads,
-    )
-    queries = retrieval.read_jsonl(args.queries)
-    candidates = retrieval.read_trec_run(args.candidates)
-    return _rerank_run(args, scorer, queries, candidates, on_missing="raise")
 
 
 def _cmd_encode_docs(args) -> int:
@@ -327,14 +276,21 @@ def _cmd_bm25(args) -> int:
 
 
 def _cmd_rerank(args) -> int:
+    if args.mode != "ce" and (args.step or args.split_depth is not None):
+        raise ValueError(f"--step and --ell-star apply to ce mode, not {args.mode}")
+    if args.mode != "mice-precomp" and args.cache:
+        raise ValueError(f"--cache applies to mice-precomp mode, not {args.mode}")
     weights, trained_step, corpus, vocab = _load_model(args, _dtype(args))
-    on_missing = "raise" if args.strict else "skip"
     chunking = dict(batch_size=args.batch_size, threads=args.threads)
     if args.mode == "ce":
         if not isinstance(weights, transformer.Weights):
             raise ValueError("ce mode needs a cross-encoder checkpoint")
         step = MaskStep.parse(args.step) if args.step else trained_step
-        spec = transformer.spec_for(step, weights.config)
+        if args.split_depth is not None and step is not MaskStep.STEP3:
+            raise ValueError(f"--ell-star applies to mask step 3, not {step.value}")
+        config = weights.config
+        split = args.split_depth if args.split_depth is not None else config.split_depth
+        spec = MaskSpec(step, split_depth=split, total_layers=config.layers)
         scorer = retrieval.CrossEncoderScorer(
             weights, spec, vocab, _doc_tokens(corpus, vocab), **chunking
         )
@@ -346,14 +302,29 @@ def _cmd_rerank(args) -> int:
         raise ValueError("mice-precomp mode needs --cache")
     else:
         # The cache holds every document's states, so the corpus only
-        # supplies the vocabulary.
-        cache = doccache.read_cache(
-            args.cache, expected_hash=weights.fingerprint(), strict=args.strict
-        )
+        # supplies the vocabulary. It is opened strictly whatever --strict
+        # says: the scorer refuses every state of another checkpoint.
+        cache = doccache.read_cache(args.cache, expected_hash=weights.fingerprint())
         scorer = retrieval.MiceCacheScorer(weights, vocab, cache, **chunking)
-    queries = retrieval.read_jsonl(args.queries)
-    candidates = retrieval.read_trec_run(args.candidates)
-    return _rerank_run(args, scorer, queries, candidates, on_missing)
+    candidates_by_query = retrieval.read_trec_run(args.candidates)
+    rankings = []
+    skipped_total = 0
+    for qid, text in retrieval.read_jsonl(args.queries):
+        candidates = [d for d, _ in candidates_by_query.get(qid, [])]
+        if not candidates:
+            continue
+        ranking = retrieval.rerank(
+            qid, text, candidates, scorer, k_out=args.k_out,
+            on_missing="raise" if args.strict else "skip",
+        )
+        skipped_total += len(ranking.skipped)
+        rankings.append(ranking)
+    retrieval.write_trec_run(args.out, rankings, tag=args.command)
+    print(
+        f"reranked {len(rankings)} queries -> {args.out}"
+        + (f" ({skipped_total} candidates skipped)" if skipped_total else "")
+    )
+    return 0
 
 
 def _cmd_eval(args) -> int:
@@ -416,12 +387,11 @@ def _cmd_sweep(args) -> int:
 
 _COMMANDS = {
     "synth": _cmd_synth,
-    "build-vocab": _cmd_build_vocab,
     "train": _cmd_train,
-    "ablate": _cmd_ablate,
     "encode-docs": _cmd_encode_docs,
     "bm25": _cmd_bm25,
     "rerank": _cmd_rerank,
+    "ablate": _cmd_rerank,
     "eval": _cmd_eval,
     "bench": _cmd_bench,
     "sweep": _cmd_sweep,

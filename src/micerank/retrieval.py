@@ -80,18 +80,6 @@ class Vocab:
     def encode(self, text: str) -> list[int]:
         return [self.id_of(t) for t in split_terms(text)]
 
-    def save(self, path) -> None:
-        tokens = sorted(self.token_to_id, key=self.token_to_id.get)
-        with open(path, "w") as f:
-            json.dump({"tokens": tokens}, f)
-
-    @classmethod
-    def load(cls, path) -> "Vocab":
-        with open(path) as f:
-            payload = json.load(f)
-        tokens = payload["tokens"]
-        return cls({t: FIRST_WORD_ID + i for i, t in enumerate(tokens)})
-
 
 def build_vocab(texts: Iterable[str]) -> Vocab:
     """Dense word ids over the sorted unique terms of ``texts``."""
@@ -206,12 +194,9 @@ def bm25_retrieve(
 class BM25Scorer:
     def __init__(self, stats: CorpusStats, k1: float = 0.9, b: float = 0.4):
         self.stats = stats
+        self.docs = stats.doc_len
         self.k1 = k1
         self.b = b
-
-    def available(self, candidates: Sequence[str]):
-        missing = [c for c in candidates if c not in self.stats.doc_len]
-        return [c for c in candidates if c in self.stats.doc_len], missing
 
     def score(self, query_text: str, candidates: Sequence[str]) -> dict:
         terms = split_terms(query_text)
@@ -225,15 +210,12 @@ class _NeuralScorer:
     a map from doc id to token ids, or a document-state cache.
     """
 
-    def __init__(self, vocab: Vocab, docs, batch_size: int = 64, threads: int = 1):
+    def __init__(self, weights, vocab: Vocab, docs, batch_size: int = 64, threads: int = 1):
+        self.weights = weights
         self.vocab = vocab
         self.docs = docs
         self.batch_size = batch_size
-        self.threads = max(1, threads)
-
-    def available(self, candidates: Sequence[str]):
-        missing = [c for c in candidates if c not in self.docs]
-        return [c for c in candidates if c in self.docs], missing
+        self.threads = threads
 
     def score(self, query_text: str, candidates: Sequence[str]) -> dict:
         q_ids = ensure_nonempty(tokenize(query_text, self.vocab))
@@ -265,8 +247,7 @@ class CrossEncoderScorer(_NeuralScorer):
     """Joint forward under a masking step (the ablation path)."""
 
     def __init__(self, weights, spec: MaskSpec, vocab, doc_tokens, **kw):
-        super().__init__(vocab, doc_tokens, **kw)
-        self.weights = weights
+        super().__init__(weights, vocab, doc_tokens, **kw)
         self.spec = spec
 
     def _score_chunk(self, q_ids, chunk) -> np.ndarray:
@@ -275,30 +256,21 @@ class CrossEncoderScorer(_NeuralScorer):
 
 
 class MiceScorer(_NeuralScorer):
-    """Mid-fusion scoring with documents encoded on the fly."""
-
-    def __init__(self, weights, vocab, doc_tokens, **kw):
-        super().__init__(vocab, doc_tokens, **kw)
-        self.weights = weights
-
-    def _doc_state(self, doc_id: str):
-        return mice_mod.encode_document(
-            ensure_nonempty(self.docs[doc_id]), self.weights, doc_id=doc_id
-        )
+    """Mid-fusion scoring with each chunk's documents encoded on the fly as
+    one padded batch, through the forward that training and validation use."""
 
     def _score_chunk(self, q_ids, chunk) -> np.ndarray:
-        items = [(q_ids, self._doc_state(c)) for c in chunk]
+        pairs = [(q_ids, ensure_nonempty(self.docs[c])) for c in chunk]
+        return mice_mod.mice_train_scores(pairs, self.weights).data
+
+
+class MiceCacheScorer(_NeuralScorer):
+    """Mid-fusion scoring against precomputed document states; ``docs`` is
+    the document-state cache."""
+
+    def _score_chunk(self, q_ids, chunk) -> np.ndarray:
+        items = [(q_ids, self.docs.get(c)) for c in chunk]
         return mice_mod.mice_score_batch(items, self.weights)
-
-
-class MiceCacheScorer(MiceScorer):
-    """Mid-fusion scoring against precomputed document states."""
-
-    def __init__(self, weights, vocab: Vocab, cache, batch_size: int = 64, threads: int = 1):
-        super().__init__(weights, vocab, cache, batch_size=batch_size, threads=threads)
-
-    def _doc_state(self, doc_id: str):
-        return self.docs.get(doc_id)
 
 
 def rerank(
@@ -311,13 +283,16 @@ def rerank(
 ) -> RankedList:
     """Re-score ``candidates`` and order by (score desc, doc_id asc).
 
-    ``on_missing`` controls what happens to candidates the scorer cannot
-    handle (unknown document, no cached state): ``raise`` (default) or
-    ``skip``, which drops them and records them on ``RankedList.skipped``.
+    ``scorer`` offers ``score(query_text, candidates)`` and ``docs``, which
+    answers ``c in docs`` for the candidates it can score. ``on_missing``
+    controls what happens to the others (unknown document, no cached
+    state): ``raise`` (default) or ``skip``, which drops them and records
+    them on ``RankedList.skipped``.
     """
     if on_missing not in ("raise", "skip"):
         raise ValueError(f"on_missing must be 'raise' or 'skip', got {on_missing!r}")
-    scoreable, missing = scorer.available(candidates)
+    scoreable = [c for c in candidates if c in scorer.docs]
+    missing = [c for c in candidates if c not in scorer.docs]
     if missing:
         if on_missing == "raise":
             raise KeyError(

@@ -4,7 +4,6 @@ Commands run in-process through ``dispatch`` so exit codes and outputs are
 asserted directly.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -165,16 +164,36 @@ class TestPipeline:
         ]) == 0
         assert (tmp_path / "f64.trec").exists()
 
-    def test_build_vocab(self, workspace, tmp_path):
-        out = tmp_path / "vocab.json"
-        assert dispatch([
-            "build-vocab", "--corpus", str(workspace / "data" / "corpus.jsonl"),
-            "--out", str(out),
-        ]) == 0
-        assert "tokens" in json.loads(out.read_text())
+    def test_ablate_is_rerank_under_a_mask_step(self, workspace, tmp_path):
+        """``ablate`` runs the rerank command; only the TREC tag differs."""
+        data = workspace / "data"
+        scoring = [
+            "--model", str(workspace / "ce" / "model.bin"), "--step", "3", "--ell-star", "2",
+            "--queries", str(data / "queries.jsonl"), "--corpus", str(data / "corpus.jsonl"),
+            "--candidates", str(workspace / "bm25.trec"),
+        ]
+        assert dispatch(["ablate", *scoring, "--out", str(tmp_path / "a.trec")]) == 0
+        assert dispatch(["rerank", "--mode", "ce", *scoring,
+                         "--out", str(tmp_path / "r.trec")]) == 0
+        ablate = (tmp_path / "a.trec").read_text().splitlines()
+        rerank = (tmp_path / "r.trec").read_text().splitlines()
+        assert ablate and [line.rsplit(" ", 1)[1] for line in ablate] == ["ablate"] * len(ablate)
+        assert [line.rsplit(" ", 1)[0] for line in ablate] == [
+            line.rsplit(" ", 1)[0] for line in rerank
+        ]
 
 
 class TestModelLoader:
+    def test_ablate_on_mid_fusion_checkpoint_is_data_error(self, workspace, tmp_path, capsys):
+        data = workspace / "data"
+        code = dispatch([
+            "ablate", "--model", str(workspace / "mice" / "model.bin"), "--step", "2",
+            "--queries", str(data / "queries.jsonl"), "--corpus", str(data / "corpus.jsonl"),
+            "--candidates", str(workspace / "bm25.trec"), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "ce mode needs a cross-encoder checkpoint" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,model,extra", [
         ("ablate", "ce", ["--step", "2"]),
         ("encode-docs", "mice", []),
@@ -243,6 +262,8 @@ class TestExitCodes:
         ("rerank", "--batch-size", "-1"),
         ("rerank", "--batch-size", "0"),
         ("rerank", "--k-out", "-2"),
+        ("rerank", "--threads", "-1"),
+        ("rerank", "--threads", "0"),
         ("ablate", "--batch-size", "0"),
         ("ablate", "--k-out", "0"),
         ("bm25", "--k", "-1"),
@@ -271,6 +292,46 @@ class TestExitCodes:
         out = [] if command in ("bench", "train") else ["--out", str(tmp_path / "run.trec")]
         assert dispatch([command, *argv, *out, flag, value]) == 1
         assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,mode,extra", [
+        ("rerank", "mice", ["--step", "3"]),
+        ("rerank", "mice-precomp", ["--step", "3"]),
+        ("rerank", "mice", ["--ell-star", "1"]),
+        ("ablate", "mice-precomp", ["--ell-star", "1"]),
+        ("ablate", "ce", ["--ell-star", "1", "--step", "2"]),
+        ("rerank", "ce", ["--cache", "cache.bin"]),
+        ("ablate", "mice", ["--cache", "cache.bin"]),
+    ])
+    def test_flag_the_mode_does_not_read_is_data_error(
+        self, workspace, tmp_path, capsys, command, mode, extra
+    ):
+        data = workspace / "data"
+        model = "ce" if mode == "ce" else "mice"
+        code = dispatch([
+            command, "--model", str(workspace / model / "model.bin"), "--mode", mode,
+            "--queries", str(data / "queries.jsonl"), "--corpus", str(data / "corpus.jsonl"),
+            "--candidates", str(workspace / "bm25.trec"), "--out", str(tmp_path / "r.trec"),
+            *extra,
+        ])
+        assert code == 2
+        assert extra[0] in capsys.readouterr().err
+        assert not (tmp_path / "r.trec").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_mice_threads_is_usage_error(
+        self, workspace, tmp_path, capsys, monkeypatch, value
+    ):
+        """The environment default goes through the same check as the flag."""
+        monkeypatch.setenv("MICE_THREADS", value)
+        data = workspace / "data"
+        code = dispatch([
+            "rerank", "--model", str(workspace / "ce" / "model.bin"), "--mode", "ce",
+            "--queries", str(data / "queries.jsonl"), "--corpus", str(data / "corpus.jsonl"),
+            "--candidates", str(workspace / "bm25.trec"), "--out", str(tmp_path / "r.trec"),
+        ])
+        assert code == 1
+        assert "argument --threads" in capsys.readouterr().err
+        assert not (tmp_path / "r.trec").exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert dispatch([
@@ -302,6 +363,31 @@ class TestExitCodes:
             "--out", str(tmp_path / "r.trec"),
         ])
         assert code == 2
+
+    def test_lenient_rerank_still_refuses_cache_of_another_checkpoint(
+        self, workspace, tmp_path, capsys
+    ):
+        """``--no-strict`` skips unscoreable candidates; it does not open a
+        cache whose every state the scorer would refuse."""
+        data = workspace / "data"
+        other = tmp_path / "othermodel"
+        assert dispatch([
+            "train", "--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "queries.jsonl"),
+            "--qrels", str(data / "qrels.tsv"), "--out-dir", str(other),
+            "--variant", "mice", "--k-inter", "1", "--seed", "5", *TINY_TRAIN,
+        ]) == 0
+        capsys.readouterr()
+        code = dispatch([
+            "rerank", "--model", str(other / "model.bin"), "--mode", "mice-precomp",
+            "--no-strict",
+            "--queries", str(data / "queries.jsonl"), "--corpus", str(data / "corpus.jsonl"),
+            "--candidates", str(workspace / "bm25.trec"), "--cache", str(workspace / "cache.bin"),
+            "--out", str(tmp_path / "r.trec"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "was produced by a different checkpoint" in err
+        assert "document state" not in err
 
     def test_nan_checkpoint_is_numeric_error(self, workspace, tmp_path, capsys):
         data = workspace / "data"

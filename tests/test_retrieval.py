@@ -7,7 +7,6 @@ import pytest
 from micerank.evalbench import RankedList
 from micerank.retrieval import (
     BM25Scorer,
-    Vocab,
     bm25_retrieve,
     bm25_score,
     build_corpus_stats,
@@ -50,12 +49,6 @@ class TestTokenizer:
         ids = sorted(vocab.token_to_id.values())
         assert ids == [FIRST_WORD_ID, FIRST_WORD_ID + 1, FIRST_WORD_ID + 2]
         assert vocab.id_of("a") == FIRST_WORD_ID  # sorted term order
-
-    def test_vocab_save_load(self, tmp_path):
-        vocab = build_vocab(["gamma alpha beta"])
-        path = tmp_path / "vocab.json"
-        vocab.save(path)
-        assert Vocab.load(path).token_to_id == vocab.token_to_id
 
 
 class TestBM25:
@@ -113,9 +106,6 @@ class _OverlapScorer:
 
     def __init__(self, docs):
         self.docs = {d: set(t.split()) for d, t in docs}
-
-    def available(self, candidates):
-        return [c for c in candidates if c in self.docs], [c for c in candidates if c not in self.docs]
 
     def score(self, query_text, candidates):
         q = set(query_text.split())
@@ -186,6 +176,42 @@ class TestThreadedScoring:
         a = serial.score("common w1", candidates)
         b = pooled.score("common w1", candidates)
         assert a == b
+
+    def test_online_mice_scores_are_the_training_forward(self, monkeypatch):
+        """Online mid-fusion scores each chunk through ``mice_train_scores``,
+        bit for bit, and never encodes a document on its own."""
+        import numpy as np
+
+        from micerank import mice
+        from micerank.retrieval import MiceScorer, build_vocab, ensure_nonempty
+        from micerank.tensor import no_grad
+        from micerank.transformer import ModelConfig
+
+        corpus = [(f"d{i}", " ".join(f"w{j}" for j in range(i % 6 + 1))) for i in range(10)]
+        vocab = build_vocab(t for _, t in corpus)
+        config = ModelConfig(
+            layers=3, hidden=16, heads=2, ff=24, vocab_size=vocab.size,
+            max_query=4, max_doc=8, split_depth=1, interaction_layers=2,
+        )
+        mw = mice.init_mice_weights(config, seed=2, dtype=np.float32)
+        doc_tokens = {d: ensure_nonempty(vocab.encode(t)) for d, t in corpus}
+        candidates = sorted(doc_tokens)
+        q_ids = vocab.encode("w0 w3")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("online scoring encoded a single document")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mice, "encode_document", refuse)
+            got = MiceScorer(mw, vocab, doc_tokens, batch_size=4).score("w0 w3", candidates)
+        with no_grad():
+            want = np.concatenate([
+                mice.mice_train_scores(
+                    [(q_ids, doc_tokens[c]) for c in candidates[i : i + 4]], mw
+                ).data
+                for i in range(0, len(candidates), 4)
+            ])
+        assert [got[c] for c in candidates] == list(want)
 
 
 class TestFileFormats:
