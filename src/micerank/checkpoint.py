@@ -74,6 +74,12 @@ _CONFIG_FIELDS = (
 def _meta_vector(weights, step: MaskStep) -> np.ndarray:
     kind = 1.0 if isinstance(weights, MiceWeights) else 0.0
     config = [getattr(weights.config, name) for name in _CONFIG_FIELDS]
+    for name, value in zip(_CONFIG_FIELDS, config):
+        if abs(value) >= 2**24:
+            raise ValueError(
+                f"config.{name} = {value} cannot be stored exactly in the float32 "
+                f"checkpoint metadata (must be below 2**24)"
+            )
     return np.array([kind, *config, _STEP_CODES[step]], dtype=np.float32)
 
 

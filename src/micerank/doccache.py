@@ -14,7 +14,9 @@ File layout (integers little-endian):
 Payloads are always 32-bit regardless of compute precision (the cache is an
 inference artifact; tests that need 64 bits bypass it). Lookups are lazy and
 O(1) via the offset table; the file is mapped read-only so concurrent reads
-are safe. Writing is single-writer and atomic (temp file + rename).
+are safe. Opening checks the index table: ids are unique, and every payload
+lies after the index, inside the file, and apart from every other payload.
+Writing is single-writer and atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -161,6 +163,22 @@ class DocStateCache:
         return False
 
 
+def _check_payloads(path, index: dict, payload_start: int, hidden: int) -> None:
+    """Every payload lies after the index table and no two overlap."""
+    previous, previous_end = None, payload_start
+    for offset, end, doc_id in sorted(
+        (offset, offset + (m + 1) * hidden * 4, doc_id) for doc_id, (m, offset) in index.items()
+    ):
+        if offset < previous_end and previous is None:
+            raise CacheFormatError(
+                f"{path}: payload of {doc_id!r} starts inside the header or index table "
+                f"(offset {offset}, index ends at {payload_start})"
+            )
+        if offset < previous_end:
+            raise CacheFormatError(f"{path}: payloads of {previous!r} and {doc_id!r} overlap")
+        previous, previous_end = doc_id, end
+
+
 def read_cache(path, expected_hash: bytes | None = None, strict: bool = True) -> DocStateCache:
     """Open a cache for lazy lookups.
 
@@ -200,7 +218,10 @@ def read_cache(path, expected_hash: bytes | None = None, strict: bool = True) ->
             end = offset + (m + 1) * hidden * 4
             if end > len(mm):
                 raise CacheFormatError(f"{path}: payload of {doc_id!r} runs past end of file")
+            if doc_id in index:
+                raise CacheFormatError(f"{path}: duplicate doc id {doc_id!r} in index table")
             index[doc_id] = (m, offset)
+        _check_payloads(path, index, pos, hidden)
         if expected_hash is not None and expected_hash != ckpt_hash:
             message = (
                 f"cache {path} was produced by a different checkpoint "

@@ -19,6 +19,13 @@ the cached states for mask fidelity but is never read by the query stream.
 Both streams share one set of lower-layer parameters. During training,
 documents are re-encoded online so the lower layers receive document
 gradients; the cache is an inference-only optimization.
+
+A query's lower-layer states do not depend on the document it is paired
+with, so both batched forwards encode each distinct query stream of a batch
+once and share its rows among every item that carries it: a chunk of one
+query and many candidates runs the query through the lower layers once. In
+training, the gradients of a shared query's items are summed before the
+lower-layer backward.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .masking import Segment, doc_stream_mask, interaction_mask, query_stream_mask
-from .tensor import Tensor, check_finite
+from .tensor import Tensor, check_finite, gather_rows
 from .transformer import (
     LayerWeights,
     ModelConfig,
@@ -187,6 +194,16 @@ def _stream_batch(streams: Sequence[Sequence[int]], kind: Segment, weights: Mice
     return states, [len(tokens) for tokens, _ in frames]
 
 
+def _query_batch(queries: Sequence[Sequence[int]], weights: MiceWeights):
+    """Query-stream states [B, s, d] and lengths for one query per item; each
+    distinct query runs the lower layers once and its rows are gathered for
+    every item that carries it."""
+    rows: dict[tuple[int, ...], int] = {}
+    index = [rows.setdefault(tuple(q), len(rows)) for q in queries]
+    states, lengths = _stream_batch(list(rows), Segment.Q, weights)
+    return gather_rows(states, index), [lengths[r] for r in index]
+
+
 def encode_query(query_ids: Sequence[int], weights: MiceWeights) -> Tensor:
     """Query-stream states [(n+2), d] after the shared lower layers."""
     states, _ = _stream_batch([query_ids], Segment.Q, weights)
@@ -275,7 +292,7 @@ def mice_score_batch(
     """Scores [B] for (query ids, DocState) pairs, batched over items."""
     for _, doc in items:
         _check_hash(doc, weights)
-    q_states, q_lengths = _stream_batch([q for q, _ in items], Segment.Q, weights)
+    q_states, q_lengths = _query_batch([q for q, _ in items], weights)
     d_lengths = [doc.states.shape[0] for _, doc in items]
     sd_max = max(d_lengths)
     d = weights.config.hidden
@@ -297,7 +314,7 @@ def mice_train_scores(
 ) -> Tensor:
     """Differentiable scores [B] with documents re-encoded online, so the
     shared lower layers receive document gradients too."""
-    q_states, q_lengths = _stream_batch([q for q, _ in pairs], Segment.Q, weights)
+    q_states, q_lengths = _query_batch([q for q, _ in pairs], weights)
     d_states, d_lengths = _stream_batch([d for _, d in pairs], Segment.D, weights)
     q_states = _run_interactions(q_states, d_states, q_lengths, d_lengths, weights)
     return check_finite(score_from_cls(q_states, weights), "relevance score")

@@ -19,6 +19,22 @@ from micerank.mice import DocState
 HASH = bytes(range(32))
 
 
+def hand_built_cache(path, entries, hidden=8, payload_bytes=None):
+    """Write a cache file byte by byte from index rows (doc id, m, offset),
+    where each offset is taken relative to the end of the index table and
+    stored as given; the payload region holds ``payload_bytes`` zero bytes
+    (default: up to the end of the last payload)."""
+    start = struct.calcsize("<8sIII32sI") + sum(4 + len(d.encode()) + 12 for d, _, _ in entries)
+    header = struct.pack("<8sIII32sI", MAGIC, VERSION, hidden, 1, HASH, len(entries))
+    index = b"".join(
+        struct.pack("<I", len(d.encode())) + d.encode() + struct.pack("<IQ", m, start + rel)
+        for d, m, rel in entries
+    )
+    if payload_bytes is None:
+        payload_bytes = max(rel + (m + 1) * hidden * 4 for _, m, rel in entries)
+    path.write_bytes(header + index + bytes(payload_bytes))
+
+
 def make_state(doc_id: str, m: int, seed: int = 0, d: int = 8) -> DocState:
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((m + 1, d)).astype(np.float32)
@@ -179,3 +195,47 @@ class TestGuards:
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
         assert path.exists()
+
+
+class TestIndexTableGuards:
+    """A corrupt index table is refused on open, naming the document. One
+    8-wide row is 32 bytes, so a payload of m tokens spans (m + 1) * 32."""
+
+    def test_hand_built_valid_file_opens(self, tmp_path):
+        path = tmp_path / "c.bin"
+        hand_built_cache(path, [("a", 1, 0), ("b", 2, 64)])
+        with read_cache(path) as cache:
+            assert cache.doc_ids() == ["a", "b"]
+            assert cache.get("b").m == 2
+
+    def test_duplicate_doc_id(self, tmp_path):
+        path = tmp_path / "c.bin"
+        hand_built_cache(path, [("a", 1, 0), ("a", 1, 64)])
+        with pytest.raises(CacheFormatError, match="duplicate doc id 'a'"):
+            read_cache(path)
+
+    # two 17-byte index rows follow the 56-byte header, so the index ends at 90
+    @pytest.mark.parametrize("rel", [-90, -50, -30, -1])
+    def test_payload_inside_header_or_index(self, tmp_path, rel):
+        path = tmp_path / "c.bin"
+        hand_built_cache(path, [("a", 1, 0), ("b", 1, rel)], payload_bytes=128)
+        with pytest.raises(CacheFormatError, match="payload of 'b' starts inside"):
+            read_cache(path)
+
+    def test_overlapping_payloads(self, tmp_path):
+        path = tmp_path / "c.bin"
+        hand_built_cache(path, [("a", 2, 0), ("b", 1, 64)])
+        with pytest.raises(CacheFormatError, match="payloads of 'a' and 'b' overlap"):
+            read_cache(path)
+
+    def test_overlap_found_whatever_the_index_order(self, tmp_path):
+        path = tmp_path / "c.bin"
+        hand_built_cache(path, [("a", 1, 96), ("b", 1, 160), ("c", 3, 0)])
+        with pytest.raises(CacheFormatError, match="payloads of 'c' and 'a' overlap"):
+            read_cache(path)
+
+    def test_adjacent_payloads_in_any_order_accepted(self, tmp_path):
+        path = tmp_path / "c.bin"
+        hand_built_cache(path, [("a", 1, 64), ("b", 1, 0)])
+        with read_cache(path) as cache:
+            assert cache.get("a").m == cache.get("b").m == 1

@@ -1,6 +1,9 @@
 """Encoder stack: reference-forward equivalence, mask structure effects,
 batching, truncation, and the checkpoint format."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
@@ -308,3 +311,20 @@ class TestCheckpoint:
         assert loaded.config == mw.config
         for (_, a), (_, b) in zip(mw.named_parameters(), loaded.named_parameters()):
             assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("field", ["layers", "hidden", "vocab_size", "max_doc"])
+    def test_config_value_not_exact_in_float32_rejected(self, tmp_path, config, field):
+        """meta.config stores the config fields as float32, exact below 2**24."""
+        w = init_ce_weights(config, seed=0, dtype=np.float32)
+        w.config = dataclasses.replace(config, **{field: 2**24})
+        with pytest.raises(ValueError, match=f"{field} = {2**24}"):
+            serialize_weights(w)
+        with pytest.raises(ValueError, match=field):
+            save_weights(tmp_path / "model.bin", w)
+        assert not (tmp_path / "model.bin").exists()
+
+    def test_largest_exact_config_value_accepted(self, config):
+        w = init_ce_weights(config, seed=0, dtype=np.float32)
+        w.config = dataclasses.replace(config, max_doc=2**24 - 1)
+        blob = serialize_weights(w)
+        assert struct.pack("<f", 2**24 - 1) in blob
