@@ -14,8 +14,9 @@ File layout (integers little-endian):
 Payloads are always 32-bit regardless of compute precision (the cache is an
 inference artifact; tests that need 64 bits bypass it). Lookups are lazy and
 O(1) via the offset table; the file is mapped read-only so concurrent reads
-are safe. Opening checks the index table: ids are unique, and every payload
-lies after the index, inside the file, and apart from every other payload.
+are safe. Opening checks the index table: ids are unique, every document
+holds at least one token, and every payload lies after the index, inside the
+file, and apart from every other payload.
 Writing is single-writer and atomic (temp file + rename).
 """
 
@@ -215,6 +216,8 @@ def read_cache(path, expected_hash: bytes | None = None, strict: bool = True) ->
             pos += id_len
             m, offset = struct.unpack("<IQ", mm[pos : pos + 12])
             pos += 12
+            if m == 0:
+                raise CacheFormatError(f"{path}: document {doc_id!r} holds no tokens")
             end = offset + (m + 1) * hidden * 4
             if end > len(mm):
                 raise CacheFormatError(f"{path}: payload of {doc_id!r} runs past end of file")

@@ -377,7 +377,20 @@ def _neg(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy batching semantics; operands must be >= 2-d."""
+    """Matrix product with numpy batching semantics; operands must be >= 2-d.
+
+    A stacked activation times a 2-d weight (``a`` of shape ``[..., t, d]``,
+    ``b`` of shape ``[d, f]``) runs as one ``[N, d] @ [d, f]`` GEMM over the
+    ``N = prod(...) * t`` rows instead of one small GEMM per leading index.
+    With ``t`` and ``f`` of at least 2, numpy would run one GEMM per stacked
+    matrix and the result has the same bits (measured with OpenBLAS); with a
+    single row or column numpy uses a matrix-vector kernel instead and the
+    two differ at rounding level. The backward flattens the same way:
+    ``a``'s gradient is ``g @ bᵀ`` on the flattened rows, and ``b``'s is one
+    ``[d, N] @ [N, f]`` GEMM, so the sum over the stacked rows happens inside
+    the GEMM rather than in ``_unbroadcast``. Every other shape pair (batched
+    operands, broadcasting) goes through ``np.matmul``.
+    """
     if not isinstance(a, Tensor) or not isinstance(b, Tensor):
         raise ShapeError("matmul expects tensors")
     if a.data.dtype != b.data.dtype:
@@ -388,6 +401,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}"
         )
+    if a.data.ndim > 2 and b.data.ndim == 2:
+        return _stacked_matmul(a, b)
     try:
         data = np.matmul(a.data, b.data)
     except ValueError as exc:
@@ -401,6 +416,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             _accumulate(b, _unbroadcast(gb, b.data.shape))
+
+    return _make(data, (a, b), backward_fn)
+
+
+def _stacked_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a [..., d] @ b [d, f]`` as one GEMM over the flattened rows of ``a``."""
+    d, f = b.data.shape
+    rows = math.prod(a.data.shape[:-1])
+    # Results are written through a 2-d view of an owning buffer, so they are
+    # neither copied by ``_accumulate`` nor skipped by the allocation counter.
+    data = np.empty(a.data.shape[:-1] + (f,), dtype=b.data.dtype)
+    np.matmul(a.data.reshape(rows, d), b.data, out=data.reshape(rows, f))
+
+    def backward_fn(out):
+        g = out.grad.reshape(rows, f)
+        if a.requires_grad:
+            ga = np.empty(a.data.shape, dtype=b.data.dtype)
+            np.matmul(g, b.data.T, out=ga.reshape(rows, d))
+            _accumulate(a, ga)
+        if b.requires_grad:
+            _accumulate(b, np.matmul(a.data.reshape(rows, d).T, g))
 
     return _make(data, (a, b), backward_fn)
 

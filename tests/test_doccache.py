@@ -239,3 +239,9 @@ class TestIndexTableGuards:
         hand_built_cache(path, [("a", 1, 64), ("b", 1, 0)])
         with read_cache(path) as cache:
             assert cache.get("a").m == cache.get("b").m == 1
+
+    def test_empty_entry_rejected_on_open(self, tmp_path):
+        path = tmp_path / "c.bin"
+        hand_built_cache(path, [("a", 1, 0), ("b", 0, 64)])
+        with pytest.raises(CacheFormatError, match="'b' holds no tokens"):
+            read_cache(path)

@@ -65,6 +65,82 @@ class TestMatmul:
             matmul(a, b)
 
 
+class TestStackedMatmul:
+    """A stacked activation times a 2-d weight runs as one flattened GEMM;
+    every other shape pair keeps numpy's batched product."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(16,), (2, 3)])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_forward_bitwise_equals_numpy(self, dtype, lead, transposed, rng):
+        if transposed:  # a non-contiguous view
+            a = rng.standard_normal(lead + (48, 11)).astype(dtype).swapaxes(-1, -2)
+        else:
+            a = rng.standard_normal(lead + (11, 48)).astype(dtype)
+        b = rng.standard_normal((48, 96)).astype(dtype)
+        got = matmul(Tensor(a), Tensor(b)).data
+        assert got.shape == lead + (11, 96) and got.dtype == dtype
+        assert got.tobytes() == np.matmul(a, b).tobytes()
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    def test_gradients_match_finite_differences(self, lead, rng):
+        a = Tensor(rng.standard_normal(lead + (4, 5)), requires_grad=True)
+        b = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
+        weight = Tensor(rng.standard_normal(lead + (4, 6)))
+
+        def forward():
+            out = matmul(a, b)
+            return (out * out * 0.5 + out * weight).sum()
+
+        forward().backward()
+        for param in (a, b):
+            assert_grads_close(param.grad, fd_gradient(lambda: forward().item(), param.data))
+
+    def test_weight_gradient_is_one_gemm_over_all_rows(self, rng):
+        a = Tensor(rng.standard_normal((4, 3, 7, 5)), requires_grad=True)
+        b = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
+        g = rng.standard_normal((4, 3, 7, 6))
+        (matmul(a, b) * Tensor(g)).sum().backward()
+        assert b.grad.tobytes() == (a.data.reshape(-1, 5).T @ g.reshape(-1, 6)).tobytes()
+        assert a.grad.tobytes() == np.matmul(g, b.data.T).tobytes()
+
+    @pytest.mark.parametrize("b_shape", [(4, 5, 6), (1, 5, 6)])
+    def test_batched_and_broadcast_products_unchanged(self, b_shape, rng):
+        a = Tensor(rng.standard_normal((4, 3, 5)), requires_grad=True)
+        b = Tensor(rng.standard_normal(b_shape), requires_grad=True)
+        g = rng.standard_normal((4, 3, 6))
+        out = matmul(a, b)
+        assert out.data.tobytes() == np.matmul(a.data, b.data).tobytes()
+        (out * Tensor(g)).sum().backward()
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        if b_shape[0] == 1:
+            gb = gb.sum(axis=0, keepdims=True)
+        assert b.grad.tobytes() == gb.tobytes()
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        assert a.grad.tobytes() == ga.tobytes()
+
+        def forward():
+            return (matmul(a, b) * Tensor(g)).sum()
+
+        for param in (a, b):
+            assert_grads_close(param.grad, fd_gradient(lambda: forward().item(), param.data))
+
+    def test_shared_weight_accumulates_every_product(self, rng):
+        x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+        y = Tensor(rng.standard_normal((2, 2, 3, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
+
+        def forward():
+            return (matmul(x, w) * matmul(x, w)).sum() + matmul(y, w).sum() * 0.5
+
+        forward().backward()
+        for param in (x, y, w):
+            assert_grads_close(param.grad, fd_gradient(lambda: forward().item(), param.data))
+        gx = matmul(x, w).data.reshape(-1, 6) * 2.0
+        expected = x.data.reshape(-1, 5).T @ gx + y.data.reshape(-1, 5).T @ np.full((12, 6), 0.5)
+        np.testing.assert_allclose(w.grad, expected, rtol=1e-12)
+
+
 class TestMaskedSoftmax:
     def test_single_allowed_entry(self):
         out = masked_softmax(Tensor([5.0, 9.0, 2.0]), np.array([True, False, False]))
