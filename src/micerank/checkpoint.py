@@ -18,7 +18,9 @@ split_depth, interaction_layers, step_code]``
 
 where ``kind`` is 0 for a cross-encoder and 1 for the mid-fusion model, and
 ``step_code`` records the masking step the cross-encoder was trained with
-(-1 baseline, 0..3 for the ablation steps; unused for mid-fusion).
+(-1 baseline, 0..3 for the ablation steps; unused for mid-fusion). Every
+value must be integral, and the loader refuses a kind or step code it does
+not know.
 
 Payloads are stored in 32 bits regardless of compute precision; a float64
 model round-trips through its float32 projection.
@@ -182,11 +184,18 @@ def load_weights(path, dtype=np.float32):
     meta = entries.get("meta.config")
     if meta is None or meta.shape != (len(_CONFIG_FIELDS) + 2,):
         raise CheckpointFormatError(f"{path} lacks a valid meta.config entry")
+    for name, value in zip(("kind", *_CONFIG_FIELDS, "step_code"), meta):
+        if not float(value).is_integer():
+            raise CheckpointFormatError(f"{path}: meta.config {name} = {value} is not an integer")
     kind = int(meta[0])
-    config = ModelConfig(**{name: int(v) for name, v in zip(_CONFIG_FIELDS, meta[1:-1])})
-    step = _CODE_STEPS.get(float(meta[-1]), MaskStep.BASELINE)
     if kind not in (0, 1):
         raise CheckpointFormatError(f"unknown model kind {kind} in {path}")
+    if float(meta[-1]) not in _CODE_STEPS:
+        raise CheckpointFormatError(
+            f"{path}: meta.config step_code = {meta[-1]} is not a masking step"
+        )
+    config = ModelConfig(**{name: int(v) for name, v in zip(_CONFIG_FIELDS, meta[1:-1])})
+    step = _CODE_STEPS[float(meta[-1])]
     common = {
         name: _param(entries, name, dtype)
         for name in ("token_emb", "pos_emb", "score_w", "score_b")

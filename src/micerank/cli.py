@@ -11,6 +11,7 @@ variable).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -214,18 +215,11 @@ def _cmd_train(args) -> int:
         cfg = training.parse_config_text(Path(args.config).read_text())
     else:
         cfg = training.TrainConfig()
-    overrides = {
-        name: getattr(args, name)
-        for name in (
-            "variant", "steps", "batch_size", "lr_peak", "warmup_steps",
-            "validate_every", "layers", "hidden", "heads", "ff",
-            "max_query", "max_doc", "split_depth", "interaction_layers",
-        )
-        if getattr(args, name) is not None
-    }
-    overrides["seed"] = args.seed
-    overrides["precision"] = args.precision
-    cfg = training.TrainConfig(**{**cfg.__dict__, **overrides})
+    cfg = dataclasses.replace(cfg, **{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(training.TrainConfig)
+        if getattr(args, f.name, None) is not None
+    })
     data = _load_data(args.corpus, args.queries, args.qrels)
     init = None
     if args.init_from:
@@ -243,6 +237,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_encode_docs(args) -> int:
+    if args.precision != "f32":
+        raise ValueError(f"encode-docs writes float32 states; --precision {args.precision} "
+                         "is not supported")
     weights, _, corpus, vocab = _load_model(args, np.float32)
     if not isinstance(weights, mice.MiceWeights):
         raise ValueError("encode-docs needs a mid-fusion checkpoint (kind mice)")

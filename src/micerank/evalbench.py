@@ -212,10 +212,6 @@ class BenchReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self))
 
-    @classmethod
-    def from_json(cls, text: str) -> "BenchReport":
-        return cls(**json.loads(text))
-
     def summary(self) -> str:
         return (
             f"{self.mode:<12} batch={self.batch} n={self.n} m={self.m} "

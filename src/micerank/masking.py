@@ -126,9 +126,6 @@ class SegmentLayout:
             [_stream_codes(self.query_len, Segment.Q), _stream_codes(self.doc_len, Segment.D)]
         )
 
-    def segment_at(self, position: int) -> Segment:
-        return Segment(self.segments()[position])
-
 
 @dataclass(frozen=True)
 class MaskSpec:

@@ -23,19 +23,17 @@ from . import transformer
 from .evalbench import RankedList
 from .masking import MaskSpec
 from .tensor import no_grad
-from .transformer import CLS_ID, FIRST_WORD_ID, PAD_ID, SEP_ID, UNK_ID
+from .transformer import FIRST_WORD_ID, UNK_ID
 
 __all__ = [
     "Vocab",
     "CorpusStats",
     "split_terms",
     "build_vocab",
-    "tokenize",
     "build_corpus_stats",
     "bm25_score",
     "bm25_retrieve",
     "rerank",
-    "BM25Scorer",
     "CrossEncoderScorer",
     "MiceScorer",
     "MiceCacheScorer",
@@ -50,13 +48,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _TERM_RE = re.compile(r"[a-z0-9]+")
-
-SPECIAL_TOKENS = {
-    "[CLS]": CLS_ID,
-    "[SEP]": SEP_ID,
-    "[PAD]": PAD_ID,
-    "[UNK]": UNK_ID,
-}
 
 
 def split_terms(text: str) -> list[str]:
@@ -78,6 +69,9 @@ class Vocab:
         return self.token_to_id.get(term, UNK_ID)
 
     def encode(self, text: str) -> list[int]:
+        """Token ids for ``text``; out-of-vocabulary terms map to UNK. The
+        empty string yields [] — scoring layouts substitute a single UNK
+        afterwards."""
         return [self.id_of(t) for t in split_terms(text)]
 
 
@@ -85,12 +79,6 @@ def build_vocab(texts: Iterable[str]) -> Vocab:
     """Dense word ids over the sorted unique terms of ``texts``."""
     terms = sorted({t for text in texts for t in split_terms(text)})
     return Vocab({t: FIRST_WORD_ID + i for i, t in enumerate(terms)})
-
-
-def tokenize(text: str, vocab: Vocab) -> list[int]:
-    """Token ids for ``text``; out-of-vocabulary terms map to UNK. The empty
-    string yields [] — scoring layouts substitute a single UNK afterwards."""
-    return vocab.encode(text)
 
 
 def ensure_nonempty(ids: Sequence[int]) -> list[int]:
@@ -191,18 +179,6 @@ def bm25_retrieve(
 # --------------------------------------------------------------------------
 
 
-class BM25Scorer:
-    def __init__(self, stats: CorpusStats, k1: float = 0.9, b: float = 0.4):
-        self.stats = stats
-        self.docs = stats.doc_len
-        self.k1 = k1
-        self.b = b
-
-    def score(self, query_text: str, candidates: Sequence[str]) -> dict:
-        terms = split_terms(query_text)
-        return {c: bm25_score(terms, c, self.stats, self.k1, self.b) for c in candidates}
-
-
 class _NeuralScorer:
     """Shared chunking/threading machinery for model-backed scorers.
 
@@ -218,7 +194,7 @@ class _NeuralScorer:
         self.threads = threads
 
     def score(self, query_text: str, candidates: Sequence[str]) -> dict:
-        q_ids = ensure_nonempty(tokenize(query_text, self.vocab))
+        q_ids = ensure_nonempty(self.vocab.encode(query_text))
         return self.score_ids(q_ids, candidates)
 
     def score_ids(self, q_ids: Sequence[int], candidates: Sequence[str]) -> dict:
@@ -226,17 +202,20 @@ class _NeuralScorer:
             list(candidates[i : i + self.batch_size])
             for i in range(0, len(candidates), self.batch_size)
         ]
+
+        def score(chunk):
+            # Grad mode is thread-local: each pool worker must enter it itself.
+            with no_grad():
+                return self._score_chunk(q_ids, chunk)
+
+        if self.threads > 1 and len(chunks) > 1:
+            with ThreadPoolExecutor(max_workers=self.threads) as pool:
+                results = list(pool.map(score, chunks))
+        else:
+            results = map(score, chunks)
         out: dict = {}
-        with no_grad():
-            if self.threads > 1 and len(chunks) > 1:
-                with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                    for chunk, scores in zip(
-                        chunks, pool.map(lambda c: self._score_chunk(q_ids, c), chunks)
-                    ):
-                        out.update(zip(chunk, scores))
-            else:
-                for chunk in chunks:
-                    out.update(zip(chunk, self._score_chunk(q_ids, chunk)))
+        for chunk, scores in zip(chunks, results):
+            out.update(zip(chunk, scores))
         return out
 
     def _score_chunk(self, q_ids, chunk) -> np.ndarray:
@@ -321,8 +300,10 @@ def read_jsonl(path) -> list[tuple[str, str]]:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError(f"expected an object, got {type(obj).__name__}")
                 records.append((str(obj["id"]), str(obj["text"])))
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad JSONL record ({exc})") from None
     return records
 
@@ -351,7 +332,14 @@ def read_trec_run(path) -> dict:
             if len(parts) != 6:
                 raise ValueError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
             qid, _, doc_id, rank, score, _ = parts
-            by_query.setdefault(qid, []).append((int(rank), doc_id, float(score)))
+            try:
+                row = (int(rank), doc_id, float(score))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: rank {rank!r} must be an integer and "
+                    f"score {score!r} a number"
+                ) from None
+            by_query.setdefault(qid, []).append(row)
     return {
         qid: [(doc_id, score) for _, doc_id, score in sorted(rows)]
         for qid, rows in by_query.items()
@@ -369,7 +357,12 @@ def read_qrels(path) -> dict:
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
             qid, _, doc_id, rel = parts
-            qrels.setdefault(qid, {})[doc_id] = int(rel)
+            try:
+                qrels.setdefault(qid, {})[doc_id] = int(rel)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: relevance {rel!r} must be an integer"
+                ) from None
     return qrels
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "masked_softmax",
     "layernorm",
     "gelu",
-    "linear",
     "concat",
     "gather_rows",
     "select",
@@ -53,7 +52,6 @@ __all__ = [
     "track_allocations",
     "allocated_bytes",
     "peak_allocated_bytes",
-    "reset_peak_allocated_bytes",
 ]
 
 
@@ -116,11 +114,6 @@ def allocated_bytes() -> int:
 
 def peak_allocated_bytes() -> int:
     return _ALLOC.peak
-
-
-def reset_peak_allocated_bytes() -> None:
-    with _ALLOC.lock:
-        _ALLOC.peak = _ALLOC.live
 
 
 def _on_free(nbytes: int) -> None:
@@ -213,10 +206,6 @@ class Tensor:
             raise GradUsageError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        """The underlying buffer (no copy); treat it as read-only."""
-        return self.data
-
     def __repr__(self):
         grad = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{grad})"
@@ -248,10 +237,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node)
-
-    def detach(self) -> "Tensor":
-        """Same data, severed from the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     # -- operators ----------------------------------------------------------
 
@@ -630,19 +615,6 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
             _accumulate(x, (gg - m1 - xhat * m2) * inv)
 
     return _make(data, (x, gain, bias), backward_fn)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map over the last axis: ``x @ w + b``."""
-    if w.data.ndim != 2:
-        raise ShapeError(f"linear weight must be 2-d, got {w.data.shape}")
-    if x.data.shape[-1] != w.data.shape[0]:
-        raise ShapeError(
-            f"linear: input width {x.data.shape[-1]} does not match weight {w.data.shape}"
-        )
-    if b.data.shape != (w.data.shape[1],):
-        raise ShapeError(f"linear bias must have shape ({w.data.shape[1]},)")
-    return matmul(x, w) + b
 
 
 def check_finite(x: Tensor, what: str = "value") -> Tensor:

@@ -31,7 +31,7 @@ from .checkpoint import save_weights
 from .evalbench import rr_at_k
 from .masking import MaskStep
 from .mice import MiceWeights, init_mice_weights, mice_train_scores
-from .retrieval import build_vocab, ensure_nonempty, split_terms, tokenize
+from .retrieval import build_vocab, ensure_nonempty, split_terms
 from .tensor import NumericError, Tensor, no_grad, select
 from .transformer import ModelConfig, init_ce_weights, score_pairs, spec_for
 
@@ -59,9 +59,8 @@ VARIANTS = ("baseline", "step0", "step1", "step2", "step3", "mice")
 
 @dataclass
 class TrainConfig:
-    """Desk-scale defaults; ``reference_profile`` preserves the full-scale
-    recipe (125k steps at lr 7e-6 with 5k warmup) without being required
-    anywhere."""
+    """Desk-scale defaults. The full-scale recipe is 125k steps at lr 7e-6
+    with 5k warmup steps, batch 32, validating every 10k steps."""
 
     steps: int = 2000
     batch_size: int = 32
@@ -85,20 +84,11 @@ class TrainConfig:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.precision not in ("f32", "f64"):
             raise ValueError(f"precision must be f32 or f64, got {self.precision!r}")
+        for name in ("steps", "warmup_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
         if self.steps > 0 and not self.warmup_steps < self.steps:
             raise ValueError("warmup_steps must be smaller than steps")
-
-    @classmethod
-    def reference_profile(cls, **overrides) -> "TrainConfig":
-        base = dict(
-            steps=125_000,
-            batch_size=32,
-            lr_peak=7e-6,
-            warmup_steps=5_000,
-            validate_every=10_000,
-        )
-        base.update(overrides)
-        return cls(**base)
 
     @property
     def dtype(self):
@@ -108,17 +98,16 @@ class TrainConfig:
         return None if self.variant == "mice" else MaskStep.parse(self.variant)
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            layers=self.layers,
-            hidden=self.hidden,
-            heads=self.heads,
-            ff=self.ff,
-            vocab_size=vocab_size,
-            max_query=self.max_query,
-            max_doc=self.max_doc,
-            split_depth=self.split_depth,
-            interaction_layers=self.interaction_layers if self.variant == "mice" else 0,
-        )
+        arch = {name: getattr(self, name) for name in MODEL_FIELDS}
+        if self.variant != "mice":
+            arch["interaction_layers"] = 0
+        return ModelConfig(vocab_size=vocab_size, **arch)
+
+
+# The architecture fields a TrainConfig passes through to its ModelConfig.
+MODEL_FIELDS = tuple(
+    f.name for f in fields(TrainConfig) if f.name in {g.name for g in fields(ModelConfig)}
+)
 
 
 def parse_config_text(text: str) -> TrainConfig:
@@ -355,13 +344,18 @@ class _Task:
     val_q: list
 
 
-def _prepare_task(cfg: TrainConfig, data: SynthData) -> _Task:
+def _prepare_task(cfg: TrainConfig, data: SynthData, weights=None) -> _Task:
+    """Tokenize ``data``; ``weights``, if given, must fit its vocabulary."""
     vocab = build_vocab(text for _, text in data.corpus)
+    if weights is not None and weights.config.vocab_size != vocab.size:
+        raise ValueError(
+            f"weights expect vocab {weights.config.vocab_size}, corpus builds {vocab.size}"
+        )
     doc_tokens = {
-        d: ensure_nonempty(tokenize(t, vocab))[: cfg.max_doc] for d, t in data.corpus
+        d: ensure_nonempty(vocab.encode(t))[: cfg.max_doc] for d, t in data.corpus
     }
     query_tokens = {
-        q: ensure_nonempty(tokenize(t, vocab))[: cfg.max_query] for q, t in data.queries
+        q: ensure_nonempty(vocab.encode(t))[: cfg.max_query] for q, t in data.queries
     }
     train_q, val_q = split_queries(data)
     train_q = [q for q in train_q if data.qrels.get(q)]
@@ -370,26 +364,23 @@ def _prepare_task(cfg: TrainConfig, data: SynthData) -> _Task:
     return _Task(vocab, doc_tokens, query_tokens, data.doc_ids(), train_q, val_q)
 
 
-def evaluate_rr10(
-    weights, data: SynthData, task: _Task, qids=None, batch_size=64, spec=None
-) -> float:
+def evaluate_rr10(weights, data: SynthData, task: _Task, spec=None) -> float:
     """Mean RR@10 over held-out queries, ranking the whole corpus.
 
     A masked cross-encoder is evaluated under the same mask it trains with
     (``spec``); mid-fusion models encode documents online here.
     """
-    qids = list(qids if qids is not None else task.val_q)
     doc_ids = sorted(task.doc_ids)
     is_mice = isinstance(weights, MiceWeights)
     if spec is None and not is_mice:
         spec = spec_for(MaskStep.BASELINE, weights.config)
     values = []
     with no_grad():
-        for qid in qids:
+        for qid in task.val_q:
             q_ids = task.query_tokens[qid]
             scores = np.empty(len(doc_ids))
-            for lo in range(0, len(doc_ids), batch_size):
-                chunk = doc_ids[lo : lo + batch_size]
+            for lo in range(0, len(doc_ids), 64):
+                chunk = doc_ids[lo : lo + 64]
                 pairs = [(q_ids, task.doc_tokens[d]) for d in chunk]
                 if is_mice:
                     out = mice_train_scores(pairs, weights).data
@@ -434,18 +425,13 @@ def train_in_memory(cfg: TrainConfig, data: SynthData, weights=None):
     re-encode documents online so every retained parameter receives
     gradients.
     """
-    task = _prepare_task(cfg, data)
+    task = _prepare_task(cfg, data, weights)
     if weights is None:
         mconfig = cfg.model_config(task.vocab.size)
         if cfg.variant == "mice":
             weights = init_mice_weights(mconfig, seed=cfg.seed, dtype=cfg.dtype)
         else:
             weights = init_ce_weights(mconfig, seed=cfg.seed, dtype=cfg.dtype)
-    else:
-        if weights.config.vocab_size != task.vocab.size:
-            raise ValueError(
-                f"weights expect vocab {weights.config.vocab_size}, corpus builds {task.vocab.size}"
-            )
     is_mice = isinstance(weights, MiceWeights)
     if is_mice != (cfg.variant == "mice"):
         raise ValueError(f"variant {cfg.variant!r} does not match the given weights")
@@ -531,19 +517,9 @@ def finetune_mice(mw: MiceWeights, data: SynthData, steps: int = 0, seed: int = 
         validate_every=max(1, steps),
         seed=seed,
         variant="mice",
-        layers=mw.config.layers,
-        hidden=mw.config.hidden,
-        heads=mw.config.heads,
-        ff=mw.config.ff,
-        max_query=mw.config.max_query,
-        max_doc=mw.config.max_doc,
-        split_depth=mw.config.split_depth,
-        interaction_layers=mw.config.interaction_layers,
+        **{name: getattr(mw.config, name) for name in MODEL_FIELDS},
     )
     if steps == 0:
-        task = _prepare_task(cfg, data)
-        if mw.config.vocab_size != task.vocab.size:
-            raise ValueError("weights/corpus vocabulary mismatch")
-        return evaluate_rr10(mw, data, task)
+        return evaluate_rr10(mw, data, _prepare_task(cfg, data, mw))
     weights, metrics = train_in_memory(cfg, data, weights=mw)
     return metrics[-1]["rr10"]

@@ -108,10 +108,6 @@ class ModelConfig:
             raise ValueError(f"vocab_size must exceed {FIRST_WORD_ID}")
 
     @property
-    def head_dim(self) -> int:
-        return self.hidden // self.heads
-
-    @property
     def position_count(self) -> int:
         return self.max_query + self.max_doc + 3
 

@@ -4,6 +4,7 @@ Commands run in-process through ``dispatch`` so exit codes and outputs are
 asserted directly.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -138,7 +139,7 @@ class TestPipeline:
             "--heads", "2", "--ff", "24", "--vocab-size", "64",
             "--ell-star", "1", "--k-inter", "1", "--out", str(out),
         ]) == 0
-        report = BenchReport.from_json(out.read_text())
+        report = BenchReport(**json.loads(out.read_text()))
         assert report.mode == "mice-precomp"
         assert "docs/s" in capsys.readouterr().out
 
@@ -332,6 +333,55 @@ class TestExitCodes:
         assert code == 1
         assert "argument --threads" in capsys.readouterr().err
         assert not (tmp_path / "r.trec").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--steps", "-5"), ("--warmup", "-3")])
+    def test_negative_schedule_is_data_error(self, workspace, tmp_path, capsys, flag, value):
+        data = workspace / "data"
+        code = dispatch([
+            "train", "--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "queries.jsonl"),
+            "--qrels", str(data / "qrels.tsv"), "--out-dir", str(tmp_path / "model"),
+            *TINY_TRAIN, flag, value,
+        ])
+        assert code == 2
+        assert "must not be negative" in capsys.readouterr().err
+        assert not (tmp_path / "model").exists()
+
+    def test_encode_docs_in_float64_is_data_error(self, workspace, tmp_path, capsys):
+        code = dispatch([
+            "encode-docs", "--model", str(workspace / "mice" / "model.bin"),
+            "--corpus", str(workspace / "data" / "corpus.jsonl"),
+            "--out", str(tmp_path / "cache.bin"), "--precision", "f64",
+        ])
+        assert code == 2
+        assert "--precision f64" in capsys.readouterr().err
+        assert not (tmp_path / "cache.bin").exists()
+
+    @pytest.mark.parametrize("command,bad_line", [
+        ("bm25", "[1, 2]"),
+        ("bm25", '"text"'),
+        ("eval-run", "q1 Q0 d1 first 1.0 t"),
+        ("eval-qrels", "q1 0 d1 yes"),
+    ])
+    def test_malformed_input_names_path_and_line(self, tmp_path, capsys, command, bad_line):
+        good = {
+            "bm25": '{"id": "d0", "text": "a b"}',
+            "eval-run": "q1 Q0 d0 1 2.0 t",
+            "eval-qrels": "q1 0 d0 1",
+        }[command]
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"{good}\n{bad_line}\n")
+        run = tmp_path / "run.trec"
+        run.write_text("q1 Q0 d0 1 2.0 t\n")
+        qrels = tmp_path / "qrels.tsv"
+        qrels.write_text("q1 0 d0 1\n")
+        argv = {
+            "bm25": ["bm25", "--corpus", str(bad), "--queries", str(bad),
+                     "--out", str(tmp_path / "out.trec")],
+            "eval-run": ["eval", "--run", str(bad), "--qrels", str(qrels)],
+            "eval-qrels": ["eval", "--run", str(run), "--qrels", str(bad)],
+        }[command]
+        assert dispatch(argv) == 2
+        assert f"{bad}:2: " in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert dispatch([

@@ -58,7 +58,7 @@ def oracle_allowed(step: MaskStep, severed: bool) -> dict:
 
 def oracle_matrix(layout: SegmentLayout, step: MaskStep, severed: bool) -> np.ndarray:
     allowed = oracle_allowed(step, severed)
-    seg = [layout.segment_at(i) for i in range(layout.length)]
+    seg = [Segment(code) for code in layout.segments()]
     out = np.zeros((layout.length, layout.length), dtype=bool)
     for i, t in enumerate(seg):
         for j, s in enumerate(seg):

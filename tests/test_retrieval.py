@@ -1,12 +1,12 @@
 """Tokenizer, BM25, the rerank pipeline, and the exchange file formats."""
 
 import math
+import re
 
 import pytest
 
 from micerank.evalbench import RankedList
 from micerank.retrieval import (
-    BM25Scorer,
     bm25_retrieve,
     bm25_score,
     build_corpus_stats,
@@ -16,7 +16,6 @@ from micerank.retrieval import (
     read_trec_run,
     rerank,
     split_terms,
-    tokenize,
     write_jsonl,
     write_qrels,
     write_trec_run,
@@ -27,22 +26,22 @@ from micerank.transformer import FIRST_WORD_ID, UNK_ID
 class TestTokenizer:
     def test_lowercase_split(self):
         vocab = build_vocab(["a b"])
-        assert tokenize("A b", vocab) == [vocab.id_of("a"), vocab.id_of("b")]
+        assert vocab.encode("A b") == [vocab.id_of("a"), vocab.id_of("b")]
 
     def test_non_alnum_separation(self):
         assert split_terms("Hello, world!x2") == ["hello", "world", "x2"]
 
     def test_empty_text(self):
         vocab = build_vocab(["a"])
-        assert tokenize("", vocab) == []
+        assert vocab.encode("") == []
 
     def test_oov_maps_to_unk(self):
         vocab = build_vocab(["apple"])
-        assert tokenize("banana", vocab) == [UNK_ID]
+        assert vocab.encode("banana") == [UNK_ID]
 
     def test_stable(self):
         vocab = build_vocab(["x y z"])
-        assert tokenize("z x,y", vocab) == tokenize("z x,y", vocab)
+        assert vocab.encode("z x,y") == vocab.encode("z x,y")
 
     def test_ids_dense_from_first_word_id(self):
         vocab = build_vocab(["c a b"])
@@ -112,12 +111,24 @@ class _OverlapScorer:
         return {c: float(len(q & self.docs[c])) for c in candidates}
 
 
+class _BM25Scorer:
+    """Oracle scorer: pointwise BM25."""
+
+    def __init__(self, stats):
+        self.stats = stats
+        self.docs = stats.doc_len
+
+    def score(self, query_text, candidates):
+        terms = split_terms(query_text)
+        return {c: bm25_score(terms, c, self.stats) for c in candidates}
+
+
 class TestRerank:
     def test_bm25_scorer_is_identity_on_bm25_order(self):
         corpus = [("d1", "apple apple"), ("d2", "apple banana"), ("d3", "banana x")]
         stats = build_corpus_stats(corpus)
         first = bm25_retrieve("apple banana", stats, k=10)
-        ranking = rerank("q1", "apple banana", [d for d, _ in first], BM25Scorer(stats))
+        ranking = rerank("q1", "apple banana", [d for d, _ in first], _BM25Scorer(stats))
         assert ranking.doc_ids() == [d for d, _ in first]
 
     def test_overlap_oracle_order(self):
@@ -177,6 +188,37 @@ class TestThreadedScoring:
         b = pooled.score("common w1", candidates)
         assert a == b
 
+    def test_pooled_workers_score_without_grad(self, monkeypatch):
+        """Grad mode is thread-local, so a pooled chunk must not build a
+        backward graph just because its worker thread never left grad mode."""
+        import numpy as np
+
+        from micerank import tensor
+        from micerank.mice import init_mice_weights
+        from micerank.retrieval import MiceScorer, build_vocab, ensure_nonempty
+        from micerank.transformer import ModelConfig
+
+        corpus = [(f"d{i}", f"w{i} common") for i in range(8)]
+        vocab = build_vocab(t for _, t in corpus)
+        config = ModelConfig(
+            layers=2, hidden=8, heads=2, ff=12, vocab_size=vocab.size,
+            max_query=4, max_doc=8, split_depth=1, interaction_layers=1,
+        )
+        mw = init_mice_weights(config, seed=1, dtype=np.float32)
+        doc_tokens = {d: ensure_nonempty(vocab.encode(t)) for d, t in corpus}
+        grad_modes = []
+        score_chunk = MiceScorer._score_chunk
+
+        def recording(scorer, q_ids, chunk):
+            grad_modes.append(tensor.grad_enabled())
+            return score_chunk(scorer, q_ids, chunk)
+
+        monkeypatch.setattr(MiceScorer, "_score_chunk", recording)
+        MiceScorer(mw, vocab, doc_tokens, batch_size=3, threads=2).score(
+            "common w1", sorted(doc_tokens)
+        )
+        assert grad_modes == [False, False, False]
+
     def test_online_mice_scores_are_the_training_forward(self, monkeypatch):
         """Online mid-fusion scores each chunk through ``mice_train_scores``,
         bit for bit, and never encodes a document on its own."""
@@ -227,6 +269,13 @@ class TestFileFormats:
         with pytest.raises(ValueError):
             read_jsonl(path)
 
+    @pytest.mark.parametrize("line", ["[1, 2]", '"text"', "5", "null"])
+    def test_jsonl_record_not_an_object_names_the_line(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n' + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
+            read_jsonl(path)
+
     def test_trec_run_round_trip(self, tmp_path):
         rankings = [
             RankedList("q1", (("d2", 2.5), ("d1", 1.25))),
@@ -245,6 +294,13 @@ class TestFileFormats:
         with pytest.raises(ValueError):
             read_trec_run(path)
 
+    @pytest.mark.parametrize("row", ["q1 Q0 d2 x 1.0 t", "q1 Q0 d2 2 high t"])
+    def test_trec_run_bad_number_names_the_line(self, tmp_path, row):
+        path = tmp_path / "bad.trec"
+        path.write_text(f"q1 Q0 d1 1 2.0 t\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
+            read_trec_run(path)
+
     def test_qrels_round_trip(self, tmp_path):
         qrels = {"q1": {"d1": 2, "d2": 0}, "q2": {"d3": 1}}
         path = tmp_path / "qrels.tsv"
@@ -256,4 +312,10 @@ class TestFileFormats:
         path = tmp_path / "bad.tsv"
         path.write_text("q1 d1 2\n")
         with pytest.raises(ValueError):
+            read_qrels(path)
+
+    def test_qrels_bad_relevance_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("q1 0 d1 1\nq1 0 d2 yes\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
             read_qrels(path)

@@ -28,6 +28,7 @@ from micerank.training import (
     train,
     train_in_memory,
 )
+from micerank.transformer import ModelConfig
 
 
 class TestMarginMSE:
@@ -218,6 +219,11 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             TrainConfig(variant="stepX")
 
+    @pytest.mark.parametrize("text", ["steps = -5\n", "warmup_steps = -3\n"])
+    def test_negative_schedule_rejected(self, text):
+        with pytest.raises(ValueError, match="must not be negative"):
+            parse_config_text(text)
+
 
 @pytest.fixture(scope="module")
 def tiny_data():
@@ -283,6 +289,22 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train_in_memory(tiny_cfg(variant="baseline"), tiny_data, weights=mw)
 
+    def test_model_config_carries_the_architecture(self):
+        cfg = tiny_cfg(variant="mice", layers=3, interaction_layers=2)
+        assert cfg.model_config(40) == ModelConfig(
+            layers=3, hidden=16, heads=2, ff=24, vocab_size=40,
+            max_query=6, max_doc=16, split_depth=1, interaction_layers=2,
+        )
+        assert tiny_cfg(variant="step1").model_config(40).interaction_layers == 0
+
+    @pytest.mark.parametrize("steps", [0, 2])
+    def test_finetune_vocabulary_mismatch_rejected(self, tiny_data, steps):
+        from micerank.mice import init_mice_weights
+
+        config = tiny_cfg(variant="mice").model_config(vocab_size=9)
+        with pytest.raises(ValueError, match="corpus builds"):
+            finetune_mice(init_mice_weights(config), tiny_data, steps=steps)
+
     def test_finetune_zero_steps_just_evaluates(self, tiny_data):
         from micerank.mice import from_cross_encoder
 
@@ -290,11 +312,3 @@ class TestTrainLoop:
         mw = from_cross_encoder(ce, 1, 1)
         rr = finetune_mice(mw, tiny_data, steps=0)
         assert 0.0 <= rr <= 1.0
-
-    def test_reference_profile_preserved(self):
-        cfg = TrainConfig.reference_profile()
-        assert cfg.steps == 125_000
-        assert cfg.batch_size == 32
-        assert cfg.lr_peak == pytest.approx(7e-6)
-        assert cfg.warmup_steps == 5_000
-        assert cfg.validate_every == 10_000
