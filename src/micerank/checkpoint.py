@@ -24,13 +24,27 @@ not know.
 
 Payloads are stored in 32 bits regardless of compute precision; a float64
 model round-trips through its float32 projection.
+
+Loading reads the file in one pass: each entry's header, then its payload
+straight into a fresh float32 array, which a float32 load keeps as the
+parameter itself. So a load holds the weights once, not as a file image plus
+copies. One writer produces the canonical byte stream, entry by entry, for
+:func:`save_weights`, :func:`serialize_weights` and
+:func:`weights_fingerprint`; the fingerprint hashes that stream as it goes
+and is computed only when first asked for. :func:`save_weights` writes a
+temporary file beside the target and renames it over the target, so a
+failed save leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import math
+import os
 import struct
+import uuid
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +57,7 @@ from .transformer import LayerWeights, ModelConfig, Weights
 __all__ = [
     "MAGIC",
     "CheckpointFormatError",
+    "atomic_output",
     "save_weights",
     "load_weights",
     "serialize_weights",
@@ -85,24 +100,26 @@ def _meta_vector(weights, step: MaskStep) -> np.ndarray:
     return np.array([kind, *config, _STEP_CODES[step]], dtype=np.float32)
 
 
-def _write_entry(buf, name: str, payload: np.ndarray) -> None:
-    raw = name.encode("utf-8")
-    buf.write(struct.pack("<I", len(raw)))
-    buf.write(raw)
-    buf.write(struct.pack("<I", payload.ndim))
-    buf.write(struct.pack(f"<{payload.ndim}I", *payload.shape))
-    buf.write(np.ascontiguousarray(payload, dtype="<f4").tobytes())
+def _write_canonical(write, weights, step: MaskStep) -> None:
+    """Feed the checkpoint bytes of ``weights`` to ``write``, one entry at a
+    time: the single writer behind the file, the serialization and the
+    fingerprint. Contiguous float32 payloads go out as views, uncopied."""
+    entries = [("meta.config", _meta_vector(weights, step))]
+    entries += [(name, t.data) for name, t in weights.named_parameters()]
+    write(MAGIC)
+    write(struct.pack("<I", len(entries)))
+    for name, payload in entries:
+        raw = name.encode("utf-8")
+        write(struct.pack(
+            f"<I{len(raw)}sI{payload.ndim}I", len(raw), raw, payload.ndim, *payload.shape
+        ))
+        write(memoryview(np.ascontiguousarray(payload, dtype="<f4")).cast("B"))
 
 
 def serialize_weights(weights, step: MaskStep = MaskStep.BASELINE) -> bytes:
-    """Deterministic byte serialization (also the fingerprint input)."""
-    entries = [("meta.config", _meta_vector(weights, step))]
-    entries += [(name, t.data) for name, t in weights.named_parameters()]
+    """Deterministic byte serialization: the bytes :func:`save_weights` writes."""
     buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", len(entries)))
-    for name, payload in entries:
-        _write_entry(buf, name, payload)
+    _write_canonical(buf.write, weights, step)
     return buf.getvalue()
 
 
@@ -112,58 +129,92 @@ def weights_fingerprint(weights) -> bytes:
     Computed over the canonical serialization (f32 payloads, baseline step
     code), so it is invariant to the load precision and to the masking step
     recorded in the file. For a checkpoint saved with the baseline step the
-    digest coincides with the sha256 of the file bytes.
+    digest coincides with the sha256 of the file bytes. The bytes are hashed
+    as they are produced; no serialization is built.
     """
-    return hashlib.sha256(serialize_weights(weights, MaskStep.BASELINE)).digest()
+    digest = hashlib.sha256()
+    _write_canonical(digest.update, weights, MaskStep.BASELINE)
+    return digest.digest()
+
+
+@contextmanager
+def atomic_output(path):
+    """Open a temporary file next to ``path`` for binary writing. When the
+    block ends normally it replaces ``path``; on any error it is removed,
+    leaving ``path`` as it was."""
+    path = Path(path)
+    # An exclusive create, not mkstemp: the file gets the umask's permissions.
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        with open(tmp, "xb") as out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_weights(path, weights, step: MaskStep = MaskStep.BASELINE) -> None:
     """Write a checkpoint; ``step`` records the mask the model was trained with."""
-    Path(path).write_bytes(serialize_weights(weights, step))
+    with atomic_output(path) as out:
+        _write_canonical(out.write, weights, step)
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
+    """Sequential reads from an open checkpoint, each checked against the
+    file size before anything is allocated for it."""
+
+    def __init__(self, file, path):
+        self.file = file
+        self.size = os.fstat(file.fileno()).st_size
         self.off = 0
         self.path = path
 
-    def take(self, count: int) -> bytes:
-        if self.off + count > len(self.blob):
+    def _claim(self, count: int) -> None:
+        if self.off + count > self.size:
             raise CheckpointFormatError(f"truncated checkpoint {self.path}")
-        chunk = self.blob[self.off : self.off + count]
         self.off += count
-        return chunk
+
+    def take(self, count: int) -> bytes:
+        self._claim(count)
+        return self.file.read(count)
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def floats(self, dims) -> np.ndarray:
+        """The next payload of shape ``dims``, read straight into a fresh array."""
+        self._claim(4 * math.prod(dims))
+        payload = np.empty(dims, dtype="<f4")
+        if self.file.readinto(payload) != payload.nbytes:  # the file shrank
+            raise CheckpointFormatError(f"truncated checkpoint {self.path}")
+        return payload
+
 
 def _read_entries(path) -> dict[str, np.ndarray]:
-    blob = Path(path).read_bytes()
-    r = _Reader(blob, path)
-    if r.take(8) != MAGIC:
-        raise CheckpointFormatError(f"{path} is not a weights checkpoint (bad magic)")
-    count = r.u32()
-    entries: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name = r.take(r.u32()).decode("utf-8")
-        rank = r.u32()
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        size = int(np.prod(dims)) if dims else 1
-        payload = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(dims)
-        entries[name] = payload
-    if r.off != len(blob):
-        raise CheckpointFormatError(f"{path} has {len(blob) - r.off} trailing bytes")
+    with open(path, "rb") as file:
+        r = _Reader(file, path)
+        if r.take(8) != MAGIC:
+            raise CheckpointFormatError(f"{path} is not a weights checkpoint (bad magic)")
+        count = r.u32()
+        entries: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            name = r.take(r.u32()).decode("utf-8")
+            rank = r.u32()
+            entries[name] = r.floats(struct.unpack(f"<{rank}I", r.take(4 * rank)))
+    if r.off != r.size:
+        raise CheckpointFormatError(f"{path} has {r.size - r.off} trailing bytes")
     return entries
 
 
 def _param(entries: dict, name: str, dtype) -> Tensor:
+    """Take the payload out of ``entries``, so that a float64 load frees each
+    float32 payload as it converts it."""
     try:
-        payload = entries[name]
+        payload = entries.pop(name)
     except KeyError:
         raise CheckpointFormatError(f"checkpoint is missing tensor {name!r}") from None
-    return Tensor(payload.astype(dtype), requires_grad=True)
+    return Tensor(payload.astype(dtype, copy=False), requires_grad=True)
 
 
 def _layer(entries: dict, prefix: str, dtype) -> LayerWeights:
@@ -213,5 +264,4 @@ def load_weights(path, dtype=np.float32):
             ],
             **common,
         )
-    weights._fingerprint = weights_fingerprint(weights)
     return weights, step

@@ -3,15 +3,18 @@ operations.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric failure.
 Machine-readable output goes to ``--out`` paths; a short human summary is
-printed to stdout. All commands accept ``--seed``, ``--precision`` and
-``--threads`` (at least 1; default from the MICE_THREADS environment
-variable).
+printed to stdout. Commands take the common flags ``--seed``,
+``--precision`` and ``--threads`` (at least 1; default from the MICE_THREADS
+environment variable). ``synth``, ``bm25`` and ``eval`` refuse the ones they
+do not read; as they run on one thread, ``--threads 1`` stays accepted.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -55,14 +58,12 @@ def positive_int(text: str) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="micerank", description=__doc__)
+    # None defaults tell a given flag from a defaulted one; dispatch fills in
+    # the defaults of the flags a command reads and refuses the others.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--precision", choices=("f32", "f64"), default="f32")
-    # A string default goes through ``type`` too, so a bad MICE_THREADS is
-    # a usage error of the command that would read it, not a traceback.
-    common.add_argument(
-        "--threads", type=positive_int, default=os.environ.get("MICE_THREADS", "1")
-    )
+    common.add_argument("--seed", type=int)
+    common.add_argument("--precision", choices=("f32", "f64"))
+    common.add_argument("--threads", type=positive_int)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[common], help="generate the synthetic corpus")
@@ -395,13 +396,77 @@ _COMMANDS = {
 }
 
 
+# The common flags a command does not read. Giving one is a data error, as
+# a mode flag is to a rerank mode that does not read it. These commands run
+# on one thread, so ``--threads 1`` describes them and is accepted.
+_UNREAD_COMMON = {
+    "synth": ("precision", "threads"),
+    "bm25": ("seed", "precision", "threads"),
+    "eval": ("seed", "precision", "threads"),
+}
+
+
+def _refuse_unread(args) -> None:
+    for name in _UNREAD_COMMON.get(args.command, ()):
+        value = getattr(args, name)
+        if value is not None and not (name == "threads" and value == 1):
+            raise ValueError(f"{args.command} does not read --{name}")
+
+
+def _default_common(parser: _Parser, args) -> None:
+    """Fill in the defaults of the common flags ``args.command`` reads; a bad
+    MICE_THREADS is a usage error, as a bad ``--threads`` is."""
+    unread = _UNREAD_COMMON.get(args.command, ())
+    if args.seed is None and "seed" not in unread:
+        args.seed = 0
+    if args.precision is None and "precision" not in unread:
+        args.precision = "f32"
+    if args.threads is None and "threads" not in unread:
+        env = os.environ.get("MICE_THREADS", "1")
+        try:
+            args.threads = positive_int(env)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"argument --threads: MICE_THREADS={env!r}: {exc}")
+
+
+# glibc serves every allocation above its mmap threshold (128 KiB at start,
+# raised only as large blocks are freed) with a fresh mmap, and gives the top
+# of its heap back to the kernel once twice that much is free: either way a
+# numpy temporary page-faults on first touch. The largest activations are
+# about 2 MB at MiniLM width, batch 16, and 0.6 MB at desk width, so below
+# 4 MiB they come from the heap; freed pages stay in the process until 64 MiB
+# sit unused at its top. A 15-query mice-precomp rerank at MiniLM widths
+# (one BLAS thread) took 134k minor faults and 0.26-0.36 s of system time with
+# glibc's defaults, and 16.8k faults and 0.05 s with these; 12.4k of those
+# are the first touch of the 48 MiB of weights.
+_MMAP_THRESHOLD = 4 << 20
+_TRIM_THRESHOLD = 64 << 20
+_M_TRIM_THRESHOLD = -1  # mallopt parameter numbers, from glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_pages() -> None:
+    """Set the allocator thresholds above, once per process, where the C
+    library has ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def dispatch(argv) -> int:
     """Run one command; returns the process exit code instead of raising."""
+    _keep_freed_pages()
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        _default_common(parser, args)
     except _UsageExit as exc:
         return exc.code
     try:
+        _refuse_unread(args)
         return _COMMANDS[args.command](args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

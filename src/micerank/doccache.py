@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import logging
 import mmap
-import os
 import struct
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .checkpoint import atomic_output
 from .mice import DocState
 
 __all__ = [
@@ -99,24 +98,14 @@ def write_cache(
         entries.append((raw, doc.m, offset))
         offset += (doc.m + 1) * hidden * 4
 
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as out:
-            out.write(
-                _HEADER.pack(MAGIC, VERSION, hidden, split_depth, checkpoint_hash, len(states))
-            )
-            for raw, m, off in entries:
-                out.write(struct.pack("<I", len(raw)))
-                out.write(raw)
-                out.write(struct.pack("<IQ", m, off))
-            for doc in states:
-                out.write(np.ascontiguousarray(doc.states, dtype="<f4").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_output(path) as out:
+        out.write(_HEADER.pack(MAGIC, VERSION, hidden, split_depth, checkpoint_hash, len(states)))
+        for raw, m, off in entries:
+            out.write(struct.pack("<I", len(raw)))
+            out.write(raw)
+            out.write(struct.pack("<IQ", m, off))
+        for doc in states:
+            out.write(np.ascontiguousarray(doc.states, dtype="<f4").tobytes())
 
 
 class DocStateCache:

@@ -91,6 +91,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.layers < 1:
             raise ValueError("need at least one layer")
+        if self.heads < 1:
+            raise ValueError(f"heads must be at least 1, got {self.heads}")
         if self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if not 1 <= self.split_depth <= self.layers:

@@ -1,19 +1,31 @@
 """The checkpoint loader refuses ``meta.config`` values it cannot read
 exactly: a non-integral kind or config field, and an unknown kind or masking
-step code."""
+step code. Loading holds the weights once; the fingerprint is streamed and
+lazy; a save is atomic."""
 
+import builtins
+import errno
+import hashlib
+import io
+import os
 import struct
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from micerank import checkpoint
 from micerank.checkpoint import (
     MAGIC,
     CheckpointFormatError,
     load_weights,
+    save_weights,
     serialize_weights,
+    weights_fingerprint,
 )
 from micerank.cli import dispatch
 from micerank.masking import MaskStep
+from micerank.mice import from_cross_encoder
 from micerank.transformer import ModelConfig, init_ce_weights
 
 CONFIG = ModelConfig(
@@ -71,3 +83,124 @@ def test_bad_meta_is_a_data_error_naming_the_field(tmp_path, capsys):
     ])
     assert code == 2
     assert "step_code" in capsys.readouterr().err
+
+
+# A CE checkpoint of about 8 MiB: big enough that the loader's own small
+# objects are noise beside the payloads.
+LARGE = ModelConfig(
+    layers=2, hidden=256, heads=4, ff=1024, vocab_size=2048, max_query=8, max_doc=64,
+)
+
+
+@pytest.mark.parametrize("dtype,bound", [
+    (np.float32, 1.1),
+    # the float64 weights are twice the file; one float32 payload (at most
+    # the 2 MiB token embedding) is alive beside them while it converts
+    (np.float64, 2.4),
+])
+def test_load_holds_the_weights_once(tmp_path, dtype, bound):
+    """Payloads are read straight into the parameter arrays: no file image,
+    no per-entry copies and no serialization for the fingerprint."""
+    path = tmp_path / "large.bin"
+    save_weights(path, init_ce_weights(LARGE, seed=0))
+    size = path.stat().st_size
+    assert size > 6 * 2**20
+    tracemalloc.start()
+    try:
+        weights, _ = load_weights(path, dtype=dtype)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * size, f"peak {peak} for a {size}-byte file"
+    assert weights.token_emb.data.dtype == dtype
+
+
+def test_load_leaves_the_fingerprint_until_asked(tmp_path, monkeypatch):
+    path = tmp_path / "m.bin"
+    save_weights(path, init_ce_weights(CONFIG, seed=0))
+    calls = []
+    monkeypatch.setattr(checkpoint, "weights_fingerprint",
+                        lambda w: calls.append(w) or b"\0" * 32)
+    weights, _ = load_weights(path)
+    assert calls == []
+    assert weights.fingerprint() == b"\0" * 32
+    assert calls == [weights]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("step", list(MaskStep))
+def test_streamed_fingerprint_hashes_the_canonical_serialization(tmp_path, dtype, step):
+    weights = init_ce_weights(CONFIG, seed=1)
+    path = tmp_path / "m.bin"
+    save_weights(path, weights, step=step)
+    loaded, loaded_step = load_weights(path, dtype=dtype)
+    assert loaded_step is step
+    canonical = hashlib.sha256(serialize_weights(loaded, MaskStep.BASELINE)).digest()
+    assert weights_fingerprint(loaded) == canonical
+    assert weights_fingerprint(weights) == canonical
+    if step is MaskStep.BASELINE:
+        assert canonical == hashlib.sha256(path.read_bytes()).digest()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_save_writes_the_serialization(tmp_path, dtype):
+    ce = init_ce_weights(CONFIG, seed=2, dtype=dtype)
+    for weights, step in [(ce, MaskStep.STEP2), (from_cross_encoder(ce, 1, 1), MaskStep.BASELINE)]:
+        path = tmp_path / "m.bin"
+        save_weights(path, weights, step=step)
+        assert path.read_bytes() == serialize_weights(weights, step)
+
+
+class _DiskFillsUp:
+    """A binary file that takes ``budget`` bytes, then fails as a full disk does."""
+
+    def __init__(self, file, budget: int):
+        self.file = file
+        self.budget = budget
+
+    def write(self, data) -> int:
+        data = memoryview(data).cast("B")
+        if len(data) > self.budget:
+            self.file.write(data[: self.budget])
+            self.budget = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(data)
+        return self.file.write(data)
+
+    def close(self) -> None:
+        self.file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    """A save that dies half-way through writing leaves the old file whole."""
+    path = tmp_path / "model.bin"
+    save_weights(path, init_ce_weights(CONFIG, seed=0))
+    before = path.read_bytes()
+    real_open = io.open
+
+    def open_filling_up(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        writing = "w" in mode or "x" in mode
+        return _DiskFillsUp(handle, len(before) // 2) if writing else handle
+
+    monkeypatch.setattr(io, "open", open_filling_up)
+    monkeypatch.setattr(builtins, "open", open_filling_up)
+    with pytest.raises(OSError, match="No space left"):
+        save_weights(path, init_ce_weights(CONFIG, seed=1))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+
+def test_save_gives_the_file_the_umask_permissions(tmp_path):
+    umask = os.umask(0o022)
+    os.umask(umask)
+    path = tmp_path / "model.bin"
+    save_weights(path, init_ce_weights(CONFIG, seed=0))
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask

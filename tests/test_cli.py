@@ -4,6 +4,7 @@ Commands run in-process through ``dispatch`` so exit codes and outputs are
 asserted directly.
 """
 
+import ctypes
 import json
 import os
 import subprocess
@@ -318,6 +319,62 @@ class TestExitCodes:
         assert extra[0] in capsys.readouterr().err
         assert not (tmp_path / "r.trec").exists()
 
+    @staticmethod
+    def one_thread_command(workspace, command, out):
+        """argv of ``synth``, ``bm25`` or ``eval`` on the workspace, writing to ``out``."""
+        data = workspace / "data"
+        return [command, *{
+            "bm25": ["--corpus", str(data / "corpus.jsonl"),
+                     "--queries", str(data / "queries.jsonl"), "--out", str(out)],
+            "eval": ["--run", str(workspace / "bm25.trec"), "--qrels", str(data / "qrels.tsv")],
+            "synth": ["--out-dir", str(out), "--docs", "10", "--queries", "4",
+                      "--vocab-size", "64"],
+        }[command]]
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("bm25", "--seed", "3"),
+        ("bm25", "--precision", "f32"),
+        ("bm25", "--threads", "2"),
+        ("eval", "--seed", "3"),
+        ("eval", "--precision", "f64"),
+        ("eval", "--threads", "2"),
+        ("synth", "--precision", "f64"),
+        ("synth", "--threads", "2"),
+    ])
+    def test_common_flag_the_command_does_not_read_is_data_error(
+        self, workspace, tmp_path, capsys, command, flag, value
+    ):
+        out = tmp_path / "out"
+        argv = self.one_thread_command(workspace, command, out)
+        assert dispatch([*argv, flag, value]) == 2
+        assert f"does not read {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bm25", "eval", "synth"])
+    def test_one_thread_commands_accept_threads_one(
+        self, workspace, tmp_path, monkeypatch, command
+    ):
+        """They run on one thread, so ``--threads 1`` describes them, and an
+        unreadable MICE_THREADS is none of their business."""
+        argv = self.one_thread_command(workspace, command, tmp_path / "out")
+        assert dispatch([*argv, "--threads", "1"]) == 0
+        monkeypatch.setenv("MICE_THREADS", "abc")
+        assert dispatch(argv) == 0
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_zero_heads_is_data_error(self, workspace, tmp_path, capsys, command):
+        data = workspace / "data"
+        argv = {
+            "train": ["--corpus", str(data / "corpus.jsonl"),
+                      "--queries", str(data / "queries.jsonl"), "--qrels", str(data / "qrels.tsv"),
+                      "--out-dir", str(tmp_path / "model"), *TINY_TRAIN],
+            "bench": ["--mode", "ce", "--trials", "1", "--warmup", "0", "--layers", "2",
+                      "--hidden", "8", "--ff", "8", "--vocab-size", "16",
+                      "--n", "2", "--m", "3", "--ell-star", "1", "--k-inter", "1"],
+        }[command]
+        assert dispatch([command, *argv, "--heads", "0"]) == 2
+        assert "heads must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_mice_threads_is_usage_error(
         self, workspace, tmp_path, capsys, monkeypatch, value
@@ -458,12 +515,15 @@ class TestModuleEntryPoint:
     """``python -m micerank`` runs the same command line as the script."""
 
     @staticmethod
-    def run(*argv):
+    def pythonpath() -> str:
         src = str(Path(micerank.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    @classmethod
+    def run(cls, *argv):
         return subprocess.run(
             [sys.executable, "-m", *argv], capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
+            env={**os.environ, "PYTHONPATH": cls.pythonpath()},
         )
 
     def test_synth_writes_the_corpus(self, tmp_path):
@@ -477,3 +537,34 @@ class TestModuleEntryPoint:
         result = self.run(module)
         assert result.returncode == 1
         assert "error" in result.stderr
+
+
+# Four live 1 MiB arrays, 200 times over, after one command; a warm-up
+# round first touches the pages they will reuse.
+MINOR_FAULTS = """
+import resource
+import numpy as np
+from micerank.cli import dispatch
+
+dispatch(["eval", "--run", "absent.trec", "--qrels", "absent.tsv"])
+batch = [np.ones(2**18, dtype=np.float32) for _ in range(4)]
+del batch
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    batch = [np.ones(2**18, dtype=np.float32) for _ in range(4)]
+    del batch
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="the C library has no mallopt")
+def test_freed_activation_pages_stay_in_the_process(tmp_path):
+    """With glibc's default thresholds each freed batch goes back to the
+    kernel and the loop takes about 200k minor faults."""
+    result = subprocess.run(
+        [sys.executable, "-c", MINOR_FAULTS], capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": TestModuleEntryPoint.pythonpath()},
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 1000
