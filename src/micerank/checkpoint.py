@@ -161,18 +161,20 @@ def save_weights(path, weights, step: MaskStep = MaskStep.BASELINE) -> None:
 
 
 class _Reader:
-    """Sequential reads from an open checkpoint, each checked against the
-    file size before anything is allocated for it."""
+    """Sequential reads from an open binary file, each checked against the
+    file size before anything is allocated for it; a read past the end
+    raises ``error``. Checkpoints and document caches read through it."""
 
-    def __init__(self, file, path):
+    def __init__(self, file, path, error=CheckpointFormatError):
         self.file = file
         self.size = os.fstat(file.fileno()).st_size
         self.off = 0
         self.path = path
+        self.error = error
 
     def _claim(self, count: int) -> None:
         if self.off + count > self.size:
-            raise CheckpointFormatError(f"truncated checkpoint {self.path}")
+            raise self.error(f"truncated file {self.path}")
         self.off += count
 
     def take(self, count: int) -> bytes:
@@ -187,7 +189,7 @@ class _Reader:
         self._claim(4 * math.prod(dims))
         payload = np.empty(dims, dtype="<f4")
         if self.file.readinto(payload) != payload.nbytes:  # the file shrank
-            raise CheckpointFormatError(f"truncated checkpoint {self.path}")
+            raise self.error(f"truncated file {self.path}")
         return payload
 
 

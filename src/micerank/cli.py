@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric failure.
 Machine-readable output goes to ``--out`` paths; a short human summary is
 printed to stdout. Commands take the common flags ``--seed``,
 ``--precision`` and ``--threads`` (at least 1; default from the MICE_THREADS
-environment variable). ``synth``, ``bm25`` and ``eval`` refuse the ones they
-do not read; as they run on one thread, ``--threads 1`` stays accepted.
+environment variable); a command refuses those it does not read, bar
+``--threads 1``. ``train`` defaults ``--seed`` and ``--precision`` from its
+``--config`` file.
 """
 
 from __future__ import annotations
@@ -398,11 +399,16 @@ _COMMANDS = {
 
 # The common flags a command does not read. Giving one is a data error, as
 # a mode flag is to a rerank mode that does not read it. These commands run
-# on one thread, so ``--threads 1`` describes them and is accepted.
+# on one thread, so ``--threads 1`` describes them and is accepted. ``rerank``
+# reads no seed but accepts ``--seed``: perfbench/workloads.py passes it.
 _UNREAD_COMMON = {
     "synth": ("precision", "threads"),
+    "train": ("threads",),
+    "encode-docs": ("seed", "threads"),
     "bm25": ("seed", "precision", "threads"),
     "eval": ("seed", "precision", "threads"),
+    "bench": ("precision", "threads"),
+    "sweep": ("threads",),
 }
 
 
@@ -414,14 +420,16 @@ def _refuse_unread(args) -> None:
 
 
 def _default_common(parser: _Parser, args) -> None:
-    """Fill in the defaults of the common flags ``args.command`` reads; a bad
-    MICE_THREADS is a usage error, as a bad ``--threads`` is."""
-    unread = _UNREAD_COMMON.get(args.command, ())
-    if args.seed is None and "seed" not in unread:
-        args.seed = 0
-    if args.precision is None and "precision" not in unread:
-        args.precision = "f32"
-    if args.threads is None and "threads" not in unread:
+    """Fill in the defaults of the common flags ``args.command`` reads and
+    does not default itself; a bad MICE_THREADS is a usage error, as a bad
+    ``--threads`` is."""
+    skip = _UNREAD_COMMON.get(args.command, ())
+    if args.command == "train":  # so an omitted flag keeps the --config file's value
+        skip += ("seed", "precision")
+    for name, value in (("seed", 0), ("precision", "f32")):
+        if getattr(args, name) is None and name not in skip:
+            setattr(args, name, value)
+    if args.threads is None and "threads" not in skip:
         env = os.environ.get("MICE_THREADS", "1")
         try:
             args.threads = positive_int(env)

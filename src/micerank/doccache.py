@@ -12,11 +12,13 @@ File layout (integers little-endian):
   little-endian, row-major
 
 Payloads are always 32-bit regardless of compute precision (the cache is an
-inference artifact; tests that need 64 bits bypass it). Lookups are lazy and
-O(1) via the offset table; the file is mapped read-only so concurrent reads
-are safe. Opening checks the index table: ids are unique, every document
-holds at least one token, and every payload lies after the index, inside the
-file, and apart from every other payload.
+inference artifact; tests that need 64 bits bypass it). Opening reads the
+header and index table through the checkpoint loader's bounded reader, so a
+short file is refused before anything is allocated for it, and checks the
+table: ids are unique, every document holds at least one token, and every
+payload lies after the index, inside the file, and apart from every other
+payload. Only then is the file mapped read-only for the payloads, so
+concurrent reads are safe; lookups are lazy and O(1) via the offset table.
 Writing is single-writer and atomic (temp file + rename).
 """
 
@@ -31,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .checkpoint import atomic_output
+from .checkpoint import _Reader, atomic_output
 from .mice import DocState
 
 __all__ = [
@@ -178,42 +180,28 @@ def read_cache(path, expected_hash: bytes | None = None, strict: bool = True) ->
     """
     path = Path(path)
     with open(path, "rb") as f:
-        mm = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    try:
-        if len(mm) < _HEADER.size:
-            raise CacheFormatError(f"{path} is too short to be a document cache")
-        magic, version, hidden, split_depth, ckpt_hash, doc_count = _HEADER.unpack(
-            mm[: _HEADER.size]
-        )
+        r = _Reader(f, path, CacheFormatError)
+        magic, *fields = _HEADER.unpack(r.take(_HEADER.size))
+        header = CacheHeader(*fields)
         if magic != MAGIC:
             raise CacheFormatError(f"{path} is not a document cache (bad magic)")
-        if version != VERSION:
+        if header.version != VERSION:
             raise CacheFormatError(
-                f"{path} has unsupported cache version {version} (expected {VERSION})"
+                f"{path} has unsupported cache version {header.version} (expected {VERSION})"
             )
-        header = CacheHeader(version, hidden, split_depth, ckpt_hash, doc_count)
+        hidden, ckpt_hash = header.hidden, header.checkpoint_hash
         index: dict[str, tuple[int, int]] = {}
-        pos = _HEADER.size
-        for _ in range(doc_count):
-            if pos + 4 > len(mm):
-                raise CacheFormatError(f"{path}: truncated index table")
-            (id_len,) = struct.unpack("<I", mm[pos : pos + 4])
-            pos += 4
-            if pos + id_len + 12 > len(mm):
-                raise CacheFormatError(f"{path}: truncated index table")
-            doc_id = mm[pos : pos + id_len].decode("utf-8")
-            pos += id_len
-            m, offset = struct.unpack("<IQ", mm[pos : pos + 12])
-            pos += 12
+        for _ in range(header.doc_count):
+            doc_id = r.take(r.u32()).decode("utf-8")
+            m, offset = struct.unpack("<IQ", r.take(12))
             if m == 0:
                 raise CacheFormatError(f"{path}: document {doc_id!r} holds no tokens")
-            end = offset + (m + 1) * hidden * 4
-            if end > len(mm):
+            if offset + (m + 1) * hidden * 4 > r.size:
                 raise CacheFormatError(f"{path}: payload of {doc_id!r} runs past end of file")
             if doc_id in index:
                 raise CacheFormatError(f"{path}: duplicate doc id {doc_id!r} in index table")
             index[doc_id] = (m, offset)
-        _check_payloads(path, index, pos, hidden)
+        _check_payloads(path, index, r.off, hidden)
         if expected_hash is not None and expected_hash != ckpt_hash:
             message = (
                 f"cache {path} was produced by a different checkpoint "
@@ -222,7 +210,5 @@ def read_cache(path, expected_hash: bytes | None = None, strict: bool = True) ->
             if strict:
                 raise CacheMismatchError(message)
             log.warning("%s", message)
-    except BaseException:
-        mm.close()
-        raise
+        mm = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     return DocStateCache(path, header, index, mm)

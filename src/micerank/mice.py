@@ -15,6 +15,8 @@ cross-encoder truncated to ``split_depth + 1`` layers exactly, which is the
 correctness anchor the test-suite leans on. Query self-attention inside
 interaction layers is retained; the document sink row (SEP2) travels with
 the cached states for mask fidelity but is never read by the query stream.
+Batches are padded as the cross-encoder's are, by
+:func:`.transformer.pad_allow` and :func:`.transformer.stack_padded`.
 
 Both streams share one set of lower-layer parameters. During training,
 documents are re-encoded online so the lower layers receive document
@@ -46,8 +48,10 @@ from .transformer import (
     embed,
     encoder_layer,
     frame_stream,
+    pad_allow,
     pad_frames,
     score_from_cls,
+    stack_padded,
 )
 
 __all__ = [
@@ -233,21 +237,6 @@ def encode_document(doc_ids: Sequence[int], weights: MiceWeights, doc_id: str = 
 # --------------------------------------------------------------------------
 
 
-def _interaction_allow(
-    q_lengths: Sequence[int], d_lengths: Sequence[int], sq_max: int, sd_max: int
-) -> np.ndarray:
-    """Per-example joint allow matrices [B, sq_max, sq_max + sd_max]."""
-    batch = len(q_lengths)
-    allow = np.zeros((batch, sq_max, sq_max + sd_max), dtype=bool)
-    for e, (sq, sd) in enumerate(zip(q_lengths, d_lengths)):
-        base = interaction_mask(sq - 2, sd - 1).allow
-        allow[e, :sq, :sq] = base[:, :sq]
-        allow[e, :sq, sq_max : sq_max + sd] = base[:, sq:]
-        idx = np.arange(sq, sq_max)
-        allow[e, idx, idx] = True
-    return allow
-
-
 def _run_interactions(
     q_states: Tensor,
     doc_states: Tensor,
@@ -255,7 +244,7 @@ def _run_interactions(
     d_lengths: Sequence[int],
     weights: MiceWeights,
 ) -> Tensor:
-    allow = _interaction_allow(q_lengths, d_lengths, q_states.shape[1], doc_states.shape[1])
+    allow = pad_allow([interaction_mask(sq - 2, sd - 1) for sq, sd in zip(q_lengths, d_lengths)])
     for lw in weights.interaction:
         q_states = encoder_layer(
             q_states, allow, lw, weights.config.heads, kv_states=doc_states
@@ -266,8 +255,7 @@ def _run_interactions(
 def interaction_layer(q_states: Tensor, doc: DocState, lw: LayerWeights, heads: int) -> Tensor:
     """One joint layer over a single example: the query rows attend over
     themselves plus the frozen document rows; only query rows are updated."""
-    sq = q_states.shape[0]
-    allow = _interaction_allow([sq], [doc.states.shape[0]], sq, doc.states.shape[0])
+    allow = pad_allow([interaction_mask(q_states.shape[0] - 2, doc.m)])
     q = q_states.reshape((1, *q_states.shape))
     d = Tensor(doc.states).reshape((1, *doc.states.shape))
     out = encoder_layer(q, allow, lw, heads, kv_states=d)
@@ -290,21 +278,17 @@ def mice_score_batch(
     items: Sequence[tuple[Sequence[int], DocState]], weights: MiceWeights
 ) -> np.ndarray:
     """Scores [B] for (query ids, DocState) pairs, batched over items."""
+    d = weights.config.hidden
     for _, doc in items:
         _check_hash(doc, weights)
-    q_states, q_lengths = _query_batch([q for q, _ in items], weights)
-    d_lengths = [doc.states.shape[0] for _, doc in items]
-    sd_max = max(d_lengths)
-    d = weights.config.hidden
-    dtype = q_states.dtype
-    doc_buf = np.zeros((len(items), sd_max, d), dtype=dtype)
-    for e, (_, doc) in enumerate(items):
         if doc.states.shape[1] != d:
             raise ConsistencyError(
                 f"document state width {doc.states.shape[1]} does not match model hidden {d}"
             )
-        doc_buf[e, : doc.states.shape[0]] = doc.states
-    q_states = _run_interactions(q_states, Tensor(doc_buf), q_lengths, d_lengths, weights)
+    q_states, q_lengths = _query_batch([q for q, _ in items], weights)
+    docs = [doc.states for _, doc in items]
+    doc_states = Tensor(stack_padded(docs, 0, q_states.dtype))
+    q_states = _run_interactions(q_states, doc_states, q_lengths, [len(s) for s in docs], weights)
     scores = check_finite(score_from_cls(q_states, weights), "relevance score")
     return scores.data.copy()
 

@@ -16,7 +16,8 @@ property that makes precomputed document states reusable.
 
 Over-length inputs are head-truncated (the leading ``max_query`` /
 ``max_doc`` tokens are kept); queries are never truncated below one token.
-Inside a batch, shorter examples are padded: pad rows attend only to
+Inside a batch of either model, shorter examples are padded by
+:func:`stack_padded` and :func:`pad_allow`: pad rows attend only to
 themselves, no real row attends to a pad column, and the score is read from
 the CLS row, which is never padding.
 """
@@ -344,6 +345,35 @@ def pair_positions(n: int, m: int, config: ModelConfig) -> list[int]:
     return q_pos + d_pos
 
 
+def stack_padded(rows: Sequence, fill, dtype) -> np.ndarray:
+    """Stack ragged rows into one [B, s_max, ...] array, ``fill`` after each."""
+    out = np.full((len(rows), max(map(len, rows)), *np.shape(rows[0])[1:]), fill, dtype=dtype)
+    for e, row in enumerate(rows):
+        out[e, : len(row)] = row
+    return out
+
+
+def pad_allow(masks: Sequence[AttentionMask]) -> np.ndarray:
+    """Pad one mask per example into a [B, t, t + x] allow matrix.
+
+    A mask of ``s`` rows keeps its first ``s`` columns at ``[:s, :s]`` and
+    puts any further ones, the ``kv_states`` rows :func:`attention` appends
+    after the ``t`` padded rows, at ``[:s, t:]``. Pad rows attend only to
+    themselves and no real row reads a pad column.
+    """
+    rows, cols = np.array([mask.allow.shape for mask in masks]).T
+    t = rows.max()
+    allow = np.zeros((len(masks), t, t + (cols - rows).max()), dtype=bool)
+    for e, mask in enumerate(masks):
+        s, c = mask.allow.shape
+        allow[e, :s, :s] = mask.allow[:, :s]
+        if c > s:
+            allow[e, :s, t : t + c - s] = mask.allow[:, s:]
+    diag = np.arange(t)
+    allow[:, diag, diag] |= diag >= rows[:, None]
+    return allow
+
+
 def pad_frames(
     frames: Sequence[tuple[list[int], list[int]]],
     regimes: Sequence[Sequence[AttentionMask]],
@@ -351,24 +381,12 @@ def pad_frames(
     """Stack ``(tokens, positions)`` frames into a padded batch.
 
     Returns [B, s] token ids (pad slots hold ``PAD_ID``), [B, s] position ids
-    and, for each layer regime in ``regimes`` (one square mask per frame), a
-    [B, s, s] allow matrix. Pad rows attend only to themselves and no real
-    row reads a pad column.
+    (pad slots hold 0) and, for each layer regime in ``regimes`` (one square
+    mask per frame), the [B, s, s] allow matrix :func:`pad_allow` builds.
     """
-    lengths = [len(tokens) for tokens, _ in frames]
-    s_max = max(lengths)
-    batch = len(frames)
-    token_ids = np.full((batch, s_max), PAD_ID, dtype=np.int64)
-    pos_ids = np.zeros((batch, s_max), dtype=np.int64)
-    allows = [np.zeros((batch, s_max, s_max), dtype=bool) for _ in regimes]
-    for e, ((tokens, positions), s) in enumerate(zip(frames, lengths)):
-        token_ids[e, :s] = tokens
-        pos_ids[e, :s] = positions
-        pad = np.arange(s, s_max)
-        for allow, masks in zip(allows, regimes):
-            allow[e, :s, :s] = masks[e].allow
-            allow[e, pad, pad] = True
-    return token_ids, pos_ids, allows
+    token_ids = stack_padded([tokens for tokens, _ in frames], PAD_ID, np.int64)
+    pos_ids = stack_padded([positions for _, positions in frames], 0, np.int64)
+    return token_ids, pos_ids, [pad_allow(masks) for masks in regimes]
 
 
 def _pair_states(

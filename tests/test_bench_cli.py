@@ -1,6 +1,8 @@
 """The benchmark under ``perfbench/`` drives the CLI with fixed argument
-lists. These tests parse every command line its workloads send, so a parser
-change that would make a benchmark round exit 1 fails here first."""
+lists. These tests parse every command line its workloads send and run the
+common-flag stage ``dispatch`` runs after parsing, so a parser change that
+would make a benchmark round exit 1, or a refused flag that would make it
+exit 2, fails here first."""
 
 import collections
 from pathlib import Path
@@ -30,7 +32,10 @@ def test_every_workload_command_line_parses(workloads, tmp_path):
     seen = set()
 
     def parse_only(argv):
-        args = cli._build_parser().parse_args(argv)
+        parser = cli._build_parser()
+        args = parser.parse_args(argv)
+        cli._default_common(parser, args)
+        cli._refuse_unread(args)
         assert args.command in cli._COMMANDS
         seen.add(args.command)
         return 1, 0.0, 0.0

@@ -321,14 +321,26 @@ class TestExitCodes:
 
     @staticmethod
     def one_thread_command(workspace, command, out):
-        """argv of ``synth``, ``bm25`` or ``eval`` on the workspace, writing to ``out``."""
+        """argv of a command that runs on one thread, on the workspace,
+        writing to ``out``."""
         data = workspace / "data"
+        corpus, queries, qrels = (str(data / name)
+                                  for name in ("corpus.jsonl", "queries.jsonl", "qrels.tsv"))
         return [command, *{
-            "bm25": ["--corpus", str(data / "corpus.jsonl"),
-                     "--queries", str(data / "queries.jsonl"), "--out", str(out)],
-            "eval": ["--run", str(workspace / "bm25.trec"), "--qrels", str(data / "qrels.tsv")],
+            "bm25": ["--corpus", corpus, "--queries", queries, "--out", str(out)],
+            "eval": ["--run", str(workspace / "bm25.trec"), "--qrels", qrels],
             "synth": ["--out-dir", str(out), "--docs", "10", "--queries", "4",
                       "--vocab-size", "64"],
+            "train": ["--corpus", corpus, "--queries", queries, "--qrels", qrels,
+                      "--out-dir", str(out), *TINY_TRAIN],
+            "encode-docs": ["--model", str(workspace / "mice" / "model.bin"),
+                            "--corpus", corpus, "--out", str(out)],
+            "bench": ["--mode", "ce", "--trials", "10", "--warmup", "3", "--layers", "2",
+                      "--hidden", "8", "--heads", "2", "--ff", "8", "--vocab-size", "16",
+                      "--n", "2", "--m", "3", "--ell-star", "1", "--k-inter", "1",
+                      "--out", str(out)],
+            "sweep": ["--model", str(workspace / "ce" / "model.bin"), "--corpus", corpus,
+                      "--queries", queries, "--qrels", qrels, "--out", str(out)],
         }[command]]
 
     @pytest.mark.parametrize("command,flag,value", [
@@ -340,6 +352,12 @@ class TestExitCodes:
         ("eval", "--threads", "2"),
         ("synth", "--precision", "f64"),
         ("synth", "--threads", "2"),
+        ("train", "--threads", "2"),
+        ("encode-docs", "--seed", "3"),
+        ("encode-docs", "--threads", "2"),
+        ("bench", "--precision", "f64"),
+        ("bench", "--threads", "2"),
+        ("sweep", "--threads", "2"),
     ])
     def test_common_flag_the_command_does_not_read_is_data_error(
         self, workspace, tmp_path, capsys, command, flag, value
@@ -350,7 +368,9 @@ class TestExitCodes:
         assert f"does not read {flag}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["bm25", "eval", "synth"])
+    @pytest.mark.parametrize(
+        "command", ["bm25", "eval", "synth", "train", "encode-docs", "bench", "sweep"]
+    )
     def test_one_thread_commands_accept_threads_one(
         self, workspace, tmp_path, monkeypatch, command
     ):
@@ -360,6 +380,24 @@ class TestExitCodes:
         assert dispatch([*argv, "--threads", "1"]) == 0
         monkeypatch.setenv("MICE_THREADS", "abc")
         assert dispatch(argv) == 0
+
+    def test_train_takes_seed_and_precision_from_its_config_file(self, workspace, tmp_path):
+        """A flag left out keeps the file's value; a flag given overrides it."""
+        config = tmp_path / "train.cfg"
+        config.write_text("seed = 5\nprecision = f64\n")
+        runs = []
+
+        def model(*flags):
+            out = tmp_path / f"run{len(runs)}"
+            runs.append(out)
+            assert dispatch([*self.one_thread_command(workspace, "train", out), *flags]) == 0
+            return (out / "model.bin").read_bytes()
+
+        from_file = model("--config", str(config))
+        assert from_file == model("--seed", "5", "--precision", "f64")
+        assert from_file == model("--config", str(config), "--seed", "5", "--precision", "f64")
+        assert from_file != model("--config", str(config), "--seed", "0")
+        assert from_file != model("--config", str(config), "--precision", "f32")
 
     @pytest.mark.parametrize("command", ["train", "bench"])
     def test_zero_heads_is_data_error(self, workspace, tmp_path, capsys, command):

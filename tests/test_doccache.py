@@ -163,6 +163,15 @@ class TestGuards:
         with pytest.raises(CacheFormatError):
             read_cache(path)
 
+    # the 56-byte header, then two 17-byte index rows, ending at 90
+    @pytest.mark.parametrize("size", [0, 7, 55, 56, 59, 60, 72, 89])
+    def test_cut_in_header_or_index_table(self, tmp_path, size):
+        path = tmp_path / "cache.bin"
+        hand_built_cache(path, [("a", 1, 0), ("b", 1, 64)])
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(CacheFormatError):
+            read_cache(path)
+
     def test_unknown_doc_id(self, tmp_path):
         path = tmp_path / "cache.bin"
         write_cache(path, [make_state("a", 1)], hidden=8, split_depth=1, checkpoint_hash=HASH)

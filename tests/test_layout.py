@@ -1,6 +1,7 @@
 """Input layout: a scored pair is the query stream followed by the document
 stream, with the same token ids, positions and segment codes, framed and
-padded by one function each."""
+padded by one function each. One allow-matrix padder serves the square masks
+of both models and the interaction layers' rectangular ones."""
 
 from unittest import mock
 
@@ -10,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from micerank import mice, transformer
-from micerank.masking import MaskStep, Segment, SegmentLayout, build_mask
+from micerank.masking import (
+    MaskStep,
+    Segment,
+    SegmentLayout,
+    build_mask,
+    interaction_mask,
+)
 from micerank.transformer import (
     CLS_ID,
     FIRST_WORD_ID,
@@ -19,6 +26,7 @@ from micerank.transformer import (
     ModelConfig,
     frame_stream,
     joint_states,
+    pad_allow,
     pad_frames,
     pair_positions,
     score_pairs,
@@ -101,3 +109,48 @@ def test_joint_states_rejects_depth_outside_the_stack(depth):
     spec = spec_for(MaskStep.STEP3, CFG)
     with pytest.raises(ValueError, match=f"depth {depth} outside"):
         joint_states([5, 6], [7, 8, 9], spec, CE, depth)
+
+
+def interaction_literal(sizes):
+    """The joint allow matrix of a batch of (n, m) items, spelled out: CLS
+    reads the query stream, query tokens read each other, SEP1 and the
+    document tokens, SEP1 reads itself, nobody reads SEP2, and each pad row
+    reads only itself."""
+    t = max(n for n, _ in sizes) + 2
+    x = max(m for _, m in sizes) + 1
+    allow = np.zeros((len(sizes), t, t + x), dtype=bool)
+    for e, (n, m) in enumerate(sizes):
+        allow[e, 0, : n + 2] = True
+        allow[e, 1 : n + 1, 1 : n + 2] = True
+        allow[e, 1 : n + 1, t : t + m] = True
+        allow[e, n + 1, n + 1] = True
+        for row in range(n + 2, t):
+            allow[e, row, row] = True
+    return allow
+
+
+@given(pairs=pairs_strategy)
+@settings(max_examples=60, deadline=None)
+def test_padded_interaction_allow(pairs):
+    sizes = [(min(len(q), CFG.max_query), min(len(d), CFG.max_doc)) for q, d in pairs]
+    masks = [interaction_mask(n, m) for n, m in sizes]
+    allow = pad_allow(masks)
+    t = max(n for n, _ in sizes) + 2
+    assert allow.shape == (len(pairs), t, t + max(m for _, m in sizes) + 1)
+    for e, (n, m) in enumerate(sizes):
+        sq, sd = n + 2, m + 1
+        np.testing.assert_array_equal(allow[e, :sq, :sq], masks[e].allow[:, :sq])
+        np.testing.assert_array_equal(allow[e, :sq, t : t + sd], masks[e].allow[:, sq:])
+        np.testing.assert_array_equal(allow[e, sq:], np.eye(t, allow.shape[2], dtype=bool)[sq:])
+        assert not allow[e, :sq, sq:t].any()
+        assert not allow[e, :sq, t + sd :].any()
+    np.testing.assert_array_equal(allow, interaction_literal(sizes))
+
+    # Every interaction layer of a cached-state batch runs under that matrix.
+    items = [(q, mice.encode_document(d, MW, doc_id=str(e))) for e, (q, d) in enumerate(pairs)]
+    with mock.patch.object(mice, "encoder_layer", wraps=mice.encoder_layer) as spy:
+        mice.mice_score_batch(items, MW)
+    joint = [c.args[1] for c in spy.call_args_list if c.kwargs.get("kv_states") is not None]
+    assert len(joint) == CFG.interaction_layers
+    for seen in joint:
+        np.testing.assert_array_equal(seen, interaction_literal(sizes))
