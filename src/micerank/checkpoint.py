@@ -7,20 +7,22 @@ Layout (all integers little-endian):
 * per entry: name length u32, name (utf-8), rank u32, ``rank`` dims each
   u32, then the payload as 32-bit little-endian floats, row-major.
 
-Tensor names mirror the parameter lists of :class:`.transformer.Weights`
-(``token_emb``, ``pos_emb``, ``layers.{i}.wq`` ...) and
-:class:`.mice.MiceWeights` (``lower.{i}.*``, ``interaction.{i}.*``). One
-reserved entry, ``meta.config``, stores the architecture description and
-model kind as a small float vector so a checkpoint is self-describing:
+Tensor names follow ``named_parameters``: ``token_emb``, ``pos_emb``, then
+``{stack}.{i}.{field}`` for each layer stack in the ``STACKS`` order of the
+parameter set (``layers`` for :class:`.transformer.Weights`; ``lower`` and
+``interaction`` for :class:`.mice.MiceWeights`), then ``score_w`` and
+``score_b``. One reserved entry, ``meta.config``, stores the architecture
+description and model kind as a small float vector so a checkpoint is
+self-describing:
 
 ``[kind, layers, hidden, heads, ff, vocab_size, max_query, max_doc,
 split_depth, interaction_layers, step_code]``
 
-where ``kind`` is 0 for a cross-encoder and 1 for the mid-fusion model, and
-``step_code`` records the masking step the cross-encoder was trained with
-(-1 baseline, 0..3 for the ablation steps; unused for mid-fusion). Every
-value must be integral, and the loader refuses a kind or step code it does
-not know.
+where ``kind`` is the parameter set's index in ``_KINDS`` (0 for a
+cross-encoder, 1 for the mid-fusion model), and ``step_code`` records the
+masking step the cross-encoder was trained with (-1 baseline, 0..3 for the
+ablation steps; unused for mid-fusion). Every value must be integral, and
+the loader refuses a kind or step code it does not know.
 
 Payloads are stored in 32 bits regardless of compute precision; a float64
 model round-trips through its float32 projection.
@@ -75,6 +77,9 @@ _STEP_CODES = {
 }
 _CODE_STEPS = {v: k for k, v in _STEP_CODES.items()}
 
+# The parameter-set classes; a checkpoint's kind code is the index.
+_KINDS = (Weights, MiceWeights)
+
 
 class CheckpointFormatError(ValueError):
     """The file is not a valid weights checkpoint."""
@@ -89,7 +94,7 @@ _CONFIG_FIELDS = (
 
 
 def _meta_vector(weights, step: MaskStep) -> np.ndarray:
-    kind = 1.0 if isinstance(weights, MiceWeights) else 0.0
+    kind = _KINDS.index(type(weights))
     config = [getattr(weights.config, name) for name in _CONFIG_FIELDS]
     for name, value in zip(_CONFIG_FIELDS, config):
         if abs(value) >= 2**24:
@@ -241,7 +246,7 @@ def load_weights(path, dtype=np.float32):
         if not float(value).is_integer():
             raise CheckpointFormatError(f"{path}: meta.config {name} = {value} is not an integer")
     kind = int(meta[0])
-    if kind not in (0, 1):
+    if not 0 <= kind < len(_KINDS):
         raise CheckpointFormatError(f"unknown model kind {kind} in {path}")
     if float(meta[-1]) not in _CODE_STEPS:
         raise CheckpointFormatError(
@@ -249,21 +254,15 @@ def load_weights(path, dtype=np.float32):
         )
     config = ModelConfig(**{name: int(v) for name, v in zip(_CONFIG_FIELDS, meta[1:-1])})
     step = _CODE_STEPS[float(meta[-1])]
-    common = {
-        name: _param(entries, name, dtype)
-        for name in ("token_emb", "pos_emb", "score_w", "score_b")
-    }
-    if kind == 0:
-        layers = [_layer(entries, f"layers.{i}", dtype) for i in range(config.layers)]
-        weights = Weights(config=config, layers=layers, **common)
-    else:
-        weights = MiceWeights(
-            config=config,
-            lower=[_layer(entries, f"lower.{i}", dtype) for i in range(config.split_depth)],
-            interaction=[
-                _layer(entries, f"interaction.{i}", dtype)
-                for i in range(config.interaction_layers)
-            ],
-            **common,
-        )
-    return weights, step
+    cls = _KINDS[kind]
+    return cls(
+        config=config,
+        token_emb=_param(entries, "token_emb", dtype),
+        pos_emb=_param(entries, "pos_emb", dtype),
+        **{
+            stack: [_layer(entries, f"{stack}.{i}", dtype) for i in range(getattr(config, count))]
+            for stack, count in cls.STACKS.items()
+        },
+        score_w=_param(entries, "score_w", dtype),
+        score_b=_param(entries, "score_b", dtype),
+    ), step

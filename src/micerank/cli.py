@@ -135,8 +135,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", parents=[common], help="latency/memory benchmark")
     p.add_argument("--mode", choices=evalbench.MODES, required=True)
     p.add_argument("--batch", type=positive_int, default=8)
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--m", type=int, default=128)
+    p.add_argument("--n", type=positive_int, default=16)
+    p.add_argument("--m", type=positive_int, default=128)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--warmup", type=int, default=3)
     p.add_argument("--layers", type=int, default=8)
@@ -442,13 +442,17 @@ def _default_common(parser: _Parser, args) -> None:
 # of its heap back to the kernel once twice that much is free: either way a
 # numpy temporary page-faults on first touch. The largest activations are
 # about 2 MB at MiniLM width, batch 16, and 0.6 MB at desk width, so below
-# 4 MiB they come from the heap; freed pages stay in the process until 64 MiB
-# sit unused at its top. A 15-query mice-precomp rerank at MiniLM widths
-# (one BLAS thread) took 134k minor faults and 0.26-0.36 s of system time with
+# 4 MiB they come from the heap; trimming is off (-1), so freed heap pages
+# stay in the process. A 15-query mice-precomp rerank at MiniLM widths (one
+# BLAS thread) took 134k minor faults and 0.26-0.36 s of system time with
 # glibc's defaults, and 16.8k faults and 0.05 s with these; 12.4k of those
-# are the first touch of the 48 MiB of weights.
+# are the first touch of the 48 MiB of weights. With trimming from 64 MiB
+# free, whether a command run again in the same process touched its weights
+# afresh depended on what had been allocated after them: 20 s of repeated
+# minilm-precomp reranks took 80k to 290k minor faults across seeds and
+# unrelated code changes.
 _MMAP_THRESHOLD = 4 << 20
-_TRIM_THRESHOLD = 64 << 20
+_TRIM_THRESHOLD = -1
 _M_TRIM_THRESHOLD = -1  # mallopt parameter numbers, from glibc's malloc.h
 _M_MMAP_THRESHOLD = -3
 

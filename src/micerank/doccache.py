@@ -79,7 +79,10 @@ def write_cache(
     split_depth: int,
     checkpoint_hash: bytes,
 ) -> None:
-    """Persist document states; replaces ``path`` atomically on success."""
+    """Persist document states; replaces ``path`` atomically on success.
+
+    A state stamped with a checkpoint hash other than ``checkpoint_hash`` is
+    refused, since the cache would hand it out under the wrong checkpoint."""
     states = list(states)
     if len(checkpoint_hash) != 32:
         raise ValueError("checkpoint_hash must be a 32-byte digest")
@@ -88,6 +91,12 @@ def write_cache(
         if doc.states.shape[1] != hidden:
             raise ValueError(
                 f"document {doc.doc_id!r} has width {doc.states.shape[1]}, cache expects {hidden}"
+            )
+        if doc.checkpoint_hash is not None and doc.checkpoint_hash != checkpoint_hash:
+            raise ValueError(
+                f"document {doc.doc_id!r} was encoded by checkpoint "
+                f"{doc.checkpoint_hash.hex()[:12]}..., not the cache's "
+                f"{checkpoint_hash.hex()[:12]}..."
             )
         if doc.doc_id in seen:
             raise ValueError(f"duplicate doc id {doc.doc_id!r}")

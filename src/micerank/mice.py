@@ -105,7 +105,7 @@ class MiceWeights(_ParameterSet):
     encoder layer.
     """
 
-    STACKS = ("lower", "interaction")
+    STACKS = {"lower": "split_depth", "interaction": "interaction_layers"}
     config: ModelConfig
     token_emb: Tensor
     pos_emb: Tensor
@@ -114,26 +114,12 @@ class MiceWeights(_ParameterSet):
     score_w: Tensor
     score_b: Tensor
 
-    def __post_init__(self):
-        if len(self.lower) != self.config.split_depth:
-            raise ValueError(
-                f"expected {self.config.split_depth} lower layers, got {len(self.lower)}"
-            )
-        if len(self.interaction) != self.config.interaction_layers:
-            raise ValueError(
-                f"expected {self.config.interaction_layers} interaction layers, "
-                f"got {len(self.interaction)}"
-            )
-
 
 def init_mice_weights(config: ModelConfig, seed: int = 0, dtype=np.float32) -> MiceWeights:
     """Fresh randomly-initialized mid-fusion parameters."""
     if not config.interaction_layers:
         raise ValueError("config.interaction_layers must be set for a mid-fusion model")
-    split = config.split_depth
-    params = _init_parameters(config, split + config.interaction_layers, seed, dtype)
-    layers = params.pop("layers")
-    return MiceWeights(config, lower=layers[:split], interaction=layers[split:], **params)
+    return _init_parameters(MiceWeights, config, seed, dtype)
 
 
 def _copy_param(t: Tensor) -> Tensor:
@@ -165,14 +151,13 @@ def from_cross_encoder(ce: Weights, split_depth: int, interaction_count: int) ->
         split_depth=split_depth,
         interaction_layers=interaction_count,
     )
+    layers = [_copy_layer(lw) for lw in ce.layers[: config.layers]]
     return MiceWeights(
         config=config,
         token_emb=_copy_param(ce.token_emb),
         pos_emb=_copy_param(ce.pos_emb),
-        lower=[_copy_layer(ce.layers[i]) for i in range(split_depth)],
-        interaction=[
-            _copy_layer(ce.layers[split_depth + i]) for i in range(interaction_count)
-        ],
+        lower=layers[:split_depth],
+        interaction=layers[split_depth:],
         score_w=_copy_param(ce.score_w),
         score_b=_copy_param(ce.score_b),
     )

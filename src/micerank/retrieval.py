@@ -131,6 +131,14 @@ def _term_weight(
     return idf * tf * (k1 + 1.0) / (tf + norm)
 
 
+def _check_bm25_params(k1: float, b: float) -> None:
+    """Outside these ranges a term weight can divide by zero or go negative."""
+    if not k1 >= 0:
+        raise ValueError(f"BM25 k1 must be at least 0, got {k1}")
+    if not 0 <= b <= 1:
+        raise ValueError(f"BM25 b must lie in [0, 1], got {b}")
+
+
 def bm25_score(
     query_terms: Sequence[str],
     doc_id: str,
@@ -139,6 +147,7 @@ def bm25_score(
     b: float = 0.4,
 ) -> float:
     """Okapi BM25 with idf ``ln(1 + (N - df + 0.5) / (df + 0.5))``."""
+    _check_bm25_params(k1, b)
     if doc_id not in stats.doc_len:
         raise KeyError(f"unknown doc id {doc_id!r}")
     dl = stats.doc_len[doc_id]
@@ -159,6 +168,7 @@ def bm25_retrieve(
     b: float = 0.4,
 ) -> list[tuple[str, float]]:
     """Top-``k`` matching documents, ordered by (score desc, doc_id asc)."""
+    _check_bm25_params(k1, b)
     terms = split_terms(query_text)
     accum: dict = {}
     for term in terms:
@@ -292,7 +302,10 @@ def rerank(
 
 
 def read_jsonl(path) -> list[tuple[str, str]]:
+    """``(id, text)`` records of a corpus or query file; a malformed line or
+    a repeated id is refused, naming ``path:line``."""
     records = []
+    first_line: dict[str, int] = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -302,9 +315,15 @@ def read_jsonl(path) -> list[tuple[str, str]]:
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise TypeError(f"expected an object, got {type(obj).__name__}")
-                records.append((str(obj["id"]), str(obj["text"])))
+                rec_id, text = str(obj["id"]), str(obj["text"])
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad JSONL record ({exc})") from None
+            if rec_id in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate id {rec_id!r} (first on line {first_line[rec_id]})"
+                )
+            first_line[rec_id] = lineno
+            records.append((rec_id, text))
     return records
 
 

@@ -24,7 +24,7 @@ the CLS row, which is never padding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -128,26 +128,32 @@ class LayerWeights:
     ln_ffn_gain: Tensor
     ln_ffn_bias: Tensor
 
-    FIELDS = (
-        "wq", "wk", "wv", "wo",
-        "ln_attn_gain", "ln_attn_bias",
-        "w1", "w2",
-        "ln_ffn_gain", "ln_ffn_bias",
-    )
-
     def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         for name in self.FIELDS:
             yield f"{prefix}.{name}", getattr(self, name)
 
 
+LayerWeights.FIELDS = tuple(f.name for f in fields(LayerWeights))
+
+
 @dataclass
 class _ParameterSet:
     """What the cross-encoder and mid-fusion parameter sets share. Both hold
-    ``token_emb``, ``pos_emb``, ``score_w`` and ``score_b``; ``STACKS`` names
-    their lists of layers, in serialization order."""
+    ``token_emb``, ``pos_emb``, ``score_w`` and ``score_b``. ``STACKS`` is the
+    one description of how a subclass groups its encoder layers: it maps each
+    list of layers, in serialization order, to the :class:`ModelConfig`
+    field that counts them. Construction checks every stack's length
+    against it; the seeded initializer and the checkpoint loader build the
+    stacks from it."""
 
-    STACKS = ()
+    STACKS = {}
     _fingerprint: bytes | None = field(default=None, repr=False, compare=False, kw_only=True)
+
+    def __post_init__(self):
+        for stack, count in self.STACKS.items():
+            expected, got = getattr(self.config, count), len(getattr(self, stack))
+            if got != expected:
+                raise ValueError(f"{stack} holds {got} layers; config.{count} is {expected}")
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         yield "token_emb", self.token_emb
@@ -177,7 +183,7 @@ class _ParameterSet:
 class Weights(_ParameterSet):
     """Cross-encoder parameters; read-only after load / shareable."""
 
-    STACKS = ("layers",)
+    STACKS = {"layers": "layers"}
     config: ModelConfig
     token_emb: Tensor
     pos_emb: Tensor
@@ -206,17 +212,22 @@ def init_layer_weights(config: ModelConfig, rng: np.random.Generator, dtype) -> 
     )
 
 
-def _init_parameters(config: ModelConfig, layer_count: int, seed: int, dtype) -> dict:
-    """Seeded parameters of either model: embeddings, ``layer_count`` encoder
-    layers and the score head, drawn in that order. Returns constructor
-    keywords; the layers sit under ``layers``."""
+def _init_parameters(cls, config: ModelConfig, seed: int, dtype):
+    """A seeded ``cls`` (either parameter set): embeddings, then the layers
+    of each stack in ``cls.STACKS`` order, then the score head, drawn in
+    that order."""
     rng = np.random.default_rng(seed)
     dtype = np.dtype(dtype)
     d = config.hidden
-    return dict(
+    # Keyword arguments are evaluated left to right, which fixes the draws.
+    return cls(
+        config=config,
         token_emb=_normal(rng, (config.vocab_size, d), dtype),
         pos_emb=_normal(rng, (config.position_count, d), dtype),
-        layers=[init_layer_weights(config, rng, dtype) for _ in range(layer_count)],
+        **{
+            stack: [init_layer_weights(config, rng, dtype) for _ in range(getattr(config, count))]
+            for stack, count in cls.STACKS.items()
+        },
         score_w=_normal(rng, (d, 1), dtype),
         score_b=Tensor(np.zeros(1, dtype=dtype), requires_grad=True),
     )
@@ -224,7 +235,7 @@ def _init_parameters(config: ModelConfig, layer_count: int, seed: int, dtype) ->
 
 def init_ce_weights(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Weights:
     """Fresh randomly-initialized cross-encoder parameters."""
-    return Weights(config, **_init_parameters(config, config.layers, seed, dtype))
+    return _init_parameters(Weights, config, seed, dtype)
 
 
 # --------------------------------------------------------------------------

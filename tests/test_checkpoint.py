@@ -1,9 +1,11 @@
 """The checkpoint loader refuses ``meta.config`` values it cannot read
 exactly: a non-integral kind or config field, and an unknown kind or masking
 step code. Loading holds the weights once; the fingerprint is streamed and
-lazy; a save is atomic."""
+lazy; a save is atomic. Both parameter sets round-trip with their layer
+stacks, whose lengths construction checks against the config."""
 
 import builtins
+import dataclasses
 import errno
 import hashlib
 import io
@@ -13,6 +15,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micerank import checkpoint
 from micerank.checkpoint import (
@@ -25,8 +29,8 @@ from micerank.checkpoint import (
 )
 from micerank.cli import dispatch
 from micerank.masking import MaskStep
-from micerank.mice import from_cross_encoder
-from micerank.transformer import ModelConfig, init_ce_weights
+from micerank.mice import MiceWeights, from_cross_encoder, init_mice_weights
+from micerank.transformer import ModelConfig, Weights, init_ce_weights, init_layer_weights
 
 CONFIG = ModelConfig(
     layers=2, hidden=8, heads=2, ff=12, vocab_size=16, max_query=3, max_doc=4,
@@ -72,6 +76,13 @@ def test_bad_meta_value_is_refused(tmp_path, field, index, value):
     meta[index] = value
     path = checkpoint_with_meta(tmp_path / "bad.bin", meta)
     with pytest.raises(CheckpointFormatError, match=f"{field} = "):
+        load_weights(path)
+
+
+@pytest.mark.parametrize("kind", [2.0, -1.0])
+def test_unknown_kind_is_refused(tmp_path, kind):
+    path = checkpoint_with_meta(tmp_path / "bad.bin", [kind, *META[1:]])
+    with pytest.raises(CheckpointFormatError, match=f"unknown model kind {int(kind)}"):
         load_weights(path)
 
 
@@ -204,3 +215,53 @@ def test_save_gives_the_file_the_umask_permissions(tmp_path):
     path = tmp_path / "model.bin"
     save_weights(path, init_ce_weights(CONFIG, seed=0))
     assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+# Each parameter set's layer stacks and the config field counting each one,
+# written out independently of the classes' own STACKS.
+LAYOUTS = {
+    Weights: (init_ce_weights, {"layers": "layers"}),
+    MiceWeights: (init_mice_weights, {"lower": "split_depth", "interaction": "interaction_layers"}),
+}
+
+
+@st.composite
+def small_configs(draw):
+    split, inter = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    heads = draw(st.integers(1, 2))
+    return ModelConfig(
+        layers=split + inter + draw(st.integers(0, 1)), hidden=2 * heads, heads=heads,
+        ff=draw(st.integers(1, 6)), vocab_size=draw(st.integers(5, 9)),
+        max_query=draw(st.integers(1, 3)), max_doc=draw(st.integers(1, 3)),
+        split_depth=split, interaction_layers=inter,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=small_configs(), cls=st.sampled_from(list(LAYOUTS)), seed=st.integers(0, 99))
+def test_round_trip_keeps_class_names_and_fingerprint(tmp_path_factory, config, cls, seed):
+    init, _ = LAYOUTS[cls]
+    weights = init(config, seed=seed)
+    path = tmp_path_factory.mktemp("round") / "model.bin"
+    save_weights(path, weights)
+    back, _ = load_weights(path)
+    assert type(back) is cls
+    assert [n for n, _ in back.named_parameters()] == [n for n, _ in weights.named_parameters()]
+    assert back.fingerprint() == weights.fingerprint()
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=small_configs(), cls=st.sampled_from(list(LAYOUTS)), delta=st.sampled_from([-1, 1]))
+def test_stack_of_the_wrong_length_is_refused(config, cls, delta):
+    init, stacks = LAYOUTS[cls]
+    weights = init(config, seed=0)
+    fields = {f.name: getattr(weights, f.name) for f in dataclasses.fields(weights)}
+    for stack, count in stacks.items():
+        layers = getattr(weights, stack)
+        if delta < 0:
+            changed = layers[:-1]
+        else:
+            changed = [*layers, init_layer_weights(config, np.random.default_rng(0), np.float32)]
+        with pytest.raises(ValueError, match=f"^{stack} holds {len(changed)} layers; "
+                                             f"config.{count} is {len(layers)}$"):
+            cls(**{**fields, stack: changed})

@@ -270,6 +270,8 @@ class TestExitCodes:
         ("ablate", "--k-out", "0"),
         ("bm25", "--k", "-1"),
         ("bench", "--batch", "0"),
+        ("bench", "--n", "0"),
+        ("bench", "--m", "0"),
         ("train", "--batch-size", "0"),
         ("train", "--validate-every", "0"),
     ])
@@ -478,6 +480,42 @@ class TestExitCodes:
         assert dispatch(argv) == 2
         assert f"{bad}:2: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,name", [
+        ("bm25", "corpus"), ("bm25", "queries"), ("rerank", "corpus"), ("train", "corpus"),
+    ])
+    def test_repeated_id_names_path_line_and_id(
+        self, workspace, tmp_path, capsys, command, name
+    ):
+        """Before, bm25 and train refused a repeated corpus id without naming
+        the file, and rerank --mode ce scored the id with its last text."""
+        data = workspace / "data"
+        records = retrieval.read_jsonl(data / f"{name}.jsonl")
+        repeated = tmp_path / f"{name}.jsonl"
+        retrieval.write_jsonl(repeated, [*records, (records[0][0], "another text")])
+        files = {"corpus": data / "corpus.jsonl", "queries": data / "queries.jsonl", name: repeated}
+        inputs = ["--corpus", str(files["corpus"]), "--queries", str(files["queries"])]
+        argv = {
+            "bm25": ["bm25", *inputs, "--out", str(tmp_path / "run.trec")],
+            "rerank": ["rerank", "--model", str(workspace / "ce" / "model.bin"), "--mode", "ce",
+                       *inputs, "--candidates", str(workspace / "bm25.trec"),
+                       "--out", str(tmp_path / "run.trec")],
+            "train": ["train", *inputs, "--qrels", str(data / "qrels.tsv"),
+                      "--out-dir", str(tmp_path / "model"), *TINY_TRAIN],
+        }[command]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{repeated}:{len(records) + 1}: duplicate id {records[0][0]!r}" in err
+
+    def test_bm25_parameters_out_of_range_are_data_errors(self, workspace, tmp_path, capsys):
+        data = workspace / "data"
+        inputs = ["--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "queries.jsonl")]
+        out = tmp_path / "run.trec"
+        assert dispatch(["bm25", *inputs, "--k1", "-1", "--b", "0", "--out", str(out)]) == 2
+        assert "BM25 k1 must be at least 0, got -1.0" in capsys.readouterr().err
+        assert dispatch(["bm25", *inputs, "--b", "1.5", "--out", str(out)]) == 2
+        assert "BM25 b must lie in [0, 1], got 1.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert dispatch([
             "eval", "--run", str(tmp_path / "absent.trec"),
@@ -602,6 +640,38 @@ def test_freed_activation_pages_stay_in_the_process(tmp_path):
     kernel and the loop takes about 200k minor faults."""
     result = subprocess.run(
         [sys.executable, "-c", MINOR_FAULTS], capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": TestModuleEntryPoint.pythonpath()},
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 1000
+
+
+# 80 MiB of 2 MiB arrays, the size of a MiniLM-width model, freed and
+# allocated again ten times after one command, as repeated commands do.
+MODEL_FAULTS = """
+import resource
+import numpy as np
+from micerank.cli import dispatch
+
+dispatch(["eval", "--run", "absent.trec", "--qrels", "absent.tsv"])
+model = [np.ones(2**19, dtype=np.float32) for _ in range(40)]
+del model
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    model = [np.ones(2**19, dtype=np.float32) for _ in range(40)]
+    del model
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="the C library has no mallopt")
+def test_freed_model_pages_stay_in_the_process(tmp_path):
+    """When the freed arrays sit at the top of the heap, trimming it once
+    64 MiB are free hands them back and each round takes about 20k minor
+    faults."""
+    result = subprocess.run(
+        [sys.executable, "-c", MODEL_FAULTS], capture_output=True, text=True, timeout=120,
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": TestModuleEntryPoint.pythonpath()},
     )
     assert result.returncode == 0, result.stderr

@@ -198,6 +198,23 @@ class TestGuards:
                 checkpoint_hash=b"short",
             )
 
+    def test_state_from_another_checkpoint_rejected_at_write(self, tmp_path):
+        """Written under the cache's hash, a foreign state would come back
+        from ``get`` labelled with the wrong checkpoint."""
+        other = make_state("b", 2)
+        other.checkpoint_hash = bytes(32)
+        unstamped = make_state("c", 1)
+        unstamped.checkpoint_hash = None
+        path = tmp_path / "c.bin"
+        with pytest.raises(ValueError, match="document 'b' was encoded by checkpoint"):
+            write_cache(path, [make_state("a", 1), other], hidden=8, split_depth=1,
+                        checkpoint_hash=HASH)
+        assert not path.exists()
+        write_cache(path, [make_state("a", 1), unstamped], hidden=8, split_depth=1,
+                    checkpoint_hash=HASH)
+        with read_cache(path) as cache:
+            assert cache.get("c").checkpoint_hash == HASH
+
     def test_write_is_atomic(self, tmp_path):
         path = tmp_path / "cache.bin"
         write_cache(path, [make_state("a", 1)], hidden=8, split_depth=1, checkpoint_hash=HASH)

@@ -99,6 +99,22 @@ class TestBM25:
         with pytest.raises(ValueError):
             build_corpus_stats([("d1", "a"), ("d1", "b")])
 
+    @pytest.mark.parametrize("k1,b,name", [
+        (-1.0, 0.0, "k1"), (float("nan"), 0.4, "k1"), (0.9, -0.1, "b"), (0.9, 1.5, "b"),
+    ])
+    def test_parameters_out_of_range_rejected(self, k1, b, name):
+        """With k1 = -1 and b = 0 a one-occurrence term divides by zero."""
+        stats = build_corpus_stats([("d1", "a b"), ("d2", "a a c")])
+        with pytest.raises(ValueError, match=f"BM25 {name} must"):
+            bm25_retrieve("a", stats, k1=k1, b=b)
+        with pytest.raises(ValueError, match=f"BM25 {name} must"):
+            bm25_score(["a"], "d1", stats, k1=k1, b=b)
+
+    def test_parameter_bounds_accepted(self):
+        stats = build_corpus_stats([("d1", "a b"), ("d2", "a a c")])
+        for k1, b in ((0.0, 0.0), (0.0, 1.0), (2.0, 1.0)):
+            assert all(math.isfinite(s) for _, s in bm25_retrieve("a c", stats, k1=k1, b=b))
+
 
 class _OverlapScorer:
     """Oracle scorer: plain token-overlap count."""
@@ -262,6 +278,12 @@ class TestFileFormats:
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, records)
         assert read_jsonl(path) == records
+
+    def test_jsonl_repeated_id_names_path_line_and_id(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [("d0", "x"), ("d1", "y"), ("d0", "z")])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: duplicate id 'd0'")):
+            read_jsonl(path)
 
     def test_jsonl_bad_record(self, tmp_path):
         path = tmp_path / "bad.jsonl"

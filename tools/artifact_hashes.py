@@ -5,18 +5,22 @@ Usage::
     python tools/artifact_hashes.py [--src PATH] [--work DIR]
 
 Every command runs in-process through ``cli.dispatch`` on a synthetic corpus
-fixed by its seed: ``bm25``; short ``train`` runs of a step-3 cross-encoder
-and of a mid-fusion model initialised from it (``--init-from``);
-``encode-docs``; ``rerank`` in ``ce``, ``mice`` and ``mice-precomp`` modes in
-f32, in f64 and with ``--batch-size 7 --threads 2``; and ``ablate --step 2``.
-Each line of output is ``sha256 name``.
+fixed by its seed: ``bm25``; short ``train`` runs of a step-3 cross-encoder,
+of a mid-fusion model initialised from it (``--init-from``) and of a fresh
+mid-fusion model; ``encode-docs``; ``rerank`` in ``ce``, ``mice`` and
+``mice-precomp`` modes in f32, in f64 and with ``--batch-size 7 --threads
+2``; ``ablate --step 2``; and a ``sweep --finetune-steps 5`` from the
+cross-encoder, which cuts it into mid-fusion models. Each line of output is
+``sha256 name``.
 
 A refactor that must leave outputs byte-identical runs this once against
 each tree (``--src`` names the ``src`` directory to import micerank from;
 the default is this checkout's) and diffs the two listings. TREC runs keep
 six decimals, so every run file is accompanied by ``NAME.scores`` holding
-each score exactly, as a float hex string. BLAS runs on one thread, so its
-reductions happen in a fixed order.
+each score exactly, as a float hex string. The sweep table keeps six
+decimals too, so each model the sweep fine-tunes is saved as
+``sweep-kK.bin`` with its exact RR@10 in ``sweep-kK.rr10``. BLAS runs on
+one thread, so its reductions happen in a fixed order.
 """
 
 from __future__ import annotations
@@ -57,6 +61,20 @@ def _record_exact_scores(retrieval) -> None:
     retrieval.write_trec_run = write_with_scores
 
 
+def _record_sweep_models(training, checkpoint, work: Path) -> None:
+    """Make ``sweep`` save each model it fine-tunes, with its exact RR@10."""
+    finetune = training.finetune_mice
+
+    def finetune_and_save(mw, *args, **kwargs):
+        rr10 = finetune(mw, *args, **kwargs)
+        name = work / f"sweep-k{mw.config.interaction_layers}"
+        checkpoint.save_weights(f"{name}.bin", mw)
+        Path(f"{name}.rr10").write_text(float(rr10).hex() + "\n")
+        return rr10
+
+    training.finetune_mice = finetune_and_save
+
+
 def build(work: Path) -> None:
     """Run the pipeline, leaving every artifact under ``work``."""
     from micerank import cli
@@ -77,6 +95,7 @@ def build(work: Path) -> None:
     run("train", *common, "--out-dir", ce, "--variant", "step3")
     run("train", *common, "--out-dir", mid, "--variant", "mice", "--k-inter", 2,
         "--init-from", ce / "model.bin")
+    run("train", *common, "--out-dir", work / "mice-fresh", "--variant", "mice", "--k-inter", 2)
     cache = work / "cache.bin"
     run("encode-docs", "--model", mid / "model.bin", "--corpus", corpus, "--out", cache)
     inputs = ["--queries", queries, "--corpus", corpus, "--candidates", work / "bm25.trec"]
@@ -87,6 +106,8 @@ def build(work: Path) -> None:
                 *flags, "--out", work / f"rerank-{mode}-{name}.trec")
     run("ablate", "--model", ce / "model.bin", "--step", 2, *inputs,
         "--out", work / "ablate-step2.trec")
+    run("sweep", "--model", ce / "model.bin", "--corpus", corpus, "--queries", queries,
+        "--qrels", qrels, "--finetune-steps", 5, "--out", work / "sweep.csv")
 
 
 def main() -> None:
@@ -97,12 +118,13 @@ def main() -> None:
                         "directory, removed afterwards)")
     args = parser.parse_args()
     sys.path.insert(0, str(Path(args.src).resolve()))
-    from micerank import retrieval
+    from micerank import checkpoint, retrieval, training
 
     _record_exact_scores(retrieval)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(args.work) if args.work else Path(tmp)
         work.mkdir(parents=True, exist_ok=True)
+        _record_sweep_models(training, checkpoint, work)
         build(work)
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
