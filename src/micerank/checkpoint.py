@@ -21,8 +21,9 @@ split_depth, interaction_layers, step_code]``
 where ``kind`` is the parameter set's index in ``_KINDS`` (0 for a
 cross-encoder, 1 for the mid-fusion model), and ``step_code`` records the
 masking step the cross-encoder was trained with (-1 baseline, 0..3 for the
-ablation steps; unused for mid-fusion). Every value must be integral, and
-the loader refuses a kind or step code it does not know.
+ablation steps; unused for mid-fusion). Every value must be integral. The
+loader refuses a kind or step code it does not know, and any entry the
+parameter set does not name.
 
 Payloads are stored in 32 bits regardless of compute precision; a float64
 model round-trips through its float32 projection.
@@ -239,7 +240,7 @@ def load_weights(path, dtype=np.float32):
     """
     dtype = np.dtype(dtype)
     entries = _read_entries(path)
-    meta = entries.get("meta.config")
+    meta = entries.pop("meta.config", None)
     if meta is None or meta.shape != (len(_CONFIG_FIELDS) + 2,):
         raise CheckpointFormatError(f"{path} lacks a valid meta.config entry")
     for name, value in zip(("kind", *_CONFIG_FIELDS, "step_code"), meta):
@@ -255,7 +256,7 @@ def load_weights(path, dtype=np.float32):
     config = ModelConfig(**{name: int(v) for name, v in zip(_CONFIG_FIELDS, meta[1:-1])})
     step = _CODE_STEPS[float(meta[-1])]
     cls = _KINDS[kind]
-    return cls(
+    weights = cls(
         config=config,
         token_emb=_param(entries, "token_emb", dtype),
         pos_emb=_param(entries, "pos_emb", dtype),
@@ -265,4 +266,7 @@ def load_weights(path, dtype=np.float32):
         },
         score_w=_param(entries, "score_w", dtype),
         score_b=_param(entries, "score_b", dtype),
-    ), step
+    )
+    if entries:  # what the parameters left: a tensor the layout does not name
+        raise CheckpointFormatError(f"{path}: unknown tensor {next(iter(entries))!r}")
+    return weights, step

@@ -172,11 +172,7 @@ def _load_model(args, dtype):
     weights, step = checkpoint.load_weights(args.model, dtype=dtype)
     corpus = retrieval.read_jsonl(args.corpus)
     vocab = retrieval.build_vocab(text for _, text in corpus)
-    if vocab.size != weights.config.vocab_size:
-        raise ValueError(
-            f"corpus vocabulary ({vocab.size}) does not match checkpoint "
-            f"({weights.config.vocab_size})"
-        )
+    retrieval.check_vocab_size(vocab, weights.config)
     return weights, step, corpus, vocab
 
 
@@ -341,8 +337,8 @@ def _cmd_bench(args) -> int:
         heads=args.heads,
         ff=args.ff,
         vocab_size=args.vocab_size,
-        max_query=max(args.n, 1),
-        max_doc=max(args.m, 1),
+        max_query=args.n,
+        max_doc=args.m,
         split_depth=args.split_depth,
         interaction_layers=args.interaction_layers,
     )

@@ -83,8 +83,6 @@ class MaskStep(Enum):
         raise ValueError(f"unknown masking step {text!r}")
 
 
-_ALL = frozenset(Segment)
-
 _STEP0 = {
     Segment.CLS: frozenset({Segment.CLS, Segment.Q, Segment.SEP1, Segment.D, Segment.SEP2}),
     Segment.Q: frozenset({Segment.Q, Segment.SEP1, Segment.D}),
@@ -94,7 +92,22 @@ _STEP0 = {
 }
 _STEP1 = {**_STEP0, Segment.CLS: frozenset({Segment.CLS, Segment.Q, Segment.SEP1})}
 _STEP2 = {**_STEP1, Segment.D: frozenset({Segment.D, Segment.SEP2})}
-_STEP3_SPLIT = {**_STEP2, Segment.Q: frozenset({Segment.Q, Segment.SEP1})}
+
+# The allow rules of each regime the masks reach, keyed by (step, severed):
+# severed is true only for step 3 at or below the split.
+_RULES = {
+    (MaskStep.BASELINE, False): dict.fromkeys(Segment, frozenset(Segment)),
+    (MaskStep.STEP0, False): _STEP0,
+    (MaskStep.STEP1, False): _STEP1,
+    (MaskStep.STEP2, False): _STEP2,
+    (MaskStep.STEP3, False): _STEP2,
+    (MaskStep.STEP3, True): {**_STEP2, Segment.Q: frozenset({Segment.Q, Segment.SEP1})},
+}
+# The same rules as boolean [target, source] tables over segment codes.
+_TABLES = {
+    key: np.array([[source in rule[target] for source in Segment] for target in Segment])
+    for key, rule in _RULES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -169,33 +182,12 @@ def allowed_sources(
     step: MaskStep, target: Segment, layer_index: int = 1, split_depth: int = 0
 ) -> frozenset:
     """The set of segments ``target`` may attend to at ``layer_index``."""
-    if step is MaskStep.BASELINE:
-        return _ALL
-    if step is MaskStep.STEP0:
-        return _STEP0[target]
-    if step is MaskStep.STEP1:
-        return _STEP1[target]
-    if step is MaskStep.STEP2:
-        return _STEP2[target]
-    if step is MaskStep.STEP3:
-        table = _STEP3_SPLIT if layer_index <= split_depth else _STEP2
-        return table[target]
-    raise ValueError(f"unknown step {step!r}")
-
-
-def _segment_table(step: MaskStep, severed: bool) -> np.ndarray:
-    """Segment-level allow table of ``step``, in the stream-severed regime
-    (step 3 at or below the split) or the one above it."""
-    table = np.zeros((len(Segment), len(Segment)), dtype=bool)
-    for target in Segment:
-        for source in allowed_sources(step, target, 1, int(severed)):
-            table[target, source] = True
-    return table
+    return _RULES[step, step is MaskStep.STEP3 and layer_index <= split_depth][target]
 
 
 def _expand(step: MaskStep, severed: bool, rows: np.ndarray, cols: np.ndarray) -> AttentionMask:
     """Read-only position-level mask; ``rows`` and ``cols`` are segment codes."""
-    allow = _segment_table(step, severed)[rows[:, None], cols[None, :]]
+    allow = _TABLES[step, severed][rows[:, None], cols[None, :]]
     allow.setflags(write=False)
     return AttentionMask(allow)
 

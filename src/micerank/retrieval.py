@@ -30,6 +30,7 @@ __all__ = [
     "CorpusStats",
     "split_terms",
     "build_vocab",
+    "check_vocab_size",
     "build_corpus_stats",
     "bm25_score",
     "bm25_retrieve",
@@ -79,6 +80,15 @@ def build_vocab(texts: Iterable[str]) -> Vocab:
     """Dense word ids over the sorted unique terms of ``texts``."""
     terms = sorted({t for text in texts for t in split_terms(text)})
     return Vocab({t: FIRST_WORD_ID + i for i, t in enumerate(terms)})
+
+
+def check_vocab_size(vocab: Vocab, config: transformer.ModelConfig) -> None:
+    """Refuse a model whose token embeddings do not fit ``vocab``."""
+    if vocab.size != config.vocab_size:
+        raise ValueError(
+            f"corpus builds {vocab.size} token ids, which does not match checkpoint "
+            f"({config.vocab_size})"
+        )
 
 
 def ensure_nonempty(ids: Sequence[int]) -> list[int]:

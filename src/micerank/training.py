@@ -31,7 +31,7 @@ from .checkpoint import save_weights
 from .evalbench import rr_at_k
 from .masking import MaskStep
 from .mice import MiceWeights, init_mice_weights, mice_train_scores
-from .retrieval import build_vocab, ensure_nonempty, split_terms
+from .retrieval import build_vocab, check_vocab_size, ensure_nonempty, split_terms
 from .tensor import NumericError, Tensor, no_grad, select
 from .transformer import ModelConfig, init_ce_weights, score_pairs, spec_for
 
@@ -54,7 +54,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-VARIANTS = ("baseline", "step0", "step1", "step2", "step3", "mice")
+VARIANTS = (*(step.value for step in MaskStep), "mice")
 
 
 @dataclass
@@ -98,16 +98,13 @@ class TrainConfig:
         return None if self.variant == "mice" else MaskStep.parse(self.variant)
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        arch = {name: getattr(self, name) for name in MODEL_FIELDS}
+        """The config of a fresh model, from this config's architecture
+        fields; a model passed in to train keeps its own."""
+        arch = {f.name: getattr(self, f.name) for f in fields(ModelConfig)
+                if f.name != "vocab_size"}
         if self.variant != "mice":
             arch["interaction_layers"] = 0
         return ModelConfig(vocab_size=vocab_size, **arch)
-
-
-# The architecture fields a TrainConfig passes through to its ModelConfig.
-MODEL_FIELDS = tuple(
-    f.name for f in fields(TrainConfig) if f.name in {g.name for g in fields(ModelConfig)}
-)
 
 
 def parse_config_text(text: str) -> TrainConfig:
@@ -344,19 +341,14 @@ class _Task:
     val_q: list
 
 
-def _prepare_task(cfg: TrainConfig, data: SynthData, weights=None) -> _Task:
-    """Tokenize ``data``; ``weights``, if given, must fit its vocabulary."""
+def _prepare_task(data: SynthData, weights=None) -> _Task:
+    """Tokenize ``data`` whole; ``weights``, if given, must fit its
+    vocabulary. Every forward cuts the ids to its own model's length caps."""
     vocab = build_vocab(text for _, text in data.corpus)
-    if weights is not None and weights.config.vocab_size != vocab.size:
-        raise ValueError(
-            f"weights expect vocab {weights.config.vocab_size}, corpus builds {vocab.size}"
-        )
-    doc_tokens = {
-        d: ensure_nonempty(vocab.encode(t))[: cfg.max_doc] for d, t in data.corpus
-    }
-    query_tokens = {
-        q: ensure_nonempty(vocab.encode(t))[: cfg.max_query] for q, t in data.queries
-    }
+    if weights is not None:
+        check_vocab_size(vocab, weights.config)
+    doc_tokens = {d: ensure_nonempty(vocab.encode(t)) for d, t in data.corpus}
+    query_tokens = {q: ensure_nonempty(vocab.encode(t)) for q, t in data.queries}
     train_q, val_q = split_queries(data)
     train_q = [q for q in train_q if data.qrels.get(q)]
     if not train_q:
@@ -425,7 +417,7 @@ def train_in_memory(cfg: TrainConfig, data: SynthData, weights=None):
     re-encode documents online so every retained parameter receives
     gradients.
     """
-    task = _prepare_task(cfg, data, weights)
+    task = _prepare_task(data, weights)
     if weights is None:
         mconfig = cfg.model_config(task.vocab.size)
         if cfg.variant == "mice":
@@ -508,7 +500,12 @@ def train(cfg: TrainConfig, data: SynthData, out_dir, init_weights=None) -> Trai
 
 
 def finetune_mice(mw: MiceWeights, data: SynthData, steps: int = 0, seed: int = 0) -> float:
-    """Briefly fine-tune a mid-fusion model and return held-out RR@10."""
+    """Briefly fine-tune a mid-fusion model and return held-out RR@10.
+
+    The model's own config decides its vocabulary size, architecture and
+    length caps; ``steps`` and ``seed`` set only the training run."""
+    if steps == 0:
+        return evaluate_rr10(mw, data, _prepare_task(data, mw))
     cfg = TrainConfig(
         steps=steps,
         batch_size=16,
@@ -517,9 +514,6 @@ def finetune_mice(mw: MiceWeights, data: SynthData, steps: int = 0, seed: int = 
         validate_every=max(1, steps),
         seed=seed,
         variant="mice",
-        **{name: getattr(mw.config, name) for name in MODEL_FIELDS},
     )
-    if steps == 0:
-        return evaluate_rr10(mw, data, _prepare_task(cfg, data, mw))
     weights, metrics = train_in_memory(cfg, data, weights=mw)
     return metrics[-1]["rr10"]

@@ -29,11 +29,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .masking import AttentionMask, MaskSpec, Segment, SegmentLayout, build_mask
+from .masking import AttentionMask, MaskSpec, MaskStep, Segment, SegmentLayout, build_mask
 from .tensor import (
     ShapeError,
     Tensor,
     check_finite,
+    concat,
     gather_rows,
     gelu,
     layernorm,
@@ -278,12 +279,10 @@ def attention(
     [B, extra, d] appended after the target rows (the joint-softmax pattern
     the interaction layers use). ``allow`` is boolean [B, t, src] or [t, src].
     """
-    from .tensor import concat as tconcat
-
     if kv_states is None:
         kv = states
     else:
-        kv = tconcat([states, kv_states], axis=1)
+        kv = concat([states, kv_states], axis=1)
     q = _split_heads(matmul(states, lw.wq), heads)
     k = _split_heads(matmul(kv, lw.wk), heads)
     v = _split_heads(matmul(kv, lw.wv), heads)
@@ -482,7 +481,5 @@ def joint_states(
 
 def spec_for(step, config: ModelConfig) -> MaskSpec:
     """MaskSpec bound to this model's depth and stream-split point."""
-    from .masking import MaskStep
-
     step = step if isinstance(step, MaskStep) else MaskStep.parse(step)
     return MaskSpec(step, split_depth=config.split_depth, total_layers=config.layers)

@@ -86,6 +86,21 @@ def test_unknown_kind_is_refused(tmp_path, kind):
         load_weights(path)
 
 
+@pytest.mark.parametrize("name", ["layers.2.wq", "lower.0.wq", "meta.extra"])
+def test_tensor_the_layout_does_not_name_is_refused(tmp_path, name):
+    """A 2-layer CE with one more entry (count raised to match) does not
+    load as a 2-layer model."""
+    blob = serialize_weights(init_ce_weights(CONFIG, seed=0))
+    count = struct.unpack("<I", blob[8:12])[0]
+    extra = np.zeros((CONFIG.hidden, CONFIG.hidden), dtype="<f4")
+    entry = (struct.pack("<I", len(name)) + name.encode() + struct.pack("<III", 2, *extra.shape)
+             + extra.tobytes())
+    path = tmp_path / "extra.bin"
+    path.write_bytes(blob[:8] + struct.pack("<I", count + 1) + blob[12:] + entry)
+    with pytest.raises(CheckpointFormatError, match=f"unknown tensor '{name}'"):
+        load_weights(path)
+
+
 def test_bad_meta_is_a_data_error_naming_the_field(tmp_path, capsys):
     path = checkpoint_with_meta(tmp_path / "bad.bin", META[:-1] + [7.0])
     code = dispatch([

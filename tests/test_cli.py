@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import micerank
-from micerank import checkpoint, retrieval
+from micerank import checkpoint, mice, retrieval, training
 from micerank.cli import dispatch
 from micerank.evalbench import BenchReport
 from micerank.masking import MaskStep
@@ -237,6 +237,89 @@ class TestModelLoader:
         queries = {text for _, text in retrieval.read_jsonl(data / "queries.jsonl")}
         assert encoded and set(encoded) <= queries
         assert len(encoded) == len(retrieval.read_trec_run(tmp_path / "precomp.trec"))
+
+
+class TestInitFrom:
+    """``train --init-from`` takes the vocabulary, architecture and length
+    caps from the checkpoint it starts from."""
+
+    SHORT = ["--steps", "2", "--batch-size", "2", "--warmup", "1", "--validate-every", "2"]
+
+    @staticmethod
+    def data_flags(data):
+        return ["--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "queries.jsonl"),
+                "--qrels", str(data / "qrels.tsv")]
+
+    def test_mid_fusion_from_a_cross_encoder_keeps_its_vocabulary_and_caps(
+        self, workspace, tmp_path
+    ):
+        ce_path = workspace / "ce" / "model.bin"
+        code = dispatch([
+            "train", *self.data_flags(workspace / "data"), "--out-dir", str(tmp_path / "mice"),
+            "--variant", "mice", "--init-from", str(ce_path), "--k-inter", "1", *self.SHORT,
+        ])
+        assert code == 0
+        ce, _ = checkpoint.load_weights(ce_path)
+        mw, _ = checkpoint.load_weights(tmp_path / "mice" / "model.bin")
+        assert isinstance(mw, mice.MiceWeights)
+        for name in ("vocab_size", "max_query", "max_doc", "hidden", "heads", "ff"):
+            assert getattr(mw.config, name) == getattr(ce.config, name)
+        assert (mw.config.split_depth, mw.config.interaction_layers) == (1, 1)
+
+    def test_fine_tuning_reads_inputs_up_to_the_checkpoints_caps(
+        self, tmp_path, monkeypatch
+    ):
+        """A CE with caps 16/40 fine-tunes on its 12-term queries and 30-term
+        documents whole, not cut to the TrainConfig defaults (8/24)."""
+        rng = np.random.default_rng(0)
+        terms = [f"t{i}" for i in range(40)]
+        data = tmp_path / "data"
+        data.mkdir()
+        corpus = [(f"d{i}", " ".join(rng.choice(terms, 30))) for i in range(8)]
+        queries = [(f"q{i}", " ".join(rng.choice(terms, 12))) for i in range(4)]
+        retrieval.write_jsonl(data / "corpus.jsonl", corpus)
+        retrieval.write_jsonl(data / "queries.jsonl", queries)
+        retrieval.write_qrels(data / "qrels.tsv", {q: {f"d{2 * i}": 1}
+                                                   for i, (q, _) in enumerate(queries)})
+        assert dispatch([
+            "train", *self.data_flags(data), "--out-dir", str(tmp_path / "ce"),
+            "--variant", "step3", "--max-query", "16", "--max-doc", "40", *self.SHORT,
+        ]) == 0
+        seen = []
+        forward = training.mice_train_scores
+
+        def recording_forward(pairs, weights):
+            seen.extend((len(q), len(d)) for q, d in pairs)
+            return forward(pairs, weights)
+
+        monkeypatch.setattr(training, "mice_train_scores", recording_forward)
+        assert dispatch([
+            "train", *self.data_flags(data), "--out-dir", str(tmp_path / "mice"),
+            "--variant", "mice", "--init-from", str(tmp_path / "ce" / "model.bin"), *self.SHORT,
+        ]) == 0
+        assert seen and set(seen) == {(12, 30)}
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_checkpoint_of_another_vocabulary_is_data_error(
+        self, workspace, tmp_path, capsys, command
+    ):
+        data = workspace / "data"
+        small = tmp_path / "data"
+        small.mkdir()
+        retrieval.write_jsonl(small / "corpus.jsonl", [("d0", "alpha beta"), ("d1", "gamma")])
+        for name in ("queries.jsonl", "qrels.tsv"):
+            (small / name).write_bytes((data / name).read_bytes())
+        ce_path = workspace / "ce" / "model.bin"
+        argv = {
+            "train": ["--out-dir", str(tmp_path / "mice"), "--variant", "mice",
+                      "--init-from", str(ce_path), "--k-inter", "1", *self.SHORT],
+            "sweep": ["--model", str(ce_path), "--out", str(tmp_path / "sweep.csv")],
+        }[command]
+        assert dispatch([command, *self.data_flags(small), *argv]) == 2
+        size = retrieval.build_vocab(["alpha beta", "gamma"]).size
+        expected = checkpoint.load_weights(ce_path)[0].config.vocab_size
+        assert (f"corpus builds {size} token ids, which does not match checkpoint "
+                f"({expected})") in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -117,8 +117,15 @@ def main() -> None:
     parser.add_argument("--work", help="where the artifacts are kept (default: a temporary "
                         "directory, removed afterwards)")
     args = parser.parse_args()
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    src = Path(args.src).resolve()
+    if not (src / "micerank" / "__init__.py").is_file():
+        parser.error(f"--src {src} holds no micerank/__init__.py")
+    sys.path.insert(0, str(src))
+    import micerank
     from micerank import checkpoint, retrieval, training
+
+    if not Path(micerank.__file__).resolve().is_relative_to(src):
+        parser.error(f"micerank was imported from {micerank.__file__}, not from --src {src}")
 
     _record_exact_scores(retrieval)
     with tempfile.TemporaryDirectory() as tmp:
