@@ -16,7 +16,6 @@ import argparse
 import ctypes
 import dataclasses
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import checkpoint, doccache, evalbench, mice, retrieval, training, transformer
 from .masking import MaskSpec, MaskStep
-from .tensor import NumericError, no_grad
+from .tensor import PRECISIONS, NumericError, no_grad
 
 __all__ = ["main", "dispatch"]
 
@@ -63,7 +62,7 @@ def _build_parser() -> _Parser:
     # the defaults of the flags a command reads and refuses the others.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int)
-    common.add_argument("--precision", choices=("f32", "f64"))
+    common.add_argument("--precision", choices=tuple(PRECISIONS))
     common.add_argument("--threads", type=positive_int)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -161,10 +160,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _dtype(args):
-    return np.float64 if args.precision == "f64" else np.float32
-
-
 def _load_model(args, dtype):
     """``(weights, step, corpus, vocab)`` for the commands that score the
     corpus with ``--model``; the vocabulary is rebuilt from the corpus and
@@ -208,6 +203,15 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+# The checkpoint of ``train --init-from`` fixes the architecture, so these
+# flags are refused; the split flags are read only to cut a cross-encoder
+# into a mid-fusion model. Values from a ``--config`` file are defaults, not
+# given flags.
+_ARCH_FLAGS = {"layers": "--layers", "hidden": "--hidden", "heads": "--heads", "ff": "--ff",
+               "max_query": "--max-query", "max_doc": "--max-doc"}
+_CUT_FLAGS = {"split_depth": "--ell-star", "interaction_layers": "--k-inter"}
+
+
 def _cmd_train(args) -> int:
     if args.config:
         cfg = training.parse_config_text(Path(args.config).read_text())
@@ -218,13 +222,17 @@ def _cmd_train(args) -> int:
         for f in dataclasses.fields(training.TrainConfig)
         if getattr(args, f.name, None) is not None
     })
-    data = _load_data(args.corpus, args.queries, args.qrels)
     init = None
     if args.init_from:
-        loaded, _ = checkpoint.load_weights(args.init_from, dtype=cfg.dtype)
-        if cfg.variant == "mice" and not isinstance(loaded, mice.MiceWeights):
-            loaded = mice.from_cross_encoder(loaded, cfg.split_depth, cfg.interaction_layers)
-        init = loaded
+        init, _ = checkpoint.load_weights(args.init_from, dtype=cfg.dtype)
+        cut = cfg.variant == "mice" and not isinstance(init, mice.MiceWeights)
+        for name, flag in (_ARCH_FLAGS if cut else {**_ARCH_FLAGS, **_CUT_FLAGS}).items():
+            if getattr(args, name) is not None:
+                raise ValueError(f"train --init-from does not read {flag}: the checkpoint "
+                                 "fixes it")
+        if cut:
+            init = mice.from_cross_encoder(init, cfg.split_depth, cfg.interaction_layers)
+    data = _load_data(args.corpus, args.queries, args.qrels)
     result = training.train(cfg, data, args.out_dir, init_weights=init)
     last = result.metrics[-1]["rr10"] if result.metrics else float("nan")
     print(
@@ -275,7 +283,7 @@ def _cmd_rerank(args) -> int:
         raise ValueError(f"--step and --ell-star apply to ce mode, not {args.mode}")
     if args.mode != "mice-precomp" and args.cache:
         raise ValueError(f"--cache applies to mice-precomp mode, not {args.mode}")
-    weights, trained_step, corpus, vocab = _load_model(args, _dtype(args))
+    weights, trained_step, corpus, vocab = _load_model(args, PRECISIONS[args.precision])
     chunking = dict(batch_size=args.batch_size, threads=args.threads)
     if args.mode == "ce":
         if not isinstance(weights, transformer.Weights):
@@ -359,7 +367,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    weights, _ = checkpoint.load_weights(args.model, dtype=_dtype(args))
+    weights, _ = checkpoint.load_weights(args.model, dtype=PRECISIONS[args.precision])
     if not isinstance(weights, transformer.Weights):
         raise ValueError("sweep starts from a cross-encoder checkpoint")
     data = _load_data(args.corpus, args.queries, args.qrels)
@@ -484,7 +492,6 @@ def dispatch(argv) -> int:
         KeyError,
         IndexError,
         OSError,
-        json.JSONDecodeError,
         doccache.CacheMismatchError,
         mice.ConsistencyError,
     ) as exc:

@@ -37,6 +37,7 @@ from .masking import MaskSpec, MaskStep
 
 __all__ = [
     "RankedList",
+    "ranked",
     "BenchReport",
     "ndcg_at_k",
     "rr_at_k",
@@ -79,6 +80,12 @@ class RankedList:
 
     def doc_ids(self) -> list[str]:
         return [d for d, _ in self.items]
+
+
+def ranked(scores, k: int | None = None) -> list:
+    """``(doc_id, score)`` pairs in ranking order, score descending and ties
+    by doc id, cut to the first ``k``: the order of every ranked list."""
+    return sorted(scores, key=lambda item: (-item[1], item[0]))[:k]
 
 
 def _ranking_ids(ranking) -> list[str]:
@@ -152,10 +159,6 @@ def _layer_flops(t: int, src: int, d: int, f: int, h: int) -> int:
     return 2 * macs + small
 
 
-def _embed_flops(s: int, d: int) -> int:
-    return s * d
-
-
 def count_flops(config: transformer.ModelConfig, n: int, m: int, mode: str) -> int:
     """Analytic FLOPs to score one (query, document) pair.
 
@@ -169,16 +172,16 @@ def count_flops(config: transformer.ModelConfig, n: int, m: int, mode: str) -> i
     scorer = 2 * d + 1
     if mode == "ce":
         s = n + m + 3
-        return _embed_flops(s, d) + config.layers * _layer_flops(s, s, d, f, h) + scorer
+        return s * d + config.layers * _layer_flops(s, s, d, f, h) + scorer
     split = config.split_depth
     k = config.interaction_layers
     if not k:
         raise ValueError("mid-fusion modes need config.interaction_layers set")
     t, sd = n + 2, m + 1
-    total = _embed_flops(t, d) + split * _layer_flops(t, t, d, f, h)
+    total = t * d + split * _layer_flops(t, t, d, f, h)
     total += k * _layer_flops(t, t + sd, d, f, h) + scorer
     if mode == "mice":
-        total += _embed_flops(sd, d) + split * _layer_flops(sd, sd, d, f, h)
+        total += sd * d + split * _layer_flops(sd, sd, d, f, h)
     return total
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import mice as mice_mod
 from . import transformer
-from .evalbench import RankedList
+from .evalbench import RankedList, ranked
 from .masking import MaskSpec
 from .tensor import no_grad
 from .transformer import FIRST_WORD_ID, UNK_ID
@@ -177,7 +177,7 @@ def bm25_retrieve(
     k1: float = 0.9,
     b: float = 0.4,
 ) -> list[tuple[str, float]]:
-    """Top-``k`` matching documents, ordered by (score desc, doc_id asc)."""
+    """Top-``k`` matching documents, in :func:`.evalbench.ranked` order."""
     _check_bm25_params(k1, b)
     terms = split_terms(query_text)
     accum: dict = {}
@@ -190,8 +190,7 @@ def bm25_retrieve(
             accum[doc_id] = accum.get(doc_id, 0.0) + float(
                 _term_weight(idf, tf, stats.doc_len[doc_id], stats, k1, b)
             )
-    ranked = sorted(accum.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
+    return ranked(accum.items(), k)
 
 
 # --------------------------------------------------------------------------
@@ -280,7 +279,7 @@ def rerank(
     k_out: int | None = None,
     on_missing: str = "raise",
 ) -> RankedList:
-    """Re-score ``candidates`` and order by (score desc, doc_id asc).
+    """Re-score ``candidates`` and put them in :func:`.evalbench.ranked` order.
 
     ``scorer`` offers ``score(query_text, candidates)`` and ``docs``, which
     answers ``c in docs`` for the candidates it can score. ``on_missing``
@@ -299,10 +298,7 @@ def rerank(
             )
         for doc_id in missing:
             log.warning("query %s: skipping unscoreable candidate %s", query_id, doc_id)
-    scores = scorer.score(query_text, scoreable)
-    items = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    if k_out is not None:
-        items = items[:k_out]
+    items = ranked(scorer.score(query_text, scoreable).items(), k_out)
     return RankedList(query_id=query_id, items=tuple(items), skipped=tuple(missing))
 
 

@@ -49,6 +49,7 @@ __all__ = [
     "grad_enabled",
     "check_finite",
     "mask_fill_value",
+    "PRECISIONS",
     "track_allocations",
     "allocated_bytes",
     "peak_allocated_bytes",
@@ -70,6 +71,10 @@ class MaskedRowError(ValueError):
 class NumericError(ArithmeticError):
     """A value left the finite range (NaN or Inf)."""
 
+
+# The two precisions, by the names the command line and the training
+# config use.
+PRECISIONS = {"f32": np.float32, "f64": np.float64}
 
 _F32_MASK_FILL = -1e30
 _F64_MASK_FILL = -1e300
@@ -194,10 +199,6 @@ class Tensor:
         return self.data.dtype
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
 
@@ -243,29 +244,11 @@ class Tensor:
     def __add__(self, other):
         return _add(self, _coerce(other, self))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return _add(self, _neg(_coerce(other, self)))
 
-    def __rsub__(self, other):
-        return _add(_coerce(other, self), _neg(self))
-
     def __mul__(self, other):
         return _mul(self, _coerce(other, self))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise GradUsageError("tensor/tensor division is not supported; divide by a scalar")
-        return _mul(self, _coerce(1.0 / other, self))
-
-    def __neg__(self):
-        return _neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def reshape(self, shape) -> "Tensor":
         return _reshape(self, tuple(shape))

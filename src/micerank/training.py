@@ -28,11 +28,11 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import save_weights
-from .evalbench import rr_at_k
+from .evalbench import ranked, rr_at_k
 from .masking import MaskStep
 from .mice import MiceWeights, init_mice_weights, mice_train_scores
 from .retrieval import build_vocab, check_vocab_size, ensure_nonempty, split_terms
-from .tensor import NumericError, Tensor, no_grad, select
+from .tensor import PRECISIONS, NumericError, Tensor, no_grad, select
 from .transformer import ModelConfig, init_ce_weights, score_pairs, spec_for
 
 __all__ = [
@@ -82,7 +82,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.precision not in ("f32", "f64"):
+        if self.precision not in PRECISIONS:
             raise ValueError(f"precision must be f32 or f64, got {self.precision!r}")
         for name in ("steps", "warmup_steps"):
             if getattr(self, name) < 0:
@@ -92,7 +92,7 @@ class TrainConfig:
 
     @property
     def dtype(self):
-        return np.float32 if self.precision == "f32" else np.float64
+        return PRECISIONS[self.precision]
 
     def mask_step(self) -> MaskStep | None:
         return None if self.variant == "mice" else MaskStep.parse(self.variant)
@@ -209,6 +209,7 @@ class SynthData:
     qrels: dict
     _doc_terms: dict = field(default=None, repr=False, compare=False)
     _query_text: dict = field(default=None, repr=False, compare=False)
+    _task: _Task = field(default=None, repr=False, compare=False)
 
     def doc_terms(self, doc_id: str) -> frozenset:
         if self._doc_terms is None:
@@ -342,30 +343,31 @@ class _Task:
 
 
 def _prepare_task(data: SynthData, weights=None) -> _Task:
-    """Tokenize ``data`` whole; ``weights``, if given, must fit its
-    vocabulary. Every forward cuts the ids to its own model's length caps."""
-    vocab = build_vocab(text for _, text in data.corpus)
+    """Tokenize ``data`` whole, once per ``data``; ``weights``, if given, must
+    fit its vocabulary. Every forward cuts the ids to its own model's length
+    caps."""
+    if data._task is None:
+        vocab = build_vocab(text for _, text in data.corpus)
+        doc_tokens = {d: ensure_nonempty(vocab.encode(t)) for d, t in data.corpus}
+        query_tokens = {q: ensure_nonempty(vocab.encode(t)) for q, t in data.queries}
+        train_q, val_q = split_queries(data)
+        train_q = [q for q in train_q if data.qrels.get(q)]
+        data._task = _Task(vocab, doc_tokens, query_tokens, data.doc_ids(), train_q, val_q)
     if weights is not None:
-        check_vocab_size(vocab, weights.config)
-    doc_tokens = {d: ensure_nonempty(vocab.encode(t)) for d, t in data.corpus}
-    query_tokens = {q: ensure_nonempty(vocab.encode(t)) for q, t in data.queries}
-    train_q, val_q = split_queries(data)
-    train_q = [q for q in train_q if data.qrels.get(q)]
-    if not train_q:
+        check_vocab_size(data._task.vocab, weights.config)
+    if not data._task.train_q:
         raise ValueError("no training query has a relevant document")
-    return _Task(vocab, doc_tokens, query_tokens, data.doc_ids(), train_q, val_q)
+    return data._task
 
 
 def evaluate_rr10(weights, data: SynthData, task: _Task, spec=None) -> float:
     """Mean RR@10 over held-out queries, ranking the whole corpus.
 
-    A masked cross-encoder is evaluated under the same mask it trains with
-    (``spec``); mid-fusion models encode documents online here.
+    A cross-encoder is evaluated under the mask it trains with (``spec``);
+    mid-fusion models encode documents online here and take no ``spec``.
     """
     doc_ids = sorted(task.doc_ids)
     is_mice = isinstance(weights, MiceWeights)
-    if spec is None and not is_mice:
-        spec = spec_for(MaskStep.BASELINE, weights.config)
     values = []
     with no_grad():
         for qid in task.val_q:
@@ -379,8 +381,8 @@ def evaluate_rr10(weights, data: SynthData, task: _Task, spec=None) -> float:
                 else:
                     out = score_pairs(pairs, spec, weights).data
                 scores[lo : lo + len(chunk)] = out
-            order = sorted(zip(doc_ids, scores), key=lambda x: (-x[1], x[0]))
-            values.append(rr_at_k([d for d, _ in order], data.qrels.get(qid, {}), 10))
+            top = ranked(zip(doc_ids, scores), 10)
+            values.append(rr_at_k(top, data.qrels.get(qid, {}), 10))
     return float(np.mean(values)) if values else 0.0
 
 
@@ -448,9 +450,6 @@ def train_in_memory(cfg: TrainConfig, data: SynthData, weights=None):
             best_snapshot = snapshot()
         log.info("step %d loss %.5f lr %.2e rr10 %.4f", step, loss_value, lr, rr)
 
-    if cfg.steps == 0:
-        best_snapshot = snapshot()
-        best_rr = 0.0
     for step in range(1, cfg.steps + 1):
         triples = _sample_triples(rng, cfg, data, task)
         pairs = [(task.query_tokens[q], task.doc_tokens[p]) for q, p, _ in triples]

@@ -1,0 +1,267 @@
+"""Input checks of the commands and readers, each reached by one test.
+
+Commands run in-process through ``dispatch`` where there is a command, on a
+tiny synthetic setup, so exit codes and messages are asserted directly.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+
+from micerank import checkpoint, retrieval, training
+from micerank.cli import dispatch
+from micerank.mice import from_cross_encoder
+from micerank.training import SynthData, split_queries
+from micerank.transformer import ModelConfig, init_ce_weights
+
+ARCH = ["--layers", "3", "--hidden", "16", "--heads", "2", "--ff", "24",
+        "--max-query", "6", "--max-doc", "16", "--ell-star", "1"]
+SHORT = ["--steps", "2", "--batch-size", "2", "--warmup", "1", "--validate-every", "2"]
+
+
+@pytest.fixture(scope="module")
+def ws(tmp_path_factory):
+    """synth -> bm25 -> a tiny step-1 cross-encoder and mid-fusion model."""
+    root = tmp_path_factory.mktemp("ws")
+    data = root / "data"
+    assert dispatch(["synth", "--out-dir", str(data), "--docs", "24", "--queries", "12",
+                     "--vocab-size", "64", "--seed", "0"]) == 0
+    assert dispatch(["bm25", *inputs(root, "corpus", "queries"), "--k", "10",
+                     "--out", str(root / "bm25.trec")]) == 0
+    for variant, out in (("step1", "ce"), ("mice", "mice")):
+        assert dispatch(["train", *inputs(root, "corpus", "queries", "qrels"),
+                         "--out-dir", str(root / out), "--variant", variant,
+                         *ARCH, *SHORT]) == 0
+    return root
+
+
+def inputs(root, *names):
+    """``--corpus``, ``--queries`` and ``--qrels`` flags on the workspace's data."""
+    files = {"corpus": "corpus.jsonl", "queries": "queries.jsonl", "qrels": "qrels.tsv"}
+    return [arg for name in names for arg in (f"--{name}", str(root / "data" / files[name]))]
+
+
+def rerank_argv(ws, model, *extra, candidates=None, out):
+    """``rerank`` of the workspace's BM25 candidates (or ``candidates``) with
+    the checkpoint at ``model``."""
+    return ["rerank", "--model", str(model), *inputs(ws, "corpus", "queries"),
+            "--candidates", str(candidates or ws / "bm25.trec"), *extra, "--out", str(out)]
+
+
+class TestInitFromRefusesUnreadFlags:
+    """With ``--init-from`` the checkpoint fixes the architecture; the split
+    flags are read only to cut a cross-encoder into a mid-fusion model."""
+
+    def train(self, ws, tmp_path, variant, model, *flags):
+        return dispatch(["train", *inputs(ws, "corpus", "queries", "qrels"),
+                         "--out-dir", str(tmp_path / "out"), "--variant", variant,
+                         "--init-from", str(ws / model / "model.bin"), *SHORT, *flags])
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--layers", "7"), ("--hidden", "5"), ("--heads", "3"), ("--ff", "8"),
+        ("--max-query", "4"), ("--max-doc", "99"),
+    ])
+    @pytest.mark.parametrize("variant,model", [("mice", "ce"), ("mice", "mice"), ("step1", "ce")])
+    def test_architecture_flag_is_data_error(
+        self, ws, tmp_path, capsys, variant, model, flag, value
+    ):
+        assert self.train(ws, tmp_path, variant, model, flag, value) == 2
+        assert f"train --init-from does not read {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--ell-star", "--k-inter"])
+    @pytest.mark.parametrize("variant,model", [("mice", "mice"), ("step1", "ce")])
+    def test_split_flag_without_a_cut_is_data_error(
+        self, ws, tmp_path, capsys, variant, model, flag
+    ):
+        assert self.train(ws, tmp_path, variant, model, flag, "1") == 2
+        assert f"train --init-from does not read {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_split_flags_cut_a_cross_encoder(self, ws, tmp_path):
+        assert self.train(ws, tmp_path, "mice", "ce", "--ell-star", "1", "--k-inter", "1") == 0
+        mw, _ = checkpoint.load_weights(tmp_path / "out" / "model.bin")
+        assert (mw.config.split_depth, mw.config.interaction_layers) == (1, 1)
+
+    def test_config_file_values_are_defaults_not_flags(self, ws, tmp_path):
+        config = tmp_path / "train.cfg"
+        config.write_text("layers = 7\nhidden = 5\nheads = 3\nmax_doc = 99\n"
+                          "split_depth = 1\ninteraction_layers = 1\n")
+        assert self.train(ws, tmp_path, "mice", "mice", "--config", str(config)) == 0
+
+
+def test_sweep_tokenizes_its_corpus_once(ws, tmp_path, monkeypatch):
+    """Each fine-tuned model reuses one tokenization of the corpus."""
+    calls = []
+    build_vocab = training.build_vocab
+
+    def counting_build_vocab(texts):
+        calls.append(1)
+        return build_vocab(texts)
+
+    monkeypatch.setattr(training, "build_vocab", counting_build_vocab)
+    out = tmp_path / "sweep.csv"
+    assert dispatch(["sweep", "--model", str(ws / "ce" / "model.bin"),
+                     *inputs(ws, "corpus", "queries", "qrels"), "--k-min", "1", "--k-max", "2",
+                     "--finetune-steps", "2", "--out", str(out)]) == 0
+    assert [row.split(",")[0] for row in out.read_text().splitlines()] == ["k_inter", "2", "1"]
+    assert len(calls) == 1
+
+
+class TestCommandInputs:
+    @pytest.mark.parametrize("argv,message", [
+        (["encode-docs"], "encode-docs needs a mid-fusion checkpoint"),
+        (["rerank", "--mode", "mice"], "mice mode needs a mid-fusion checkpoint"),
+        (["rerank", "--step", "9"], "unknown masking step '9'"),
+    ])
+    def test_cross_encoder_checkpoint_where_it_does_not_fit(
+        self, ws, tmp_path, capsys, argv, message
+    ):
+        out = tmp_path / "out"
+        command, *extra = argv
+        if command == "rerank":
+            argv = rerank_argv(ws, ws / "ce" / "model.bin", *extra, out=out)
+        else:
+            argv = [command, "--model", str(ws / "ce" / "model.bin"),
+                    *inputs(ws, "corpus"), "--out", str(out)]
+        assert dispatch(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_precomp_mode_without_a_cache_is_data_error(self, ws, tmp_path, capsys):
+        out = tmp_path / "run.trec"
+        assert dispatch(rerank_argv(ws, ws / "mice" / "model.bin", "--mode", "mice-precomp", out=out)) == 2
+        assert "mice-precomp mode needs --cache" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_from_a_mid_fusion_checkpoint_is_data_error(self, ws, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert dispatch(["sweep", "--model", str(ws / "mice" / "model.bin"),
+                         *inputs(ws, "corpus", "queries", "qrels"), "--out", str(out)]) == 2
+        assert "sweep starts from a cross-encoder checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_query_without_candidates_is_left_out_of_the_run(self, ws, tmp_path, capsys):
+        lines = (ws / "bm25.trec").read_text().splitlines(keepends=True)
+        first = lines[0].split()[0]
+        candidates = tmp_path / "candidates.trec"
+        candidates.write_text("".join(line for line in lines if line.split()[0] != first))
+        out = tmp_path / "run.trec"
+        assert dispatch(rerank_argv(ws, ws / "ce" / "model.bin", candidates=candidates, out=out)) == 0
+        queries = {q for q, _ in retrieval.read_jsonl(ws / "data" / "queries.jsonl")}
+        assert set(retrieval.read_trec_run(out)) == queries - {first}
+        assert f"reranked {len(queries) - 1} queries" in capsys.readouterr().out
+
+    def test_precision_the_config_file_does_not_know_is_data_error(self, ws, tmp_path, capsys):
+        config = tmp_path / "train.cfg"
+        config.write_text("precision = f16\n")
+        assert dispatch(["train", *inputs(ws, "corpus", "queries", "qrels"), "--config",
+                         str(config), "--out-dir", str(tmp_path / "model"), *SHORT]) == 2
+        assert "precision must be f32 or f64, got 'f16'" in capsys.readouterr().err
+        assert not (tmp_path / "model").exists()
+
+    def test_qrels_without_a_relevant_training_query_is_data_error(self, ws, tmp_path, capsys):
+        """Every fourth query validates; here only those have relevant documents."""
+        qrels = tmp_path / "qrels.tsv"
+        retrieval.write_qrels(qrels, {"q0003": {"d0000": 1}, "q0007": {"d0001": 1}})
+        assert dispatch(["train", *inputs(ws, "corpus", "queries"), "--qrels", str(qrels),
+                         "--out-dir", str(tmp_path / "model"), *SHORT]) == 2
+        assert "no training query has a relevant document" in capsys.readouterr().err
+
+
+def write_checkpoint(path, entries):
+    """A checkpoint file holding ``entries`` (name -> array), in order."""
+    blob = [checkpoint.MAGIC, struct.pack("<I", len(entries))]
+    for name, payload in entries.items():
+        raw = name.encode()
+        blob.append(struct.pack(f"<I{len(raw)}sI{payload.ndim}I",
+                                len(raw), raw, payload.ndim, *payload.shape))
+        blob.append(np.ascontiguousarray(payload, dtype="<f4").tobytes())
+    path.write_bytes(b"".join(blob))
+
+
+@pytest.mark.parametrize("damage,message", [
+    ("missing tensor", "checkpoint is missing tensor 'score_b'"),
+    ("trailing bytes", "has 3 trailing bytes"),
+    ("no meta.config", "lacks a valid meta.config entry"),
+])
+def test_damaged_checkpoint_is_data_error(ws, tmp_path, capsys, damage, message):
+    entries = checkpoint._read_entries(ws / "ce" / "model.bin")
+    model = tmp_path / "model.bin"
+    if damage == "trailing bytes":
+        model.write_bytes((ws / "ce" / "model.bin").read_bytes() + b"\0\0\0")
+    else:
+        del entries["score_b" if damage == "missing tensor" else "meta.config"]
+        write_checkpoint(model, entries)
+    out = tmp_path / "run.trec"
+    assert dispatch(rerank_argv(ws, model, out=out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestReaders:
+    def test_bm25_of_an_empty_corpus_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n")
+        retrieval.write_jsonl(tmp_path / "queries.jsonl", [("q1", "a")])
+        out = tmp_path / "run.trec"
+        assert dispatch(["bm25", "--corpus", str(corpus), "--queries",
+                         str(tmp_path / "queries.jsonl"), "--out", str(out)]) == 2
+        assert "empty corpus" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bm25_ignores_a_query_term_no_document_holds(self, tmp_path):
+        retrieval.write_jsonl(tmp_path / "corpus.jsonl",
+                              [("d0", "alpha beta"), ("d1", "beta gamma"), ("d2", "delta")])
+        retrieval.write_jsonl(tmp_path / "queries.jsonl",
+                              [("known", "beta alpha"), ("unseen", "beta zeta alpha")])
+        out = tmp_path / "run.trec"
+        assert dispatch(["bm25", "--corpus", str(tmp_path / "corpus.jsonl"), "--queries",
+                         str(tmp_path / "queries.jsonl"), "--out", str(out)]) == 0
+        run = retrieval.read_trec_run(out)
+        assert run["unseen"] == run["known"]
+        assert [d for d, _ in run["known"]] == ["d0", "d1"]
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        """In JSONL corpora and queries, TREC runs and qrels alike."""
+        corpus, queries = tmp_path / "corpus.jsonl", tmp_path / "queries.jsonl"
+        corpus.write_text('\n{"id": "d0", "text": "a b"}\n\n  \n{"id": "d1", "text": "b c"}\n\n')
+        queries.write_text('\n\n{"id": "q1", "text": "a"}\n\n')
+        run = tmp_path / "run.trec"
+        assert dispatch(["bm25", "--corpus", str(corpus), "--queries", str(queries),
+                         "--out", str(run)]) == 0
+        assert retrieval.read_jsonl(corpus) == [("d0", "a b"), ("d1", "b c")]
+        run.write_text("\n" + run.read_text().replace("\n", "\n\n"))
+        qrels = tmp_path / "qrels.tsv"
+        qrels.write_text("\nq1 0 d0 1\n\n")
+        assert retrieval.read_qrels(qrels) == {"q1": {"d0": 1}}
+        capsys.readouterr()
+        assert dispatch(["eval", "--run", str(run), "--qrels", str(qrels)]) == 0
+        assert capsys.readouterr().out.strip() == "1.0000"
+
+
+@pytest.mark.parametrize("count,train,val", [
+    (1, ["q0"], ["q0"]),
+    (3, ["q0", "q1"], ["q2"]),
+])
+def test_fewer_than_four_queries_validate_on_the_last(count, train, val):
+    queries = [(f"q{i}", "a") for i in range(count)]
+    assert split_queries(SynthData(corpus=[("d0", "a")], queries=queries, qrels={})) == (
+        train, val)
+
+
+def test_finetune_mice_trains_the_model_in_process():
+    """Fine-tuning updates the cut model in place and returns its RR@10."""
+    data = training.synth_corpus(seed=1, n_docs=16, n_queries=8, vocab_size=48)
+    vocab = retrieval.build_vocab(text for _, text in data.corpus)
+    config = ModelConfig(layers=3, hidden=16, heads=2, ff=24, vocab_size=vocab.size,
+                         max_query=6, max_doc=16)
+    ce = init_ce_weights(config, seed=0)
+    mw = from_cross_encoder(ce, 1, 2)
+    rr10 = training.finetune_mice(mw, data, steps=3, seed=0)
+    assert 0.0 <= rr10 <= 1.0
+    assert rr10 == training.evaluate_rr10(mw, data, training._prepare_task(data, mw))
+    untrained = dict(from_cross_encoder(ce, 1, 2).named_parameters())
+    assert any(not np.array_equal(p.data, untrained[name].data)
+               for name, p in mw.named_parameters())

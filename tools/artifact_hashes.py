@@ -37,11 +37,12 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-MODEL = [
-    "--layers", "3", "--hidden", "16", "--heads", "2", "--ff", "24",
-    "--max-query", "6", "--max-doc", "16", "--ell-star", "1",
-    "--steps", "30", "--batch-size", "4", "--warmup", "3", "--validate-every", "10",
-]
+# A run that starts from a checkpoint (--init-from) takes its architecture
+# from there, so only fresh models are given ARCH.
+ARCH = ["--layers", "3", "--hidden", "16", "--heads", "2", "--ff", "24",
+        "--max-query", "6", "--max-doc", "16"]
+TRAIN = ["--ell-star", "1", "--steps", "30", "--batch-size", "4", "--warmup", "3",
+         "--validate-every", "10"]
 RERANK_RUNS = {"f32": [], "f64": ["--precision", "f64"],
                "b7t2": ["--batch-size", "7", "--threads", "2"]}
 
@@ -91,11 +92,12 @@ def build(work: Path) -> None:
         "--seed", 3)
     run("bm25", "--corpus", corpus, "--queries", queries, "--k", 20, "--out", work / "bm25.trec")
     ce, mid = work / "ce", work / "mice"
-    common = ["--corpus", corpus, "--queries", queries, "--qrels", qrels, *MODEL]
-    run("train", *common, "--out-dir", ce, "--variant", "step3")
+    common = ["--corpus", corpus, "--queries", queries, "--qrels", qrels, *TRAIN]
+    run("train", *common, *ARCH, "--out-dir", ce, "--variant", "step3")
     run("train", *common, "--out-dir", mid, "--variant", "mice", "--k-inter", 2,
         "--init-from", ce / "model.bin")
-    run("train", *common, "--out-dir", work / "mice-fresh", "--variant", "mice", "--k-inter", 2)
+    run("train", *common, *ARCH, "--out-dir", work / "mice-fresh", "--variant", "mice",
+        "--k-inter", 2)
     cache = work / "cache.bin"
     run("encode-docs", "--model", mid / "model.bin", "--corpus", corpus, "--out", cache)
     inputs = ["--queries", queries, "--corpus", corpus, "--candidates", work / "bm25.trec"]
