@@ -22,8 +22,10 @@ where ``kind`` is the parameter set's index in ``_KINDS`` (0 for a
 cross-encoder, 1 for the mid-fusion model), and ``step_code`` records the
 masking step the cross-encoder was trained with (-1 baseline, 0..3 for the
 ablation steps; unused for mid-fusion). Every value must be integral. The
-loader refuses a kind or step code it does not know, and any entry the
-parameter set does not name.
+loader builds the parameter set with ``assemble``, which asks for each
+tensor by its name, so it takes each entry by name, not by position. It
+refuses a kind or step code it does not know, a missing entry, and any
+entry the parameter set does not name.
 
 Payloads are stored in 32 bits regardless of compute precision; a float64
 model round-trips through its float32 projection.
@@ -55,7 +57,7 @@ import numpy as np
 from .masking import MaskStep
 from .mice import MiceWeights
 from .tensor import Tensor
-from .transformer import LayerWeights, ModelConfig, Weights
+from .transformer import ModelConfig, Weights
 
 __all__ = [
     "MAGIC",
@@ -225,12 +227,6 @@ def _param(entries: dict, name: str, dtype) -> Tensor:
     return Tensor(payload.astype(dtype, copy=False), requires_grad=True)
 
 
-def _layer(entries: dict, prefix: str, dtype) -> LayerWeights:
-    return LayerWeights(
-        **{name: _param(entries, f"{prefix}.{name}", dtype) for name in LayerWeights.FIELDS}
-    )
-
-
 def load_weights(path, dtype=np.float32):
     """Load a checkpoint; returns ``(weights, step)``.
 
@@ -255,18 +251,7 @@ def load_weights(path, dtype=np.float32):
         )
     config = ModelConfig(**{name: int(v) for name, v in zip(_CONFIG_FIELDS, meta[1:-1])})
     step = _CODE_STEPS[float(meta[-1])]
-    cls = _KINDS[kind]
-    weights = cls(
-        config=config,
-        token_emb=_param(entries, "token_emb", dtype),
-        pos_emb=_param(entries, "pos_emb", dtype),
-        **{
-            stack: [_layer(entries, f"{stack}.{i}", dtype) for i in range(getattr(config, count))]
-            for stack, count in cls.STACKS.items()
-        },
-        score_w=_param(entries, "score_w", dtype),
-        score_b=_param(entries, "score_b", dtype),
-    )
+    weights = _KINDS[kind].assemble(config, lambda name: _param(entries, name, dtype))
     if entries:  # what the parameters left: a tensor the layout does not name
         raise CheckpointFormatError(f"{path}: unknown tensor {next(iter(entries))!r}")
     return weights, step

@@ -232,6 +232,9 @@ def _cmd_train(args) -> int:
                                  "fixes it")
         if cut:
             init = mice.from_cross_encoder(init, cfg.split_depth, cfg.interaction_layers)
+    elif cfg.variant != "mice" and args.interaction_layers is not None:
+        raise ValueError(f"train --variant {cfg.variant} does not read --k-inter: "
+                         "a cross-encoder has no interaction layers")
     data = _load_data(args.corpus, args.queries, args.qrels)
     result = training.train(cfg, data, args.out_dir, init_weights=init)
     last = result.metrics[-1]["rr10"] if result.metrics else float("nan")
@@ -371,8 +374,9 @@ def _cmd_sweep(args) -> int:
     if not isinstance(weights, transformer.Weights):
         raise ValueError("sweep starts from a cross-encoder checkpoint")
     data = _load_data(args.corpus, args.queries, args.qrels)
+    layers = weights.config.layers
     split = args.split_depth if args.split_depth is not None else weights.config.split_depth
-    k_max = args.k_max if args.k_max is not None else weights.config.layers - split
+    k_max = args.k_max if args.k_max is not None else layers - split
     rows = evalbench.layer_drop_sweep(
         weights,
         split,
@@ -381,6 +385,10 @@ def _cmd_sweep(args) -> int:
         finetune_steps=args.finetune_steps,
         seed=args.seed,
     )
+    if not rows:
+        raise ValueError(f"sweep: no interaction-layer count in k_inter {args.k_min}..{k_max} "
+                         f"can be cut; split_depth {split} of a {layers}-layer cross-encoder "
+                         f"allows k_inter 1..{layers - split}")
     evalbench.write_sweep_csv(args.out, rows)
     for k, metric in rows:
         print(f"k_inter={k:<3d} rr10={metric:.4f}")

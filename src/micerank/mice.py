@@ -43,7 +43,7 @@ from .transformer import (
     LayerWeights,
     ModelConfig,
     Weights,
-    _init_parameters,
+    _initializer,
     _ParameterSet,
     embed,
     encoder_layer,
@@ -117,27 +117,18 @@ class MiceWeights(_ParameterSet):
 
 def init_mice_weights(config: ModelConfig, seed: int = 0, dtype=np.float32) -> MiceWeights:
     """Fresh randomly-initialized mid-fusion parameters."""
-    if not config.interaction_layers:
-        raise ValueError("config.interaction_layers must be set for a mid-fusion model")
-    return _init_parameters(MiceWeights, config, seed, dtype)
-
-
-def _copy_param(t: Tensor) -> Tensor:
-    return Tensor(t.data.copy(), requires_grad=True)
-
-
-def _copy_layer(lw: LayerWeights) -> LayerWeights:
-    return LayerWeights(**{name: _copy_param(getattr(lw, name)) for name in LayerWeights.FIELDS})
+    return MiceWeights.assemble(config, _initializer(config, np.random.default_rng(seed), dtype))
 
 
 def from_cross_encoder(ce: Weights, split_depth: int, interaction_count: int) -> MiceWeights:
     """Surgically build a mid-fusion model from cross-encoder weights.
 
-    Layers ``1..split_depth`` become the shared lower stack and layers
-    ``split_depth+1..split_depth+interaction_count`` the interaction layers,
-    all copied verbatim (the joint softmax is seeded by the original
-    self-attention); any layers above are dropped. Embeddings and the scoring
-    head carry over unchanged.
+    Every tensor is a copy of the cross-encoder tensor this mapping of names
+    gives: ``lower.i`` <- ``layers.i`` for ``i < split_depth``,
+    ``interaction.j`` <- ``layers.{split_depth + j}`` for
+    ``j < interaction_count``, and embeddings and scoring head under their
+    own names. The joint softmax is thus seeded by the original
+    self-attention, and any layers above are dropped.
     """
     total = ce.config.layers
     if split_depth < 1 or interaction_count < 1 or split_depth + interaction_count > total:
@@ -151,16 +142,16 @@ def from_cross_encoder(ce: Weights, split_depth: int, interaction_count: int) ->
         split_depth=split_depth,
         interaction_layers=interaction_count,
     )
-    layers = [_copy_layer(lw) for lw in ce.layers[: config.layers]]
-    return MiceWeights(
-        config=config,
-        token_emb=_copy_param(ce.token_emb),
-        pos_emb=_copy_param(ce.pos_emb),
-        lower=layers[:split_depth],
-        interaction=layers[split_depth:],
-        score_w=_copy_param(ce.score_w),
-        score_b=_copy_param(ce.score_b),
-    )
+    source = dict(ce.named_parameters())
+    first = {"lower": 0, "interaction": split_depth}
+
+    def take(name: str) -> Tensor:
+        stack, *layer = name.split(".")
+        if layer:  # {stack}.{i}.{field}
+            name = f"layers.{first[stack] + int(layer[0])}.{layer[1]}"
+        return Tensor(source[name].data.copy(), requires_grad=True)
+
+    return MiceWeights.assemble(config, take)
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ the CLS row, which is never padding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -129,10 +129,6 @@ class LayerWeights:
     ln_ffn_gain: Tensor
     ln_ffn_bias: Tensor
 
-    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        for name in self.FIELDS:
-            yield f"{prefix}.{name}", getattr(self, name)
-
 
 LayerWeights.FIELDS = tuple(f.name for f in fields(LayerWeights))
 
@@ -140,12 +136,12 @@ LayerWeights.FIELDS = tuple(f.name for f in fields(LayerWeights))
 @dataclass
 class _ParameterSet:
     """What the cross-encoder and mid-fusion parameter sets share. Both hold
-    ``token_emb``, ``pos_emb``, ``score_w`` and ``score_b``. ``STACKS`` is the
-    one description of how a subclass groups its encoder layers: it maps each
-    list of layers, in serialization order, to the :class:`ModelConfig`
-    field that counts them. Construction checks every stack's length
-    against it; the seeded initializer and the checkpoint loader build the
-    stacks from it."""
+    ``token_emb``, ``pos_emb``, ``score_w`` and ``score_b``. ``STACKS`` maps
+    each list of encoder layers, in serialization order, to the
+    :class:`ModelConfig` field that counts them. Construction checks every
+    stack's length against it, and that no stack is empty. Every parameter
+    set is built by :meth:`assemble`, one tensor per name that
+    :meth:`named_parameters` yields."""
 
     STACKS = {}
     _fingerprint: bytes | None = field(default=None, repr=False, compare=False, kw_only=True)
@@ -155,13 +151,38 @@ class _ParameterSet:
             expected, got = getattr(self.config, count), len(getattr(self, stack))
             if got != expected:
                 raise ValueError(f"{stack} holds {got} layers; config.{count} is {expected}")
+            if not expected:
+                raise ValueError(f"{stack} needs at least one layer; config.{count} is 0")
+
+    @classmethod
+    def assemble(cls, config: ModelConfig, take: Callable[[str], Tensor]):
+        """The ``cls`` of ``config`` whose tensor under each name is
+        ``take(name)``, called once per name in :meth:`named_parameters`
+        order: ``token_emb``, ``pos_emb``, ``{stack}.{i}.{field}`` for each
+        layer of each stack, ``score_w``, ``score_b``."""
+        # Keyword arguments are evaluated left to right, which fixes the order.
+        return cls(
+            config=config,
+            token_emb=take("token_emb"),
+            pos_emb=take("pos_emb"),
+            **{
+                stack: [
+                    LayerWeights(**{f: take(f"{stack}.{i}.{f}") for f in LayerWeights.FIELDS})
+                    for i in range(getattr(config, count))
+                ]
+                for stack, count in cls.STACKS.items()
+            },
+            score_w=take("score_w"),
+            score_b=take("score_b"),
+        )
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         yield "token_emb", self.token_emb
         yield "pos_emb", self.pos_emb
         for stack in self.STACKS:
             for i, lw in enumerate(getattr(self, stack)):
-                yield from lw.named(f"{stack}.{i}")
+                for name in LayerWeights.FIELDS:
+                    yield f"{stack}.{i}.{name}", getattr(lw, name)
         yield "score_w", self.score_w
         yield "score_b", self.score_b
 
@@ -193,50 +214,36 @@ class Weights(_ParameterSet):
     score_b: Tensor
 
 
-def _normal(rng: np.random.Generator, shape, dtype) -> Tensor:
-    return Tensor((rng.standard_normal(shape) * 0.02).astype(dtype), requires_grad=True)
+def _initializer(config: ModelConfig, rng: np.random.Generator, dtype) -> Callable[[str], Tensor]:
+    """Seeded initial tensors by parameter name: layernorm gains are ones,
+    biases zeros, and every other tensor is drawn from ``rng``, a normal of
+    standard deviation 0.02. So the draws follow the order of the calls."""
+    d, f = config.hidden, config.ff
+    drawn = {"token_emb": (config.vocab_size, d), "pos_emb": (config.position_count, d),
+             "wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d), "w1": (d, f), "w2": (f, d),
+             "score_w": (d, 1)}
+
+    def init(name: str) -> Tensor:
+        key = name.rpartition(".")[2]
+        if key in drawn:
+            data = (rng.standard_normal(drawn[key]) * 0.02).astype(dtype)
+        elif key == "score_b":
+            data = np.zeros(1, dtype)
+        else:  # a layernorm gain or bias
+            data = (np.ones if key.endswith("_gain") else np.zeros)(d, dtype)
+        return Tensor(data, requires_grad=True)
+
+    return init
 
 
 def init_layer_weights(config: ModelConfig, rng: np.random.Generator, dtype) -> LayerWeights:
-    d, f = config.hidden, config.ff
-    return LayerWeights(
-        wq=_normal(rng, (d, d), dtype),
-        wk=_normal(rng, (d, d), dtype),
-        wv=_normal(rng, (d, d), dtype),
-        wo=_normal(rng, (d, d), dtype),
-        ln_attn_gain=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
-        ln_attn_bias=Tensor(np.zeros(d, dtype=dtype), requires_grad=True),
-        w1=_normal(rng, (d, f), dtype),
-        w2=_normal(rng, (f, d), dtype),
-        ln_ffn_gain=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
-        ln_ffn_bias=Tensor(np.zeros(d, dtype=dtype), requires_grad=True),
-    )
-
-
-def _init_parameters(cls, config: ModelConfig, seed: int, dtype):
-    """A seeded ``cls`` (either parameter set): embeddings, then the layers
-    of each stack in ``cls.STACKS`` order, then the score head, drawn in
-    that order."""
-    rng = np.random.default_rng(seed)
-    dtype = np.dtype(dtype)
-    d = config.hidden
-    # Keyword arguments are evaluated left to right, which fixes the draws.
-    return cls(
-        config=config,
-        token_emb=_normal(rng, (config.vocab_size, d), dtype),
-        pos_emb=_normal(rng, (config.position_count, d), dtype),
-        **{
-            stack: [init_layer_weights(config, rng, dtype) for _ in range(getattr(config, count))]
-            for stack, count in cls.STACKS.items()
-        },
-        score_w=_normal(rng, (d, 1), dtype),
-        score_b=Tensor(np.zeros(1, dtype=dtype), requires_grad=True),
-    )
+    init = _initializer(config, rng, dtype)
+    return LayerWeights(**{name: init(name) for name in LayerWeights.FIELDS})
 
 
 def init_ce_weights(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Weights:
     """Fresh randomly-initialized cross-encoder parameters."""
-    return _init_parameters(Weights, config, seed, dtype)
+    return Weights.assemble(config, _initializer(config, np.random.default_rng(seed), dtype))
 
 
 # --------------------------------------------------------------------------

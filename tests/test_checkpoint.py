@@ -280,3 +280,24 @@ def test_stack_of_the_wrong_length_is_refused(config, cls, delta):
         with pytest.raises(ValueError, match=f"^{stack} holds {len(changed)} layers; "
                                              f"config.{count} is {len(layers)}$"):
             cls(**{**fields, stack: changed})
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=small_configs(), cls=st.sampled_from(list(LAYOUTS)), seed=st.integers(0, 99))
+def test_assemble_takes_each_name_named_parameters_yields(config, cls, seed):
+    """Building by name is the inverse of listing by name: the same names in
+    the same order, each asked for once, holding the same arrays."""
+    init, _ = LAYOUTS[cls]
+    weights = init(config, seed=seed)
+    tensors = dict(weights.named_parameters())
+    asked = []
+
+    def take(name):
+        asked.append(name)
+        return tensors[name]
+
+    back = cls.assemble(weights.config, take)
+    assert type(back) is cls
+    assert asked == list(tensors)
+    assert [name for name, _ in back.named_parameters()] == asked
+    assert all(t is tensors[name] for name, t in back.named_parameters())

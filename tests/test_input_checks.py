@@ -4,14 +4,16 @@ Commands run in-process through ``dispatch`` where there is a command, on a
 tiny synthetic setup, so exit codes and messages are asserted directly.
 """
 
+import dataclasses
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from micerank import checkpoint, retrieval, training
+from micerank import checkpoint, doccache, retrieval, training
 from micerank.cli import dispatch
-from micerank.mice import from_cross_encoder
+from micerank.mice import encode_document, from_cross_encoder
 from micerank.training import SynthData, split_queries
 from micerank.transformer import ModelConfig, init_ce_weights
 
@@ -107,6 +109,81 @@ def test_sweep_tokenizes_its_corpus_once(ws, tmp_path, monkeypatch):
                      "--finetune-steps", "2", "--out", str(out)]) == 0
     assert [row.split(",")[0] for row in out.read_text().splitlines()] == ["k_inter", "2", "1"]
     assert len(calls) == 1
+
+
+class TestInteractionLayerCounts:
+    """A cross-encoder has no interaction layers; a mid-fusion model and
+    every cut of a sweep have at least one."""
+
+    def test_fresh_cross_encoder_does_not_read_k_inter(self, ws, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert dispatch(["train", *inputs(ws, "corpus", "queries", "qrels"), "--out-dir",
+                         str(out), "--variant", "step3", *ARCH, *SHORT, "--k-inter", "5"]) == 2
+        assert "train --variant step3 does not read --k-inter" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_k_inter_is_a_default_not_a_flag(self, ws, tmp_path):
+        config = tmp_path / "train.cfg"
+        config.write_text("interaction_layers = 5\n")
+        assert dispatch(["train", *inputs(ws, "corpus", "queries", "qrels"), "--out-dir",
+                         str(tmp_path / "out"), "--variant", "step3", "--config", str(config),
+                         *ARCH, *SHORT]) == 0
+        ce, _ = checkpoint.load_weights(tmp_path / "out" / "model.bin")
+        assert ce.config.interaction_layers == 0
+
+    @pytest.mark.parametrize("flags,requested,valid", [
+        (["--ell-star", "3"], "1..0", "1..0"),
+        (["--ell-star", "5"], "1..-2", "1..-2"),
+        (["--k-min", "3", "--k-max", "2"], "3..2", "1..2"),
+        (["--k-min", "0", "--k-max", "0"], "0..0", "1..2"),
+    ])
+    def test_sweep_with_no_count_to_cut_is_data_error(
+        self, ws, tmp_path, capsys, flags, requested, valid
+    ):
+        """The workspace's cross-encoder has 3 layers, split after the first."""
+        out = tmp_path / "sweep.csv"
+        assert dispatch(["sweep", "--model", str(ws / "ce" / "model.bin"),
+                         *inputs(ws, "corpus", "queries", "qrels"), *flags,
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"k_inter {requested}" in err
+        assert f"allows k_inter {valid}" in err
+        assert not out.exists()
+
+    @pytest.fixture
+    def no_interaction(self, ws, tmp_path):
+        """The workspace's mid-fusion checkpoint cut to its lower stack
+        (``interaction_layers = 0``), and a cache of its document states."""
+        entries = checkpoint._read_entries(ws / "mice" / "model.bin")
+        meta = entries.pop("meta.config")
+        meta[1], meta[9] = meta[8], 0  # layers = split_depth, no interaction layers
+        kept = {name: t for name, t in entries.items() if not name.startswith("interaction.")}
+        model = tmp_path / "model.bin"
+        write_checkpoint(model, {"meta.config": meta, **kept})
+        full, _ = checkpoint.load_weights(ws / "mice" / "model.bin")
+        corpus = retrieval.read_jsonl(ws / "data" / "corpus.jsonl")
+        vocab = retrieval.build_vocab(text for _, text in corpus)
+        states = [dataclasses.replace(encode_document(vocab.encode(text), full, doc_id=d),
+                                      checkpoint_hash=None) for d, text in corpus]
+        cache = tmp_path / "cache.bin"
+        doccache.write_cache(cache, states, hidden=full.config.hidden,
+                             split_depth=full.config.split_depth,
+                             checkpoint_hash=hashlib.sha256(model.read_bytes()).digest())
+        return model, cache
+
+    @pytest.mark.parametrize("command", ["encode-docs", "rerank"])
+    def test_mid_fusion_checkpoint_without_interaction_layers_is_refused(
+        self, ws, tmp_path, capsys, no_interaction, command
+    ):
+        model, cache = no_interaction
+        out = tmp_path / "out"
+        if command == "rerank":
+            argv = rerank_argv(ws, model, "--mode", "mice-precomp", "--cache", str(cache), out=out)
+        else:
+            argv = ["encode-docs", "--model", str(model), *inputs(ws, "corpus"), "--out", str(out)]
+        assert dispatch(argv) == 2
+        assert "config.interaction_layers is 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCommandInputs:

@@ -159,6 +159,24 @@ class TestMiceForward:
             doc = encode_document(d, mw, doc_id="x")
             assert mice_forward(q, doc, mw) == cross_encoder_forward(q, d, spec, ce, depth=5)
 
+    def test_two_interaction_layers_read_the_document_and_one_does_not(self, rng):
+        """The k = 2 anchor above compares scores that depend on the
+        document. At k = 1 CLS reads only query rows, so another document
+        can move the score by rounding at most: the width of the keys and
+        values follows the document's length."""
+        ce = make_ce(layers=5, split=3)
+        change = {}
+        for k in (1, 2):
+            mw = from_cross_encoder(ce, 3, k)
+            change[k] = 0.0
+            for _ in range(50):
+                q, d1 = random_pair(rng, ce.config)
+                _, d2 = random_pair(rng, ce.config)
+                s1, s2 = (mice_forward(q, encode_document(d, mw), mw) for d in (d1, d2))
+                change[k] = max(change[k], abs(s1 - s2))
+        assert change[2] > 1e-9
+        assert change[1] < 1e-12
+
     def test_diverges_from_masked_ce_with_three_interaction_layers(self, rng):
         """Frozen vs updated document rows genuinely differ once the update
         has a path to the score (three stacked interaction layers)."""
