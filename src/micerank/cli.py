@@ -171,10 +171,6 @@ def _load_model(args, dtype):
     return weights, step, corpus, vocab
 
 
-def _doc_tokens(corpus, vocab) -> dict:
-    return {d: retrieval.ensure_nonempty(vocab.encode(t)) for d, t in corpus}
-
-
 def _load_data(corpus_path, queries_path, qrels_path=None) -> training.SynthData:
     corpus = retrieval.read_jsonl(corpus_path)
     queries = retrieval.read_jsonl(queries_path)
@@ -298,12 +294,13 @@ def _cmd_rerank(args) -> int:
         split = args.split_depth if args.split_depth is not None else config.split_depth
         spec = MaskSpec(step, split_depth=split, total_layers=config.layers)
         scorer = retrieval.CrossEncoderScorer(
-            weights, spec, vocab, _doc_tokens(corpus, vocab), **chunking
+            weights, spec, vocab, retrieval.token_map(corpus, vocab), **chunking
         )
     elif not isinstance(weights, mice.MiceWeights):
         raise ValueError(f"{args.mode} mode needs a mid-fusion checkpoint")
     elif args.mode == "mice":
-        scorer = retrieval.MiceScorer(weights, vocab, _doc_tokens(corpus, vocab), **chunking)
+        scorer = retrieval.MiceScorer(weights, vocab, retrieval.token_map(corpus, vocab),
+                                      **chunking)
     elif not args.cache:
         raise ValueError("mice-precomp mode needs --cache")
     else:

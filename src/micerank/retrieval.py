@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -31,6 +32,7 @@ __all__ = [
     "split_terms",
     "build_vocab",
     "check_vocab_size",
+    "token_map",
     "build_corpus_stats",
     "bm25_score",
     "bm25_retrieve",
@@ -70,9 +72,10 @@ class Vocab:
         return self.token_to_id.get(term, UNK_ID)
 
     def encode(self, text: str) -> list[int]:
-        """Token ids for ``text``; out-of-vocabulary terms map to UNK. The
-        empty string yields [] — scoring layouts substitute a single UNK
-        afterwards."""
+        """Token ids for ``text``; out-of-vocabulary terms map to UNK. A text
+        without terms yields []: ``frame_stream`` refuses an empty body, so
+        callers substitute a single UNK (:func:`token_map`,
+        :func:`ensure_nonempty`)."""
         return [self.id_of(t) for t in split_terms(text)]
 
 
@@ -94,6 +97,12 @@ def check_vocab_size(vocab: Vocab, config: transformer.ModelConfig) -> None:
 def ensure_nonempty(ids: Sequence[int]) -> list[int]:
     """Layouts need at least one token; empty inputs become a single UNK."""
     return list(ids) if len(ids) else [UNK_ID]
+
+
+def token_map(records: Iterable[tuple[str, str]], vocab: Vocab) -> dict:
+    """``{id: token ids}`` of ``(id, text)`` records, UNK standing in for a
+    text without terms."""
+    return {rec_id: ensure_nonempty(vocab.encode(text)) for rec_id, text in records}
 
 
 # --------------------------------------------------------------------------
@@ -202,7 +211,8 @@ class _NeuralScorer:
     """Shared chunking/threading machinery for model-backed scorers.
 
     ``docs`` answers ``c in docs`` for the candidates this scorer can score:
-    a map from doc id to token ids, or a document-state cache.
+    a map from doc id to non-empty token ids (:func:`token_map`), or a
+    document-state cache.
     """
 
     def __init__(self, weights, vocab: Vocab, docs, batch_size: int = 64, threads: int = 1):
@@ -249,7 +259,7 @@ class CrossEncoderScorer(_NeuralScorer):
         self.spec = spec
 
     def _score_chunk(self, q_ids, chunk) -> np.ndarray:
-        pairs = [(q_ids, ensure_nonempty(self.docs[c])) for c in chunk]
+        pairs = [(q_ids, self.docs[c]) for c in chunk]
         return transformer.score_pairs(pairs, self.spec, self.weights).data
 
 
@@ -258,7 +268,7 @@ class MiceScorer(_NeuralScorer):
     one padded batch, through the forward that training and validation use."""
 
     def _score_chunk(self, q_ids, chunk) -> np.ndarray:
-        pairs = [(q_ids, ensure_nonempty(self.docs[c])) for c in chunk]
+        pairs = [(q_ids, self.docs[c]) for c in chunk]
         return mice_mod.mice_train_scores(pairs, self.weights).data
 
 
@@ -347,7 +357,8 @@ def write_trec_run(path, rankings: Iterable[RankedList], tag: str = "micerank") 
 
 
 def read_trec_run(path) -> dict:
-    """Run file -> {qid: [(doc_id, score), ...]} ordered by stored rank."""
+    """Run file -> {qid: [(doc_id, score), ...]} ordered by stored rank; a
+    query that lists a document twice is refused."""
     by_query: dict = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -365,6 +376,11 @@ def read_trec_run(path) -> dict:
                     f"score {score!r} a number"
                 ) from None
             by_query.setdefault(qid, []).append(row)
+    for qid, rows in by_query.items():
+        if len({doc_id for _, doc_id, _ in rows}) < len(rows):
+            counts = Counter(doc_id for _, doc_id, _ in rows)
+            doc_id = next(d for d, n in counts.items() if n > 1)
+            raise ValueError(f"{path}: query {qid!r} lists document {doc_id!r} more than once")
     return {
         qid: [(doc_id, score) for _, doc_id, score in sorted(rows)]
         for qid, rows in by_query.items()

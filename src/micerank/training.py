@@ -8,13 +8,16 @@ relevant, and the teacher scores weighted term overlap plus a relevance
 bonus — so teacher margins are fully predictable from the tokens and a
 capable student can fit them.
 
-Scheduling is linear warmup to ``lr_peak`` followed by linear decay to
-zero (the decay shape is a recorded choice; linear decay is the conventional
-companion to linear warmup). Validation computes RR@10 on held-out queries against
-the whole corpus and the best checkpoint is kept. Training is deterministic
-under a fixed seed: data order, initialization and update order are all
-driven by seeded generators, and batch gradients are reduced in a fixed
-order.
+A triple's positive is a document its query judges relevant (rel > 0) and
+its negative any other document of the corpus. Scheduling is linear warmup to
+``lr_peak`` followed by linear decay to zero (the decay shape is a recorded
+choice; linear decay is the conventional companion to linear warmup).
+Validation computes RR@10 on held-out queries against the whole corpus,
+ranking through the rerank scorers (``retrieval.CrossEncoderScorer`` under
+the training mask, ``retrieval.MiceScorer``), and the best checkpoint is
+kept. Training is deterministic under a fixed seed: data order,
+initialization and update order are all driven by seeded generators, and
+batch gradients are reduced in a fixed order.
 """
 
 from __future__ import annotations
@@ -28,11 +31,12 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import save_weights
-from .evalbench import ranked, rr_at_k
+from .evalbench import evaluate_run, ranked
 from .masking import MaskStep
 from .mice import MiceWeights, init_mice_weights, mice_train_scores
-from .retrieval import build_vocab, check_vocab_size, ensure_nonempty, split_terms
-from .tensor import PRECISIONS, NumericError, Tensor, no_grad, select
+from .retrieval import (CrossEncoderScorer, MiceScorer, build_vocab, check_vocab_size,
+                        split_terms, token_map)
+from .tensor import PRECISIONS, NumericError, Tensor, select
 from .transformer import ModelConfig, init_ce_weights, score_pairs, spec_for
 
 __all__ = [
@@ -340,62 +344,60 @@ class _Task:
     doc_ids: list
     train_q: list
     val_q: list
+    positives: dict  # training query -> sorted ids of its relevant documents
 
 
 def _prepare_task(data: SynthData, weights=None) -> _Task:
     """Tokenize ``data`` whole, once per ``data``; ``weights``, if given, must
     fit its vocabulary. Every forward cuts the ids to its own model's length
-    caps."""
+    caps. A training query needs a relevant document (rel > 0) and another
+    document to contrast it with; queries that lack either are left out."""
     if data._task is None:
         vocab = build_vocab(text for _, text in data.corpus)
-        doc_tokens = {d: ensure_nonempty(vocab.encode(t)) for d, t in data.corpus}
-        query_tokens = {q: ensure_nonempty(vocab.encode(t)) for q, t in data.queries}
+        doc_tokens = token_map(data.corpus, vocab)
+        query_tokens = token_map(data.queries, vocab)
         train_q, val_q = split_queries(data)
-        train_q = [q for q in train_q if data.qrels.get(q)]
-        data._task = _Task(vocab, doc_tokens, query_tokens, data.doc_ids(), train_q, val_q)
+        positives = {
+            q: sorted(d for d, rel in data.qrels.get(q, {}).items() if rel > 0 and d in doc_tokens)
+            for q in train_q
+        }
+        train_q = [q for q in train_q if 0 < len(positives[q]) < len(doc_tokens)]
+        data._task = _Task(vocab, doc_tokens, query_tokens, data.doc_ids(), train_q, val_q,
+                           positives)
     if weights is not None:
         check_vocab_size(data._task.vocab, weights.config)
     if not data._task.train_q:
-        raise ValueError("no training query has a relevant document")
+        raise ValueError("no training query has a relevant document and a non-relevant one")
     return data._task
 
 
 def evaluate_rr10(weights, data: SynthData, task: _Task, spec=None) -> float:
-    """Mean RR@10 over held-out queries, ranking the whole corpus.
+    """Mean RR@10 over held-out queries, ranking the whole corpus with the
+    rerank scorers.
 
     A cross-encoder is evaluated under the mask it trains with (``spec``);
     mid-fusion models encode documents online here and take no ``spec``.
     """
+    if isinstance(weights, MiceWeights):
+        scorer = MiceScorer(weights, task.vocab, task.doc_tokens)
+    else:
+        scorer = CrossEncoderScorer(weights, spec, task.vocab, task.doc_tokens)
     doc_ids = sorted(task.doc_ids)
-    is_mice = isinstance(weights, MiceWeights)
-    values = []
-    with no_grad():
-        for qid in task.val_q:
-            q_ids = task.query_tokens[qid]
-            scores = np.empty(len(doc_ids))
-            for lo in range(0, len(doc_ids), 64):
-                chunk = doc_ids[lo : lo + 64]
-                pairs = [(q_ids, task.doc_tokens[d]) for d in chunk]
-                if is_mice:
-                    out = mice_train_scores(pairs, weights).data
-                else:
-                    out = score_pairs(pairs, spec, weights).data
-                scores[lo : lo + len(chunk)] = out
-            top = ranked(zip(doc_ids, scores), 10)
-            values.append(rr_at_k(top, data.qrels.get(qid, {}), 10))
-    return float(np.mean(values)) if values else 0.0
+    run = {q: ranked(scorer.score_ids(task.query_tokens[q], doc_ids).items(), 10)
+           for q in task.val_q}
+    return evaluate_run(run, data.qrels, "rr@10")
 
 
 def _sample_triples(rng, cfg, data: SynthData, task: _Task):
-    """One batch of (query, positive, negative, teacher margin terms)."""
+    """One batch of (query, relevant document, other document) triples."""
     triples = []
     for _ in range(cfg.batch_size):
         qid = task.train_q[int(rng.integers(len(task.train_q)))]
-        rel = sorted(data.qrels[qid])
-        pos = rel[int(rng.integers(len(rel)))]
+        positives = task.positives[qid]
+        pos = positives[int(rng.integers(len(positives)))]
         while True:
             neg = task.doc_ids[int(rng.integers(len(task.doc_ids)))]
-            if neg not in data.qrels[qid]:
+            if data.qrels[qid].get(neg, 0) <= 0:
                 break
         triples.append((qid, pos, neg))
     return triples

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from micerank import masking, mice, transformer
+from micerank import masking, mice, training, transformer
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -66,3 +66,29 @@ def test_scoring_runs_through_the_wrapped_attributes(tracer):
     } <= names
     assert tracer.count["flops.measured"] == pytest.approx(tracer.count["flops.expected"])
     assert np.isfinite(tracer.count["flops.measured"])
+
+
+def test_validation_is_neither_a_step_nor_a_rerank(spans):
+    """``desk-train`` times a step from its graph-building forward to
+    ``Adam.step``, and declares ``retrieval.rerank`` absent: validating after
+    each step must add no step and no rerank item, and a mid-fusion model is
+    never scored by the cross-encoder forward."""
+    patches = spans.Patches()
+    boundary = spans.Boundary(patches)
+    tracer = spans.Tracer({})
+    tracer.install(patches)
+    try:
+        data = training.synth_corpus(seed=0, n_docs=12, n_queries=8, vocab_size=48)
+        cfg = training.TrainConfig(
+            steps=2, batch_size=2, warmup_steps=1, validate_every=1, variant="mice",
+            layers=3, hidden=8, heads=2, ff=12, max_query=4, max_doc=6,
+            split_depth=1, interaction_layers=2,
+        )
+        _, metrics = training.train_in_memory(cfg, data)
+    finally:
+        patches.restore()
+    assert len(metrics) == 2
+    assert len(boundary.items["step"]) == 2
+    names = [span[0] for span in tracer.spans]
+    assert names.count("training.validate") == 2
+    assert not {"retrieval.rerank", "transformer.score_pairs"} & set(names)

@@ -246,6 +246,32 @@ class TestCommandInputs:
                          "--out-dir", str(tmp_path / "model"), *SHORT]) == 2
         assert "no training query has a relevant document" in capsys.readouterr().err
 
+    def test_qrels_judging_documents_only_non_relevant_is_data_error(self, ws, tmp_path, capsys):
+        """A rel-0 judgment marks a document non-relevant, not a positive."""
+        qrels = tmp_path / "qrels.tsv"
+        queries = retrieval.read_jsonl(ws / "data" / "queries.jsonl")
+        retrieval.write_qrels(qrels, {q: {"d0000": 0} for q, _ in queries})
+        assert dispatch(["train", *inputs(ws, "corpus", "queries"), "--qrels", str(qrels),
+                         "--out-dir", str(tmp_path / "model"), *SHORT]) == 2
+        assert "no training query has a relevant document" in capsys.readouterr().err
+        assert not (tmp_path / "model" / "model.bin").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "rerank"])
+    def test_run_repeating_a_document_is_data_error(self, ws, tmp_path, capsys, command):
+        lines = (ws / "bm25.trec").read_text().splitlines(keepends=True)
+        qid, _, doc_id, *_ = lines[0].split()
+        run = tmp_path / "repeated.trec"
+        run.write_text("".join(lines) + lines[0])
+        out = tmp_path / "run.trec"
+        if command == "eval":
+            argv = ["eval", "--run", str(run), *inputs(ws, "qrels")]
+        else:
+            argv = rerank_argv(ws, ws / "ce" / "model.bin", candidates=run, out=out)
+        assert dispatch(argv) == 2
+        assert f"{run}: query {qid!r} lists document {doc_id!r} more than once" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
 
 def write_checkpoint(path, entries):
     """A checkpoint file holding ``entries`` (name -> array), in order."""

@@ -3,6 +3,8 @@ weight surgery, freezing, and gradient flow."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from micerank.masking import MaskSpec, MaskStep
 from micerank.mice import (
@@ -176,6 +178,34 @@ class TestMiceForward:
                 change[k] = max(change[k], abs(s1 - s2))
         assert change[2] > 1e-9
         assert change[1] < 1e-12
+
+    @given(
+        split=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        q=st.lists(st.integers(4, 47), min_size=1, max_size=8),
+        d1=st.lists(st.integers(4, 47), min_size=1, max_size=12),
+        d2=st.lists(st.integers(4, 47), min_size=1, max_size=12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_two_interaction_layers_equal_the_severed_ce_and_read_the_document(
+        self, split, seed, q, d1, d2
+    ):
+        """The two properties of the fixed-seed tests above, over the split,
+        the init seed and the lengths: at k = 2 mid-fusion is the severed
+        cross-encoder of depth split + 2 and its score moves with the
+        document; at k = 1 the score does not."""
+        ce = make_ce(layers=split + 2, split=split, seed=seed)
+        max_doc = ce.config.max_doc
+        assume(d1[:max_doc] != d2[:max_doc])
+        spec = step3_spec(ce.config)
+        scores = {}
+        for k in (1, 2):
+            mw = from_cross_encoder(ce, split, k)
+            scores[k] = [mice_forward(q, encode_document(d, mw), mw) for d in (d1, d2)]
+        for d, score in zip((d1, d2), scores[2]):
+            assert abs(score - cross_encoder_forward(q, d, spec, ce, depth=split + 2)) < 1e-12
+        assert abs(scores[2][0] - scores[2][1]) > 1e-12
+        assert abs(scores[1][0] - scores[1][1]) < 1e-12
 
     def test_diverges_from_masked_ce_with_three_interaction_layers(self, rng):
         """Frozen vs updated document rows genuinely differ once the update

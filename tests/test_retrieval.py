@@ -323,6 +323,15 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
             read_trec_run(path)
 
+    def test_trec_run_repeated_pair_names_path_query_and_doc(self, tmp_path):
+        """A document may recur across queries but not within one."""
+        path = tmp_path / "run.trec"
+        path.write_text("q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 1.0 t\nq2 Q0 d1 1 3.0 t\n"
+                        "q1 Q0 d1 3 0.5 t\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: query 'q1' lists document 'd1' more than once")):
+            read_trec_run(path)
+
     def test_qrels_round_trip(self, tmp_path):
         qrels = {"q1": {"d1": 2, "d2": 0}, "q2": {"d3": 1}}
         path = tmp_path / "qrels.tsv"

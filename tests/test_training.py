@@ -6,10 +6,15 @@ runs here are kept to a few dozen steps.
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from micerank import retrieval, training
 from micerank.checkpoint import load_weights
 from micerank.tensor import NumericError, Tensor
 from micerank.training import (
@@ -312,3 +317,56 @@ class TestTrainLoop:
         mw = from_cross_encoder(ce, 1, 1)
         rr = finetune_mice(mw, tiny_data, steps=0)
         assert 0.0 <= rr <= 1.0
+
+
+FOUR_DOCS = [("d0", "alpha beta"), ("d1", "beta gamma"), ("d2", "gamma delta"),
+             ("d3", "delta alpha")]
+
+
+class TestSampler:
+    """A triple's positive is a document its query judges relevant (rel > 0)
+    and its negative any other document of the corpus."""
+
+    def test_judged_non_relevant_documents_are_negatives_only(self):
+        data = SynthData(
+            corpus=FOUR_DOCS,
+            queries=[(f"q{i}", "alpha gamma") for i in range(5)],
+            qrels={
+                "q0": {"d0": 1, "d1": 0, "d2": 0, "d3": 0},
+                "q1": {"d1": 0},  # no relevant document
+                "q2": {"d0": 1, "d1": 1, "d2": 1, "d3": 1},  # no other document
+                "q4": {"d2": 2, "d9": 1},  # d9 is not in the corpus
+            },
+        )
+        task = training._prepare_task(data)
+        assert task.train_q == ["q0", "q4"]
+        triples = training._sample_triples(np.random.default_rng(0), tiny_cfg(batch_size=64),
+                                           data, task)
+        assert {q for q, _, _ in triples} == {"q0", "q4"}
+        for qid, pos, neg in triples:
+            assert data.qrels[qid][pos] > 0
+            assert data.qrels[qid].get(neg, 0) <= 0
+
+    def test_query_judging_every_other_document_trains(self, tmp_path):
+        """The query judges every document, so a sampler that takes negatives
+        only from unjudged documents never ends; the timeout turns that hang
+        into a failure."""
+        retrieval.write_jsonl(tmp_path / "corpus.jsonl", FOUR_DOCS)
+        retrieval.write_jsonl(tmp_path / "queries.jsonl", [("q0", "alpha")])
+        retrieval.write_qrels(tmp_path / "qrels.tsv",
+                              {"q0": {"d0": 1, "d1": 0, "d2": 0, "d3": 0}})
+        src = str(Path(training.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-m", "micerank", "train",
+             *(f"--{name}={tmp_path / file}" for name, file in (
+                 ("corpus", "corpus.jsonl"), ("queries", "queries.jsonl"),
+                 ("qrels", "qrels.tsv"), ("out-dir", "model"))),
+             "--steps", "3", "--warmup", "1", "--batch-size", "2", "--layers", "2",
+             "--hidden", "8", "--heads", "2", "--ff", "8", "--max-query", "4",
+             "--max-doc", "6"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        )
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "model" / "model.bin").exists()
