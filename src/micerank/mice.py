@@ -7,6 +7,10 @@ which the query stream attends over itself plus the *frozen* document rows.
 Document rows are never updated above the split: their keys and values are
 re-projected per interaction layer from the layer-``split_depth`` states, so
 they can be precomputed once per document and cached (:mod:`.doccache`).
+Only CLS reaches the score, and CLS reads the query stream alone, so the top
+interaction layer computes the CLS row only and reads no document rows:
+frozen-document keys and values are needed in layers 1..k-1 only
+(:func:`.transformer.live_allows`).
 
 The interaction layers use a single joint softmax per head, seeded from (or
 identical to) ordinary self-attention weights. With one interaction layer
@@ -48,6 +52,7 @@ from .transformer import (
     embed,
     encoder_layer,
     frame_stream,
+    live_allows,
     pad_allow,
     pad_frames,
     score_from_cls,
@@ -221,10 +226,8 @@ def _run_interactions(
     weights: MiceWeights,
 ) -> Tensor:
     allow = pad_allow([interaction_mask(sq - 2, sd - 1) for sq, sd in zip(q_lengths, d_lengths)])
-    for lw in weights.interaction:
-        q_states = encoder_layer(
-            q_states, allow, lw, weights.config.heads, kv_states=doc_states
-        )
+    for live, lw in zip(live_allows([allow] * len(weights.interaction)), weights.interaction):
+        q_states = encoder_layer(q_states, live, lw, weights.config.heads, kv_states=doc_states)
     return q_states
 
 

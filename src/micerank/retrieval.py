@@ -388,8 +388,10 @@ def read_trec_run(path) -> dict:
 
 
 def read_qrels(path) -> dict:
-    """Qrels file -> {qid: {doc_id: rel}}."""
+    """Qrels file -> {qid: {doc_id: rel}}; a malformed line or a second
+    judgment of one (query, document) pair is refused, naming ``path:line``."""
     qrels: dict = {}
+    first_line: dict[tuple[str, str], int] = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.split()
@@ -399,11 +401,18 @@ def read_qrels(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
             qid, _, doc_id, rel = parts
             try:
-                qrels.setdefault(qid, {})[doc_id] = int(rel)
+                rel = int(rel)
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: relevance {rel!r} must be an integer"
                 ) from None
+            if (qid, doc_id) in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: repeated judgment of ({qid!r}, {doc_id!r}) "
+                    f"(first on line {first_line[qid, doc_id]})"
+                )
+            first_line[qid, doc_id] = lineno
+            qrels.setdefault(qid, {})[doc_id] = rel
     return qrels
 
 

@@ -475,16 +475,18 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     return _make(data, (table,), backward_fn)
 
 
-def select(x: Tensor, index: int, axis: int) -> Tensor:
-    """Pick a single index along ``axis``, dropping that axis."""
-    data = np.take(x.data, index, axis=axis)
+def select(x: Tensor, index: int | slice, axis: int) -> Tensor:
+    """Pick ``index`` along ``axis``: an int drops that axis, a slice keeps
+    it. The result is a contiguous copy."""
+    sl = [slice(None)] * x.data.ndim
+    sl[axis] = index
+    sl = tuple(sl)
+    data = x.data[sl].copy()
 
     def backward_fn(out):
         if x.requires_grad:
             g = np.zeros_like(x.data)
-            sl = [slice(None)] * x.data.ndim
-            sl[axis] = index
-            g[tuple(sl)] = out.grad
+            g[sl] = out.grad
             _accumulate(x, g)
 
     return _make(data, (x,), backward_fn)

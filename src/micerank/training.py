@@ -351,7 +351,8 @@ def _prepare_task(data: SynthData, weights=None) -> _Task:
     """Tokenize ``data`` whole, once per ``data``; ``weights``, if given, must
     fit its vocabulary. Every forward cuts the ids to its own model's length
     caps. A training query needs a relevant document (rel > 0) and another
-    document to contrast it with; queries that lack either are left out."""
+    document to contrast it with; queries that lack either are left out, and
+    drawing triples with none left is an error."""
     if data._task is None:
         vocab = build_vocab(text for _, text in data.corpus)
         doc_tokens = token_map(data.corpus, vocab)
@@ -366,8 +367,6 @@ def _prepare_task(data: SynthData, weights=None) -> _Task:
                            positives)
     if weights is not None:
         check_vocab_size(data._task.vocab, weights.config)
-    if not data._task.train_q:
-        raise ValueError("no training query has a relevant document and a non-relevant one")
     return data._task
 
 
@@ -390,6 +389,8 @@ def evaluate_rr10(weights, data: SynthData, task: _Task, spec=None) -> float:
 
 def _sample_triples(rng, cfg, data: SynthData, task: _Task):
     """One batch of (query, relevant document, other document) triples."""
+    if not task.train_q:
+        raise ValueError("no training query has a relevant document and a non-relevant one")
     triples = []
     for _ in range(cfg.batch_size):
         qid = task.train_q[int(rng.integers(len(task.train_q)))]

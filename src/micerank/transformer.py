@@ -14,6 +14,11 @@ model gives it. Document positions start at the fixed offset
 are identical whether it is encoded jointly with a query or on its own — the
 property that makes precomputed document states reusable.
 
+The score reads only the top layer's CLS row, so :func:`score_pairs` runs
+each layer on the rows that reach it and the columns those rows attend to,
+as :func:`live_allows` reads them off the allow matrices; :func:`joint_states`
+computes every row.
+
 Over-length inputs are head-truncated (the leading ``max_query`` /
 ``max_doc`` tokens are kept); queries are never truncated below one token.
 Inside a batch of either model, shorter examples are padded by
@@ -55,6 +60,7 @@ __all__ = [
     "init_layer_weights",
     "init_ce_weights",
     "encoder_layer",
+    "live_allows",
     "score_pairs",
     "cross_encoder_forward",
     "joint_states",
@@ -272,6 +278,11 @@ def _merge_heads(x: Tensor) -> Tensor:
     return x.transpose((0, 2, 1, 3)).reshape((b, s, h * dh))
 
 
+def _prefix(x: Tensor, rows: int) -> Tensor:
+    """The first ``rows`` rows of [B, s, d] ``x``; ``x`` itself if that is all."""
+    return x if rows == x.shape[1] else select(x, slice(0, rows), axis=1)
+
+
 def attention(
     states: Tensor,
     allow: np.ndarray,
@@ -281,16 +292,19 @@ def attention(
 ) -> Tensor:
     """Masked multi-head attention.
 
-    ``states`` [B, t, d] provides the attending rows. Keys and values are
-    computed from ``states`` itself, optionally extended by ``kv_states``
-    [B, extra, d] appended after the target rows (the joint-softmax pattern
-    the interaction layers use). ``allow`` is boolean [B, t, src] or [t, src].
+    ``allow`` is boolean [B, t, src] or [t, src], and its shape picks the
+    rows: the first ``t`` rows of ``states`` [B, s, d] attend, and keys and
+    values come from the first ``src`` rows of ``states`` followed by
+    ``kv_states`` [B, extra, d] (the joint-softmax pattern the interaction
+    layers use). ``kv_states`` is not read when ``src`` ends inside
+    ``states``. The result has ``t`` rows.
     """
-    if kv_states is None:
-        kv = states
+    src, own = allow.shape[-1], states.shape[1]
+    if src > own:
+        kv = concat([states, _prefix(kv_states, src - own)], axis=1)
     else:
-        kv = concat([states, kv_states], axis=1)
-    q = _split_heads(matmul(states, lw.wq), heads)
+        kv = _prefix(states, src)
+    q = _split_heads(matmul(_prefix(states, allow.shape[-2]), lw.wq), heads)
     k = _split_heads(matmul(kv, lw.wk), heads)
     v = _split_heads(matmul(kv, lw.wv), heads)
     scale = 1.0 / np.sqrt(q.shape[-1])
@@ -311,11 +325,36 @@ def encoder_layer(
     heads: int,
     kv_states: Tensor | None = None,
 ) -> Tensor:
-    """One residual attention + residual FFN block (post-layernorm)."""
+    """One residual attention + residual FFN block (post-layernorm) over the
+    rows and columns the shape of ``allow`` picks (see :func:`attention`);
+    the output has ``allow.shape[-2]`` rows."""
     attn = attention(states, allow, lw, heads, kv_states=kv_states)
-    h1 = layernorm(states + attn, lw.ln_attn_gain, lw.ln_attn_bias)
+    h1 = layernorm(_prefix(states, allow.shape[-2]) + attn, lw.ln_attn_gain, lw.ln_attn_bias)
     ffn = matmul(gelu(matmul(h1, lw.w1)), lw.w2)
     return layernorm(h1 + ffn, lw.ln_ffn_gain, lw.ln_ffn_bias)
+
+
+def live_allows(allows: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The per-layer allow matrices of one forward (bottom to top, each
+    [B, t, src]) cut to the work that reaches the top layer's CLS row.
+
+    Walking down from the top with ``rows = 1``, each layer keeps its first
+    ``rows`` rows and the columns up to the last one any kept row reads; the
+    layer below must then output the first ``max(rows, columns)`` rows,
+    capped at ``t``. CLS is row 0 and a pair is its query stream followed by
+    its document stream, so the rows CLS reaches fit in a prefix, which is
+    exact in a batch whose pairs share one query (a ``rerank`` chunk).
+    :func:`encoder_layer` computes just the rows and columns each cut matrix
+    spans.
+    """
+    live, rows = [], 1
+    for allow in reversed(allows):
+        t = allow.shape[-2]
+        kept = allow[:, :rows]
+        cols = int(np.flatnonzero(kept.any(axis=(0, 1)))[-1]) + 1
+        live.append(kept[:, :, :cols])
+        rows = min(max(rows, cols), t)
+    return live[::-1]
 
 
 # --------------------------------------------------------------------------
@@ -411,10 +450,12 @@ def _pair_states(
     spec: MaskSpec,
     weights: Weights,
     depth: int | None,
+    live: bool = False,
 ) -> Tensor:
     """States [B, s, d] of a batch of pairs after the first ``depth`` layers
     (default: all). Each pair is its query stream followed by its document
-    stream."""
+    stream. With ``live``, each layer computes only what reaches the CLS row
+    of layer ``depth`` (:func:`live_allows`), and only that row is returned."""
     config = weights.config
     if depth is None:
         depth = config.layers
@@ -436,9 +477,12 @@ def _pair_states(
         frames, [[build_mask(layout, spec, i) for layout in layouts] for i in first_layer.values()]
     )
     allow_for = dict(zip(first_layer, allows))
+    layer_allows = [allow_for[spec.severed(i)] for i in range(1, depth + 1)]
+    if live:
+        layer_allows = live_allows(layer_allows)
     states = embed(weights, token_ids, pos_ids)
-    for i, lw in enumerate(weights.layers[:depth], start=1):
-        states = encoder_layer(states, allow_for[spec.severed(i)], lw, config.heads)
+    for allow, lw in zip(layer_allows, weights.layers):
+        states = encoder_layer(states, allow, lw, config.heads)
     return states
 
 
@@ -460,7 +504,7 @@ def score_pairs(
     ``depth`` limits the stack to the first layers (default: all of them);
     the classification head is applied to whatever layer the run stops at.
     """
-    states = _pair_states(pairs, spec, weights, depth)
+    states = _pair_states(pairs, spec, weights, depth, live=True)
     return check_finite(score_from_cls(states, weights), "relevance score")
 
 

@@ -368,3 +368,41 @@ def test_finetune_mice_trains_the_model_in_process():
     untrained = dict(from_cross_encoder(ce, 1, 2).named_parameters())
     assert any(not np.array_equal(p.data, untrained[name].data)
                for name, p in mw.named_parameters())
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_qrels_judging_one_pair_twice_is_data_error(ws, tmp_path, capsys, command):
+    """A second judgment of one (query, document) pair would silently
+    replace the first; the reader refuses it, naming both lines."""
+    qrels = tmp_path / "qrels.tsv"
+    lines = (ws / "data" / "qrels.tsv").read_text().splitlines()
+    qid, _, doc_id, _ = lines[0].split()
+    qrels.write_text("\n".join([*lines, f"{qid} 0 {doc_id} 0"]) + "\n")
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", "--run", str(ws / "bm25.trec"), "--qrels", str(qrels)]
+    else:
+        argv = ["train", *inputs(ws, "corpus", "queries"), "--qrels", str(qrels),
+                "--out-dir", str(out), *ARCH, *SHORT]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{qrels}:{len(lines) + 1}: repeated judgment of ({qid!r}, {doc_id!r})" in err
+    assert "first on line 1" in err
+    assert not out.exists()
+
+
+def test_sweep_without_fine_tuning_scores_qrels_of_held_out_queries_only(ws, tmp_path):
+    """``--finetune-steps 0`` draws no training triple, so qrels that judge
+    only the held-out queries are enough to score each cut."""
+    data = SynthData(corpus=retrieval.read_jsonl(ws / "data" / "corpus.jsonl"),
+                     queries=retrieval.read_jsonl(ws / "data" / "queries.jsonl"),
+                     qrels=retrieval.read_qrels(ws / "data" / "qrels.tsv"))
+    _, val = split_queries(data)
+    qrels = tmp_path / "qrels.tsv"
+    retrieval.write_qrels(qrels, {q: data.qrels[q] for q in val if q in data.qrels})
+    out = tmp_path / "sweep.csv"
+    assert dispatch(["sweep", "--model", str(ws / "ce" / "model.bin"),
+                     *inputs(ws, "corpus", "queries"), "--qrels", str(qrels),
+                     "--k-min", "1", "--k-max", "2", "--finetune-steps", "0",
+                     "--out", str(out)]) == 0
+    assert [row.split(",")[0] for row in out.read_text().splitlines()] == ["k_inter", "2", "1"]

@@ -146,11 +146,18 @@ def test_padded_interaction_allow(pairs):
         assert not allow[e, :sq, t + sd :].any()
     np.testing.assert_array_equal(allow, interaction_literal(sizes))
 
-    # Every interaction layer of a cached-state batch runs under that matrix.
+    # Every interaction layer of a cached-state batch but the top one runs
+    # under that matrix, cut after the last document column a row reads (no
+    # row reads SEP2). The top layer computes only the CLS row, which reads
+    # the query stream alone, so its matrix ends inside the query rows and
+    # the document states it is handed are not read.
     items = [(q, mice.encode_document(d, MW, doc_id=str(e))) for e, (q, d) in enumerate(pairs)]
     with mock.patch.object(mice, "encoder_layer", wraps=mice.encoder_layer) as spy:
         mice.mice_score_batch(items, MW)
     joint = [c.args[1] for c in spy.call_args_list if c.kwargs.get("kv_states") is not None]
     assert len(joint) == CFG.interaction_layers
-    for seen in joint:
-        np.testing.assert_array_equal(seen, interaction_literal(sizes))
+    read = t + max(m for _, m in sizes)
+    assert not interaction_literal(sizes)[:, :, read:].any()
+    for seen in joint[:-1]:
+        np.testing.assert_array_equal(seen, interaction_literal(sizes)[:, :, :read])
+    np.testing.assert_array_equal(joint[-1], interaction_literal(sizes)[:, :1, :t])
