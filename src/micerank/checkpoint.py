@@ -24,8 +24,8 @@ masking step the cross-encoder was trained with (-1 baseline, 0..3 for the
 ablation steps; unused for mid-fusion). Every value must be integral. The
 loader builds the parameter set with ``assemble``, which asks for each
 tensor by its name, so it takes each entry by name, not by position. It
-refuses a kind or step code it does not know, a missing entry, and any
-entry the parameter set does not name.
+refuses a kind or step code it does not know, a missing entry, a name
+that appears twice, and any entry the parameter set does not name.
 
 Payloads are stored in 32 bits regardless of compute precision; a float64
 model round-trips through its float32 projection.
@@ -210,6 +210,8 @@ def _read_entries(path) -> dict[str, np.ndarray]:
         entries: dict[str, np.ndarray] = {}
         for _ in range(count):
             name = r.take(r.u32()).decode("utf-8")
+            if name in entries:
+                raise CheckpointFormatError(f"{path}: tensor {name!r} appears twice")
             rank = r.u32()
             entries[name] = r.floats(struct.unpack(f"<{rank}I", r.take(4 * rank)))
     if r.off != r.size:

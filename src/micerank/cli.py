@@ -374,7 +374,7 @@ def _cmd_sweep(args) -> int:
     layers = weights.config.layers
     split = args.split_depth if args.split_depth is not None else weights.config.split_depth
     k_max = args.k_max if args.k_max is not None else layers - split
-    rows = evalbench.layer_drop_sweep(
+    rows = training.layer_drop_sweep(
         weights,
         split,
         range(args.k_min, k_max + 1),
@@ -386,7 +386,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"sweep: no interaction-layer count in k_inter {args.k_min}..{k_max} "
                          f"can be cut; split_depth {split} of a {layers}-layer cross-encoder "
                          f"allows k_inter 1..{layers - split}")
-    evalbench.write_sweep_csv(args.out, rows)
+    training.write_sweep_csv(args.out, rows)
     for k, metric in rows:
         print(f"k_inter={k:<3d} rr10={metric:.4f}")
     print(f"sweep table -> {args.out}")

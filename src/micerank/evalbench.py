@@ -23,12 +23,10 @@ in both mid-fusion modes.
 
 from __future__ import annotations
 
-import csv
 import json
-import logging
 import time
 from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -44,13 +42,8 @@ __all__ = [
     "evaluate_run",
     "count_flops",
     "bench_latency",
-    "layer_drop_sweep",
-    "write_sweep_csv",
-    "read_sweep_csv",
     "MODES",
 ]
-
-log = logging.getLogger(__name__)
 
 MODES = ("ce", "mice", "mice-precomp")
 
@@ -245,8 +238,7 @@ def bench_latency(
     analytic FLOPs and the tensor-buffer memory high-water mark.
 
     Latency trials run with allocation tracking off; one extra pass measures
-    peak memory. On MemoryError the batch is halved (with a warning) and the
-    report carries the batch actually run.
+    peak memory.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -256,9 +248,9 @@ def bench_latency(
         raise ValueError("need at least 3 warmup iterations")
     rng = np.random.default_rng(seed)
 
-    def build(run_batch: int):
-        queries = _random_ids(rng, run_batch, n, config.vocab_size)
-        docs = _random_ids(rng, run_batch, m, config.vocab_size)
+    def build():
+        queries = _random_ids(rng, batch, n, config.vocab_size)
+        docs = _random_ids(rng, batch, m, config.vocab_size)
         if mode == "ce":
             weights = transformer.init_ce_weights(config, seed=seed, dtype=np.float32)
             spec = MaskSpec(MaskStep.BASELINE)
@@ -276,18 +268,8 @@ def bench_latency(
         return lambda: mice.mice_score_batch(items, weights)
 
     with tensor.no_grad():
-        run_batch = batch
-        while True:
-            try:
-                fn = build(run_batch)
-                fn()
-                break
-            except MemoryError:
-                if run_batch <= 1:
-                    raise
-                run_batch //= 2
-                log.warning("out of memory; reducing bench batch to %d", run_batch)
-        for _ in range(warmup - 1):
+        fn = build()
+        for _ in range(warmup):
             fn()
         times = []
         for _ in range(trials):
@@ -304,68 +286,14 @@ def bench_latency(
     mean_s = float(np.mean(times))
     return BenchReport(
         mode=mode,
-        batch=run_batch,
+        batch=batch,
         n=n,
         m=m,
         latency_mean_ms=mean_s * 1e3,
         latency_std_ms=float(np.std(times)) * 1e3,
-        docs_per_second=run_batch / mean_s,
+        docs_per_second=batch / mean_s,
         peak_bytes=peak,
         flops_per_pair=count_flops(config, n, m, mode),
         trials=trials,
         warmup=warmup,
     )
-
-
-# --------------------------------------------------------------------------
-# layer-dropping sweep
-# --------------------------------------------------------------------------
-
-
-def layer_drop_sweep(
-    ce_weights: transformer.Weights,
-    split_depth: int,
-    k_values: Sequence[int],
-    data,
-    finetune_steps: int = 0,
-    seed: int = 0,
-) -> list[tuple[int, float]]:
-    """Evaluate mid-fusion models built from ``ce_weights`` for each kept
-    interaction-layer count ``k``; returns (k, held-out RR@10) rows in
-    descending ``k``. Invalid ``k`` values are skipped with a warning.
-    """
-    from . import training  # deferred: training builds on this module
-
-    total = ce_weights.config.layers
-    rows: list[tuple[int, float]] = []
-    for k in sorted(set(int(k) for k in k_values), reverse=True):
-        if k < 1 or split_depth + k > total:
-            log.warning(
-                "skipping k_inter=%d: outside 1..%d for split_depth=%d",
-                k, total - split_depth, split_depth,
-            )
-            continue
-        mw = mice.from_cross_encoder(ce_weights, split_depth, k)
-        metric = training.finetune_mice(mw, data, steps=finetune_steps, seed=seed)
-        rows.append((k, metric))
-    return rows
-
-
-def write_sweep_csv(path, rows: Sequence[tuple[int, float]]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["k_inter", "rr10"])
-        for k, metric in rows:
-            writer.writerow([k, f"{metric:.6f}"])
-
-
-def read_sweep_csv(path) -> list[tuple[int, float]]:
-    rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if len(header) != 2 or header[0] != "k_inter":
-            raise ValueError(f"{path} is not a sweep table")
-        for record in reader:
-            rows.append((int(record[0]), float(record[1])))
-    return rows

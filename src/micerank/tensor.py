@@ -13,10 +13,6 @@ Tensors are immutable after forward construction except for gradient
 accumulation; leaf tensors (parameters) may additionally have their ``data``
 rewritten in place by an optimizer *between* forward passes.
 
-Blocked attention entries are masked by substituting a large negative
-constant (``-1e30`` in float32, ``-1e300`` in float64) before the softmax and
-forcing exact zeros afterwards; a literal ``-inf`` would poison gradients.
-
 The module also keeps an allocation counter over forward value buffers
 (``allocated_bytes`` / ``peak_allocated_bytes``) used by the benchmark
 harness to report peak memory without relying on OS RSS.
@@ -48,7 +44,6 @@ __all__ = [
     "no_grad",
     "grad_enabled",
     "check_finite",
-    "mask_fill_value",
     "PRECISIONS",
     "track_allocations",
     "allocated_bytes",
@@ -75,14 +70,6 @@ class NumericError(ArithmeticError):
 # The two precisions, by the names the command line and the training
 # config use.
 PRECISIONS = {"f32": np.float32, "f64": np.float64}
-
-_F32_MASK_FILL = -1e30
-_F64_MASK_FILL = -1e300
-
-
-def mask_fill_value(dtype) -> float:
-    """Large negative logit stand-in for blocked attention entries."""
-    return _F32_MASK_FILL if np.dtype(dtype) == np.float32 else _F64_MASK_FILL
 
 
 # --------------------------------------------------------------------------
@@ -521,27 +508,28 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def masked_softmax(logits: Tensor, allow) -> Tensor:
     """Softmax over the last axis restricted to allowed entries.
 
-    ``allow`` is a boolean array broadcastable to ``logits.shape``. Disallowed
-    entries come out exactly 0; allowed entries are the softmax of the allowed
-    logits, so each row sums to 1. A row with no allowed entry raises
-    :class:`MaskedRowError` (the mask builders guarantee every position keeps
-    at least a self/sink source).
+    ``allow`` is a boolean array broadcastable to ``logits.shape``. Blocked
+    logits are replaced by ``-inf``, whatever their value (inf and NaN
+    included), so they come out exactly 0 and never reach an allowed entry;
+    allowed entries are the softmax of the allowed logits, so each row sums
+    to 1. The backward reads only the probabilities. A row with no allowed
+    entry raises :class:`MaskedRowError` (the mask builders guarantee every
+    position keeps at least a self/sink source); the check runs on ``allow``
+    as given, before it is broadcast.
     """
-    allow = np.asarray(allow, dtype=bool)
+    allow = np.atleast_1d(np.asarray(allow, dtype=bool))
     try:
-        allow_b = np.broadcast_to(allow, logits.data.shape)
+        np.broadcast_to(allow, logits.data.shape)
     except ValueError:
         raise ShapeError(
             f"mask shape {allow.shape} does not broadcast to logits {logits.data.shape}"
         ) from None
-    if not allow_b.any(axis=-1).all():
+    if not allow.any(axis=-1).all():
         raise MaskedRowError("masked softmax row with no allowed entry")
-    fill = mask_fill_value(logits.data.dtype)
-    masked = np.where(allow_b, logits.data, fill)
-    masked -= masked.max(axis=-1, keepdims=True)
-    e = np.exp(masked)
-    e *= allow_b
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs = np.where(allow, logits.data, -np.inf)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
 
     def backward_fn(out):
         if logits.requires_grad:

@@ -18,10 +18,14 @@ the training mask, ``retrieval.MiceScorer``), and the best checkpoint is
 kept. Training is deterministic under a fixed seed: data order,
 initialization and update order are all driven by seeded generators, and
 batch gradients are reduced in a fixed order.
+
+The layer-drop sweep cuts one cross-encoder into mid-fusion models, one per
+interaction-layer count, and scores each after a brief ``finetune_mice``.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 from dataclasses import dataclass, field, fields
@@ -33,11 +37,11 @@ import numpy as np
 from .checkpoint import save_weights
 from .evalbench import evaluate_run, ranked
 from .masking import MaskStep
-from .mice import MiceWeights, init_mice_weights, mice_train_scores
+from .mice import MiceWeights, from_cross_encoder, init_mice_weights, mice_train_scores
 from .retrieval import (CrossEncoderScorer, MiceScorer, build_vocab, check_vocab_size,
                         split_terms, token_map)
 from .tensor import PRECISIONS, NumericError, Tensor, select
-from .transformer import ModelConfig, init_ce_weights, score_pairs, spec_for
+from .transformer import ModelConfig, Weights, init_ce_weights, score_pairs, spec_for
 
 __all__ = [
     "TrainConfig",
@@ -52,6 +56,9 @@ __all__ = [
     "train",
     "train_in_memory",
     "finetune_mice",
+    "layer_drop_sweep",
+    "write_sweep_csv",
+    "read_sweep_csv",
     "parse_config_text",
     "format_config",
 ]
@@ -91,6 +98,9 @@ class TrainConfig:
         for name in ("steps", "warmup_steps"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
+        for name in ("batch_size", "validate_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.steps > 0 and not self.warmup_steps < self.steps:
             raise ValueError("warmup_steps must be smaller than steps")
 
@@ -519,3 +529,55 @@ def finetune_mice(mw: MiceWeights, data: SynthData, steps: int = 0, seed: int = 
     )
     weights, metrics = train_in_memory(cfg, data, weights=mw)
     return metrics[-1]["rr10"]
+
+
+# --------------------------------------------------------------------------
+# layer-dropping sweep
+# --------------------------------------------------------------------------
+
+
+def layer_drop_sweep(
+    ce_weights: Weights,
+    split_depth: int,
+    k_values: Sequence[int],
+    data,
+    finetune_steps: int = 0,
+    seed: int = 0,
+) -> list[tuple[int, float]]:
+    """Evaluate mid-fusion models built from ``ce_weights`` for each kept
+    interaction-layer count ``k``; returns (k, held-out RR@10) rows in
+    descending ``k``. Invalid ``k`` values are skipped with a warning.
+    """
+    total = ce_weights.config.layers
+    rows: list[tuple[int, float]] = []
+    for k in sorted(set(int(k) for k in k_values), reverse=True):
+        if k < 1 or split_depth + k > total:
+            log.warning(
+                "skipping k_inter=%d: outside 1..%d for split_depth=%d",
+                k, total - split_depth, split_depth,
+            )
+            continue
+        mw = from_cross_encoder(ce_weights, split_depth, k)
+        metric = finetune_mice(mw, data, steps=finetune_steps, seed=seed)
+        rows.append((k, metric))
+    return rows
+
+
+def write_sweep_csv(path, rows: Sequence[tuple[int, float]]) -> None:
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["k_inter", "rr10"])
+        for k, metric in rows:
+            writer.writerow([k, f"{metric:.6f}"])
+
+
+def read_sweep_csv(path) -> list[tuple[int, float]]:
+    rows = []
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader)
+        if len(header) != 2 or header[0] != "k_inter":
+            raise ValueError(f"{path} is not a sweep table")
+        for record in reader:
+            rows.append((int(record[0]), float(record[1])))
+    return rows

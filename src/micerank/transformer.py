@@ -309,11 +309,7 @@ def attention(
     v = _split_heads(matmul(kv, lw.wv), heads)
     scale = 1.0 / np.sqrt(q.shape[-1])
     logits = matmul(q, k.transpose((0, 1, 3, 2))) * scale
-    if allow.ndim == 2:
-        allow = allow[None, None, :, :]
-    else:
-        allow = allow[:, None, :, :]
-    probs = masked_softmax(logits, allow)
+    probs = masked_softmax(logits, np.expand_dims(allow, -3))
     ctx = _merge_heads(matmul(probs, v))
     return matmul(ctx, lw.wo)
 

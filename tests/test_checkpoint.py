@@ -10,6 +10,7 @@ import errno
 import hashlib
 import io
 import os
+import re
 import struct
 import tracemalloc
 
@@ -86,18 +87,33 @@ def test_unknown_kind_is_refused(tmp_path, kind):
         load_weights(path)
 
 
-@pytest.mark.parametrize("name", ["layers.2.wq", "lower.0.wq", "meta.extra"])
-def test_tensor_the_layout_does_not_name_is_refused(tmp_path, name):
-    """A 2-layer CE with one more entry (count raised to match) does not
-    load as a 2-layer model."""
+def checkpoint_with_extra_entry(path, name, extra):
+    """A CE checkpoint of ``CONFIG`` with one more entry, ``name`` holding
+    ``extra``, at the end (the entry count raised to match)."""
     blob = serialize_weights(init_ce_weights(CONFIG, seed=0))
     count = struct.unpack("<I", blob[8:12])[0]
-    extra = np.zeros((CONFIG.hidden, CONFIG.hidden), dtype="<f4")
-    entry = (struct.pack("<I", len(name)) + name.encode() + struct.pack("<III", 2, *extra.shape)
-             + extra.tobytes())
-    path = tmp_path / "extra.bin"
+    extra = np.asarray(extra, dtype="<f4")
+    entry = (struct.pack(f"<I{len(name)}sI{extra.ndim}I", len(name), name.encode(), extra.ndim,
+                         *extra.shape) + extra.tobytes())
     path.write_bytes(blob[:8] + struct.pack("<I", count + 1) + blob[12:] + entry)
+    return path
+
+
+@pytest.mark.parametrize("name", ["layers.2.wq", "lower.0.wq", "meta.extra"])
+def test_tensor_the_layout_does_not_name_is_refused(tmp_path, name):
+    """A 2-layer CE with one more entry does not load as a 2-layer model."""
+    extra = np.zeros((CONFIG.hidden, CONFIG.hidden))
+    path = checkpoint_with_extra_entry(tmp_path / "extra.bin", name, extra)
     with pytest.raises(CheckpointFormatError, match=f"unknown tensor '{name}'"):
+        load_weights(path)
+
+
+@pytest.mark.parametrize("name,extra", [("score_b", [7.0]), ("meta.config", META)])
+def test_tensor_named_twice_is_refused(tmp_path, name, extra):
+    """A second entry of one name does not replace the first."""
+    path = checkpoint_with_extra_entry(tmp_path / "twice.bin", name, extra)
+    message = f"{path}: tensor '{name}' appears twice"
+    with pytest.raises(CheckpointFormatError, match=re.escape(message)):
         load_weights(path)
 
 

@@ -526,6 +526,21 @@ class TestExitCodes:
         assert "must not be negative" in capsys.readouterr().err
         assert not (tmp_path / "model").exists()
 
+    @pytest.mark.parametrize("key", ["batch_size", "validate_every"])
+    def test_config_file_count_below_one_is_data_error(self, workspace, tmp_path, capsys, key):
+        """A config file cannot set what the flag's ``positive_int`` refuses."""
+        config = tmp_path / "train.cfg"
+        config.write_text(f"{key} = 0\n")
+        data = workspace / "data"
+        code = dispatch([
+            "train", "--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "queries.jsonl"),
+            "--qrels", str(data / "qrels.tsv"), "--out-dir", str(tmp_path / "model"),
+            "--config", str(config), "--steps", "2", "--warmup", "1",
+        ])
+        assert code == 2
+        assert f"{key} must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "model").exists()
+
     def test_encode_docs_in_float64_is_data_error(self, workspace, tmp_path, capsys):
         code = dispatch([
             "encode-docs", "--model", str(workspace / "mice" / "model.bin"),

@@ -1,5 +1,5 @@
 """Metrics against hand-computed values, the FLOP model against a term-by-term
-summation oracle, the bench harness, and the layer-count sweep."""
+summation oracle, and the bench harness."""
 
 import json
 import math
@@ -15,11 +15,8 @@ from micerank.evalbench import (
     bench_latency,
     count_flops,
     evaluate_run,
-    layer_drop_sweep,
     ndcg_at_k,
-    read_sweep_csv,
     rr_at_k,
-    write_sweep_csv,
 )
 from micerank.transformer import ModelConfig
 
@@ -273,51 +270,3 @@ class TestBenchLatency:
         b = bench_latency(BENCH_CFG, "ce", batch=2, n=3, m=6, trials=15, warmup=3, seed=1)
         spread = 3.0 * (a.latency_std_ms + b.latency_std_ms) + 0.5
         assert abs(a.latency_mean_ms - b.latency_mean_ms) <= spread
-
-
-# --------------------------------------------------------------------------
-# layer-count sweep
-# --------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def trained_ce():
-    from micerank.training import TrainConfig, synth_corpus, train_in_memory
-
-    data = synth_corpus(seed=0, n_docs=24, n_queries=12, vocab_size=64)
-    cfg = TrainConfig(
-        steps=10, batch_size=4, lr_peak=1e-3, warmup_steps=2, validate_every=10,
-        seed=0, variant="baseline", layers=4, hidden=16, heads=2, ff=24,
-        max_query=6, max_doc=16, split_depth=2,
-    )
-    weights, _ = train_in_memory(cfg, data)
-    return weights, data
-
-
-class TestSweep:
-
-    def test_rows_cover_requested_range_descending(self, trained_ce, caplog):
-        weights, data = trained_ce
-        with caplog.at_level("WARNING"):
-            rows = layer_drop_sweep(weights, 2, [1, 2, 5], data, finetune_steps=0)
-        ks = [k for k, _ in rows]
-        assert ks == [2, 1]  # k = layers - split present; invalid 5 skipped
-        assert "skipping k_inter=5" in caplog.text
-        for _, metric in rows:
-            assert 0.0 <= metric <= 1.0
-
-    def test_csv_round_trip(self, trained_ce, tmp_path):
-        weights, data = trained_ce
-        rows = layer_drop_sweep(weights, 2, [1, 2], data, finetune_steps=0)
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, rows)
-        back = read_sweep_csv(path)
-        assert [k for k, _ in back] == [k for k, _ in rows]
-        for (_, a), (_, b) in zip(rows, back):
-            assert b == pytest.approx(a, abs=1e-6)
-
-    def test_bad_csv_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("foo,bar\n1,2\n")
-        with pytest.raises(ValueError):
-            read_sweep_csv(path)

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micerank import tensor
 from micerank.tensor import (
@@ -189,6 +191,34 @@ class TestMaskedSoftmax:
         assert out.dtype == np.float32
         assert np.all(out[~allow] == 0.0)
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
+
+    @given(
+        dims=st.tuples(*(st.integers(1, n) for n in (3, 4, 5, 6))),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        blocked=st.sampled_from([np.inf, -np.inf, np.nan, 1e38, -1e38]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mask_over_heads_is_exact(self, dims, dtype, blocked, seed):
+        """With a [B, 1, t, src] mask over [B, h, t, src] logits, blocked
+        entries are exactly 0, allowed ones are the softmax of the allowed
+        logits alone, and no blocked logit, however extreme, changes a bit."""
+        batch, heads, t, src = dims
+        rng = np.random.default_rng(seed)
+        logits = (rng.standard_normal(dims) * 10).astype(dtype)
+        allow = rng.random((batch, 1, t, src)) < 0.5
+        allow[np.arange(batch)[:, None], 0, np.arange(t), rng.integers(src, size=(batch, t))] = True
+        allow_b = np.broadcast_to(allow, dims)
+        out = masked_softmax(Tensor(logits), allow).data
+        assert out.dtype == dtype
+        assert np.all(out[~allow_b] == 0.0)
+        for index in np.ndindex(*dims[:-1]):
+            kept = logits[index][allow_b[index]].astype(np.float64)
+            e = np.exp(kept - kept.max())
+            np.testing.assert_allclose(out[index][allow_b[index]], e / e.sum(),
+                                       rtol=1e-5, atol=1e-12)
+        swapped = np.where(allow_b, logits, dtype(blocked))
+        assert masked_softmax(Tensor(swapped), allow).data.tobytes() == out.tobytes()
 
 
 class TestSublayerPrimitives:

@@ -1,4 +1,5 @@
-"""Loss, schedule, optimizer, the synthetic task, and the training loop.
+"""Loss, schedule, optimizer, the synthetic task, the training loop, and the
+layer-count sweep.
 
 Long-horizon learning (RR thresholds) lives in the acceptance suite; the
 runs here are kept to a few dozen steps.
@@ -24,14 +25,17 @@ from micerank.training import (
     adam_step,
     finetune_mice,
     format_config,
+    layer_drop_sweep,
     lr_schedule,
     margin_mse,
     parse_config_text,
+    read_sweep_csv,
     split_queries,
     synth_corpus,
     teacher_margin_score,
     train,
     train_in_memory,
+    write_sweep_csv,
 )
 from micerank.transformer import ModelConfig
 
@@ -229,6 +233,12 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="must not be negative"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("key,value", [("batch_size", 0), ("validate_every", 0),
+                                           ("batch_size", -4), ("validate_every", -1)])
+    def test_count_below_one_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be at least 1, got {value}"):
+            parse_config_text(f"{key} = {value}\n")
+
 
 @pytest.fixture(scope="module")
 def tiny_data():
@@ -370,3 +380,49 @@ class TestSampler:
         )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "model" / "model.bin").exists()
+
+
+# --------------------------------------------------------------------------
+# layer-count sweep
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def trained_ce():
+    data = synth_corpus(seed=0, n_docs=24, n_queries=12, vocab_size=64)
+    cfg = TrainConfig(
+        steps=10, batch_size=4, lr_peak=1e-3, warmup_steps=2, validate_every=10,
+        seed=0, variant="baseline", layers=4, hidden=16, heads=2, ff=24,
+        max_query=6, max_doc=16, split_depth=2,
+    )
+    weights, _ = train_in_memory(cfg, data)
+    return weights, data
+
+
+class TestSweep:
+
+    def test_rows_cover_requested_range_descending(self, trained_ce, caplog):
+        weights, data = trained_ce
+        with caplog.at_level("WARNING"):
+            rows = layer_drop_sweep(weights, 2, [1, 2, 5], data, finetune_steps=0)
+        ks = [k for k, _ in rows]
+        assert ks == [2, 1]  # k = layers - split present; invalid 5 skipped
+        assert "skipping k_inter=5" in caplog.text
+        for _, metric in rows:
+            assert 0.0 <= metric <= 1.0
+
+    def test_csv_round_trip(self, trained_ce, tmp_path):
+        weights, data = trained_ce
+        rows = layer_drop_sweep(weights, 2, [1, 2], data, finetune_steps=0)
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, rows)
+        back = read_sweep_csv(path)
+        assert [k for k, _ in back] == [k for k, _ in rows]
+        for (_, a), (_, b) in zip(rows, back):
+            assert b == pytest.approx(a, abs=1e-6)
+
+    def test_bad_csv_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("foo,bar\n1,2\n")
+        with pytest.raises(ValueError):
+            read_sweep_csv(path)
