@@ -249,6 +249,9 @@ def _cmd_encode_docs(args) -> int:
     if not isinstance(weights, mice.MiceWeights):
         raise ValueError("encode-docs needs a mid-fusion checkpoint (kind mice)")
     states = []
+    # One encode_document call per document, not one encode_documents call:
+    # the states are the same bytes either way, and per-document calls let a
+    # caller time each document as one item (perfbench's minilm-index does).
     with no_grad():
         for doc_id, text in corpus:
             ids = retrieval.ensure_nonempty(vocab.encode(text))

@@ -260,10 +260,7 @@ def bench_latency(
         if mode == "mice":
             pairs = list(zip(queries, docs))
             return lambda: mice.mice_train_scores(pairs, weights)
-        states = [
-            mice.encode_document(doc, weights, doc_id=str(i))
-            for i, doc in enumerate(docs)
-        ]
+        states = mice.encode_documents([(str(i), doc) for i, doc in enumerate(docs)], weights)
         items = list(zip(queries, states))
         return lambda: mice.mice_score_batch(items, weights)
 

@@ -24,7 +24,8 @@ Batches are padded as the cross-encoder's are, by
 
 Both streams share one set of lower-layer parameters. During training,
 documents are re-encoded online so the lower layers receive document
-gradients; the cache is an inference-only optimization.
+gradients; precomputed states (:func:`encode_documents`, the cache) serve
+inference and validation.
 
 A query's lower-layer states do not depend on the document it is paired
 with, so both batched forwards encode each distinct query stream of a batch
@@ -67,6 +68,7 @@ __all__ = [
     "from_cross_encoder",
     "encode_query",
     "encode_document",
+    "encode_documents",
     "interaction_layer",
     "mice_forward",
     "mice_score_batch",
@@ -195,22 +197,41 @@ def encode_query(query_ids: Sequence[int], weights: MiceWeights) -> Tensor:
     return states.reshape(states.shape[1:])
 
 
-def encode_document(doc_ids: Sequence[int], weights: MiceWeights, doc_id: str = "") -> DocState:
-    """Document-stream states, frozen for reuse.
+# Documents per lower-layer batch of :func:`encode_documents`; bounds the
+# attention buffers of a corpus whose documents share one length.
+_ENCODE_BATCH = 64
 
-    Always encodes a single document (no cross-document padding), so the
-    result is byte-reproducible and identical to what a cache round-trip in
-    the same precision returns.
+
+def encode_documents(
+    docs: Sequence[tuple[str, Sequence[int]]], weights: MiceWeights
+) -> list[DocState]:
+    """Frozen document-stream states of ``(doc_id, token ids)`` pairs, in
+    input order.
+
+    Documents of one framed length (``min(len, max_doc)``) run the lower
+    layers together, up to ``_ENCODE_BATCH`` at a time, as one batch without
+    padding, so each state is byte-identical to the document encoded alone
+    and to what a cache round-trip in the same precision returns.
     """
-    states, lengths = _stream_batch([doc_ids], Segment.D, weights)
-    frozen = np.array(states.data[0], copy=True)
-    frozen.setflags(write=False)
-    return DocState(
-        doc_id=doc_id,
-        states=frozen,
-        m=lengths[0] - 1,
-        checkpoint_hash=weights.fingerprint(),
-    )
+    groups: dict[int, list[int]] = {}
+    for i, (_, ids) in enumerate(docs):
+        groups.setdefault(min(len(ids), weights.config.max_doc), []).append(i)
+    digest = weights.fingerprint()
+    out: list[DocState] = [None] * len(docs)
+    for group in groups.values():
+        for start in range(0, len(group), _ENCODE_BATCH):
+            batch = group[start : start + _ENCODE_BATCH]
+            states, lengths = _stream_batch([docs[i][1] for i in batch], Segment.D, weights)
+            for row, i in enumerate(batch):
+                frozen = np.array(states.data[row], copy=True)
+                frozen.setflags(write=False)
+                out[i] = DocState(docs[i][0], frozen, lengths[row] - 1, digest)
+    return out
+
+
+def encode_document(doc_ids: Sequence[int], weights: MiceWeights, doc_id: str = "") -> DocState:
+    """Document-stream states, frozen for reuse (:func:`encode_documents`)."""
+    return encode_documents([(doc_id, doc_ids)], weights)[0]
 
 
 # --------------------------------------------------------------------------

@@ -211,8 +211,8 @@ class _NeuralScorer:
     """Shared chunking/threading machinery for model-backed scorers.
 
     ``docs`` answers ``c in docs`` for the candidates this scorer can score:
-    a map from doc id to non-empty token ids (:func:`token_map`), or a
-    document-state cache.
+    a map from doc id to non-empty token ids (:func:`token_map`), or the
+    document states of :class:`MiceCacheScorer`.
     """
 
     def __init__(self, weights, vocab: Vocab, docs, batch_size: int = 64, threads: int = 1):
@@ -265,7 +265,7 @@ class CrossEncoderScorer(_NeuralScorer):
 
 class MiceScorer(_NeuralScorer):
     """Mid-fusion scoring with each chunk's documents encoded on the fly as
-    one padded batch, through the forward that training and validation use."""
+    one padded batch, through the forward that training steps use."""
 
     def _score_chunk(self, q_ids, chunk) -> np.ndarray:
         pairs = [(q_ids, self.docs[c]) for c in chunk]
@@ -274,7 +274,7 @@ class MiceScorer(_NeuralScorer):
 
 class MiceCacheScorer(_NeuralScorer):
     """Mid-fusion scoring against precomputed document states; ``docs`` is
-    the document-state cache."""
+    the document-state cache or a ``{doc_id: DocState}`` map."""
 
     def _score_chunk(self, q_ids, chunk) -> np.ndarray:
         items = [(q_ids, self.docs.get(c)) for c in chunk]

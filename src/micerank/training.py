@@ -13,9 +13,12 @@ its negative any other document of the corpus. Scheduling is linear warmup to
 ``lr_peak`` followed by linear decay to zero (the decay shape is a recorded
 choice; linear decay is the conventional companion to linear warmup).
 Validation computes RR@10 on held-out queries against the whole corpus,
-ranking through the rerank scorers (``retrieval.CrossEncoderScorer`` under
-the training mask, ``retrieval.MiceScorer``), and the best checkpoint is
-kept. Training is deterministic under a fixed seed: data order,
+ranking through the rerank scorers, and the best checkpoint is kept. A
+cross-encoder is scored by ``retrieval.CrossEncoderScorer`` under the
+training mask. A mid-fusion model's document states do not depend on the
+query, so each validation encodes the corpus once, in same-length batches,
+and scores it through ``retrieval.MiceCacheScorer``, as ``rerank --mode
+mice-precomp`` would. Training is deterministic under a fixed seed: data order,
 initialization and update order are all driven by seeded generators, and
 batch gradients are reduced in a fixed order.
 
@@ -37,10 +40,11 @@ import numpy as np
 from .checkpoint import save_weights
 from .evalbench import evaluate_run, ranked
 from .masking import MaskStep
-from .mice import MiceWeights, from_cross_encoder, init_mice_weights, mice_train_scores
-from .retrieval import (CrossEncoderScorer, MiceScorer, build_vocab, check_vocab_size,
+from .mice import (MiceWeights, encode_documents, from_cross_encoder, init_mice_weights,
+                   mice_train_scores)
+from .retrieval import (CrossEncoderScorer, MiceCacheScorer, build_vocab, check_vocab_size,
                         split_terms, token_map)
-from .tensor import PRECISIONS, NumericError, Tensor, select
+from .tensor import PRECISIONS, NumericError, Tensor, no_grad, select
 from .transformer import ModelConfig, Weights, init_ce_weights, score_pairs, spec_for
 
 __all__ = [
@@ -384,11 +388,17 @@ def evaluate_rr10(weights, data: SynthData, task: _Task, spec=None) -> float:
     """Mean RR@10 over held-out queries, ranking the whole corpus with the
     rerank scorers.
 
-    A cross-encoder is evaluated under the mask it trains with (``spec``);
-    mid-fusion models encode documents online here and take no ``spec``.
+    A cross-encoder is evaluated under the mask it trains with (``spec``).
+    A mid-fusion model takes no ``spec``: the corpus is encoded once, as
+    frozen states under the current weights' digest, and scored as
+    ``rerank --mode mice-precomp`` scores it. Training updates the weights
+    in place, so the digest is recomputed first.
     """
     if isinstance(weights, MiceWeights):
-        scorer = MiceScorer(weights, task.vocab, task.doc_tokens)
+        weights.invalidate_fingerprint()
+        with no_grad():
+            states = encode_documents(list(task.doc_tokens.items()), weights)
+        scorer = MiceCacheScorer(weights, task.vocab, {s.doc_id: s for s in states})
     else:
         scorer = CrossEncoderScorer(weights, spec, task.vocab, task.doc_tokens)
     doc_ids = sorted(task.doc_ids)

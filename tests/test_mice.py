@@ -1,17 +1,22 @@
 """Mid-fusion model: stream equivalences, interaction-layer semantics,
 weight surgery, freezing, and gradient flow."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from micerank.masking import MaskSpec, MaskStep
+from micerank import mice
+from micerank.checkpoint import weights_fingerprint
+from micerank.masking import MaskSpec, MaskStep, Segment
 from micerank.mice import (
     ConsistencyError,
     DocState,
     from_cross_encoder,
     encode_document,
+    encode_documents,
     encode_query,
     init_mice_weights,
     interaction_layer,
@@ -99,6 +104,41 @@ class TestStreamEncoding:
     def test_docstate_shape_validated(self):
         with pytest.raises(ValueError):
             DocState(doc_id="x", states=np.zeros((3, 8)), m=3)
+
+
+class TestEncodeDocuments:
+    @given(
+        hidden=st.sampled_from([8, 16]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+        pool=st.lists(st.lists(st.integers(4, 47), min_size=1, max_size=14),
+                      min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+        batch=st.sampled_from([1, 2, 64]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_each_state_is_the_document_encoded_alone(
+        self, hidden, dtype, seed, pool, picks, batch
+    ):
+        """Documents of mixed lengths, some over ``max_doc`` (9) and some
+        repeated, encoded together: each state is byte-identical to a
+        one-document lower-layer forward, sits at its input position under
+        its own id, is read-only and carries the weights' current digest,
+        however many documents of one length a batch takes."""
+        mw = from_cross_encoder(make_ce(layers=4, split=2, hidden=hidden, seed=seed,
+                                        dtype=dtype), 2, 2)
+        docs = [(f"d{i}", pool[p % len(pool)]) for i, p in enumerate(picks)]
+        with mock.patch.object(mice, "_ENCODE_BATCH", batch):
+            states = encode_documents(docs, mw)
+        assert [s.doc_id for s in states] == [doc_id for doc_id, _ in docs]
+        digest = weights_fingerprint(mw)
+        for (_, ids), state in zip(docs, states):
+            alone, lengths = mice._stream_batch([ids], Segment.D, mw)
+            assert state.states.dtype == dtype
+            assert state.states.tobytes() == alone.data[0].tobytes()
+            assert state.m == lengths[0] - 1 == min(len(ids), mw.config.max_doc)
+            assert not state.states.flags.writeable
+            assert state.checkpoint_hash == digest
 
 
 class TestInteractionLayer:

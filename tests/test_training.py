@@ -15,8 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from micerank import retrieval, training
-from micerank.checkpoint import load_weights
+from micerank import mice, retrieval, training
+from micerank.checkpoint import load_weights, weights_fingerprint
+from micerank.evalbench import evaluate_run, ranked
+from micerank.masking import Segment
 from micerank.tensor import NumericError, Tensor
 from micerank.training import (
     Adam,
@@ -327,6 +329,93 @@ class TestTrainLoop:
         mw = from_cross_encoder(ce, 1, 1)
         rr = finetune_mice(mw, tiny_data, steps=0)
         assert 0.0 <= rr <= 1.0
+
+
+class TestValidation:
+    """A mid-fusion validation encodes the corpus once and ranks it through
+    the precomputed-state scorer."""
+
+    @staticmethod
+    def mice_model(data, seed, dtype=np.float64):
+        task = training._prepare_task(data)
+        config = tiny_cfg(variant="mice", layers=3, interaction_layers=2,
+                          max_doc=12).model_config(task.vocab.size)
+        return mice.init_mice_weights(config, seed=seed, dtype=dtype), task
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_ranking_scored_online(self, tiny_data, seed, monkeypatch):
+        """Two interaction layers, so the score reads the document."""
+        mw, task = self.mice_model(tiny_data, seed)
+        cached = {}
+
+        class RecordingScorer(retrieval.MiceCacheScorer):
+            def score_ids(self, q_ids, candidates):
+                cached[tuple(q_ids)] = scores = super().score_ids(q_ids, candidates)
+                return scores
+
+        monkeypatch.setattr(training, "MiceCacheScorer", RecordingScorer)
+        rr = training.evaluate_rr10(mw, tiny_data, task)
+
+        online = retrieval.MiceScorer(mw, task.vocab, task.doc_tokens)
+        doc_ids = sorted(task.doc_ids)
+        run = {}
+        for q in task.val_q:
+            scores = online.score_ids(task.query_tokens[q], doc_ids)
+            validated = cached[tuple(task.query_tokens[q])]
+            assert validated.keys() == scores.keys()
+            np.testing.assert_allclose([validated[d] for d in doc_ids],
+                                       [scores[d] for d in doc_ids], rtol=0, atol=1e-12)
+            run[q] = ranked(scores.items(), 10)
+        assert rr == evaluate_run(run, tiny_data.qrels, "rr@10")
+
+    def test_encodes_each_length_once_and_runs_no_training_forward(self, tiny_data,
+                                                                   monkeypatch):
+        """Guards the saving: documents never go through the online forward,
+        and the lower layers see one batch of documents per framed length."""
+        mw, task = self.mice_model(tiny_data, 0)
+        calls = {"train": 0, "doc_batches": []}
+
+        def train_scores(*args, **kwargs):
+            calls["train"] += 1
+            raise AssertionError("validation ran the online training forward")
+
+        stream_batch = mice._stream_batch
+
+        def recording_stream_batch(streams, kind, weights):
+            if kind is Segment.D:
+                calls["doc_batches"].append(len(streams))
+            return stream_batch(streams, kind, weights)
+
+        monkeypatch.setattr(mice, "mice_train_scores", train_scores)
+        monkeypatch.setattr(training, "mice_train_scores", train_scores)
+        monkeypatch.setattr(mice, "_stream_batch", recording_stream_batch)
+        training.evaluate_rr10(mw, tiny_data, task)
+        lengths = {min(len(t), mw.config.max_doc) for t in task.doc_tokens.values()}
+        assert calls["train"] == 0
+        assert len(lengths) > 1
+        assert len(calls["doc_batches"]) == len(lengths)
+        assert sum(calls["doc_batches"]) == len(task.doc_tokens)
+
+    def test_states_carry_the_digest_of_the_weights_they_were_encoded_with(
+        self, tiny_data, monkeypatch
+    ):
+        """Adam updates the weights in place between validations, so each
+        validation's states must carry the digest recomputed at that moment,
+        not one cached at an earlier validation."""
+        seen = []
+        encode = training.encode_documents
+
+        def recording_encode(docs, weights):
+            states = encode(docs, weights)
+            seen.append((weights_fingerprint(weights), {s.checkpoint_hash for s in states}))
+            return states
+
+        monkeypatch.setattr(training, "encode_documents", recording_encode)
+        train_in_memory(tiny_cfg(variant="mice"), tiny_data)
+        assert len(seen) == 2
+        assert seen[0][0] != seen[1][0]
+        for digest, hashes in seen:
+            assert hashes == {digest}
 
 
 FOUR_DOCS = [("d0", "alpha beta"), ("d1", "beta gamma"), ("d2", "gamma delta"),
