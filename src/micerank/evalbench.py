@@ -42,6 +42,7 @@ __all__ = [
     "evaluate_run",
     "count_flops",
     "bench_latency",
+    "scoring_fn",
     "MODES",
 ]
 
@@ -224,6 +225,33 @@ def _random_ids(rng, count: int, length: int, vocab_size: int) -> list[list[int]
     ]
 
 
+def scoring_fn(
+    config: transformer.ModelConfig, mode: str, batch: int, n: int, m: int, seed: int = 0
+):
+    """A no-argument callable that scores one fixed random batch of ``batch``
+    pairs (queries of ``n`` ids, documents of ``m``) under ``mode``: the work
+    :func:`bench_latency` times. Weights, ids and, for ``mice-precomp``, the
+    document states are built here. Call this and the callable under
+    :class:`.tensor.no_grad`."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    rng = np.random.default_rng(seed)
+    queries = _random_ids(rng, batch, n, config.vocab_size)
+    docs = _random_ids(rng, batch, m, config.vocab_size)
+    if mode == "ce":
+        weights = transformer.init_ce_weights(config, seed=seed, dtype=np.float32)
+        spec = MaskSpec(MaskStep.BASELINE)
+        pairs = list(zip(queries, docs))
+        return lambda: transformer.score_pairs(pairs, spec, weights)
+    weights = mice.init_mice_weights(config, seed=seed, dtype=np.float32)
+    if mode == "mice":
+        pairs = list(zip(queries, docs))
+        return lambda: mice.mice_train_scores(pairs, weights)
+    states = mice.encode_documents([(str(i), doc) for i, doc in enumerate(docs)], weights)
+    items = list(zip(queries, states))
+    return lambda: mice.mice_score_batch(items, weights)
+
+
 def bench_latency(
     config: transformer.ModelConfig,
     mode: str,
@@ -240,32 +268,12 @@ def bench_latency(
     Latency trials run with allocation tracking off; one extra pass measures
     peak memory.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if trials < 10:
         raise ValueError("need at least 10 timed trials")
     if warmup < 3:
         raise ValueError("need at least 3 warmup iterations")
-    rng = np.random.default_rng(seed)
-
-    def build():
-        queries = _random_ids(rng, batch, n, config.vocab_size)
-        docs = _random_ids(rng, batch, m, config.vocab_size)
-        if mode == "ce":
-            weights = transformer.init_ce_weights(config, seed=seed, dtype=np.float32)
-            spec = MaskSpec(MaskStep.BASELINE)
-            pairs = list(zip(queries, docs))
-            return lambda: transformer.score_pairs(pairs, spec, weights)
-        weights = mice.init_mice_weights(config, seed=seed, dtype=np.float32)
-        if mode == "mice":
-            pairs = list(zip(queries, docs))
-            return lambda: mice.mice_train_scores(pairs, weights)
-        states = mice.encode_documents([(str(i), doc) for i, doc in enumerate(docs)], weights)
-        items = list(zip(queries, states))
-        return lambda: mice.mice_score_batch(items, weights)
-
     with tensor.no_grad():
-        fn = build()
+        fn = scoring_fn(config, mode, batch, n, m, seed)
         for _ in range(warmup):
             fn()
         times = []

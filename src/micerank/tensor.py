@@ -11,7 +11,9 @@ routes the upstream gradient, forming one graph per forward pass.
 accumulates ``grad`` buffers on every ancestor that requires a gradient.
 Tensors are immutable after forward construction except for gradient
 accumulation; leaf tensors (parameters) may additionally have their ``data``
-rewritten in place by an optimizer *between* forward passes.
+rewritten in place by an optimizer *between* forward passes. A 2-d weight
+wide enough for :func:`matmul`'s transposed GEMM has its ``data`` replaced,
+once, by a column-major array of the same values.
 
 The module also keeps an allocation counter over forward value buffers
 (``allocated_bytes`` / ``peak_allocated_bytes``) used by the benchmark
@@ -334,17 +336,50 @@ def _neg(x: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy batching semantics; operands must be >= 2-d.
 
-    A stacked activation times a 2-d weight (``a`` of shape ``[..., t, d]``,
-    ``b`` of shape ``[d, f]``) runs as one ``[N, d] @ [d, f]`` GEMM over the
-    ``N = prod(...) * t`` rows instead of one small GEMM per leading index.
-    With ``t`` and ``f`` of at least 2, numpy would run one GEMM per stacked
-    matrix and the result has the same bits (measured with OpenBLAS); with a
-    single row or column numpy uses a matrix-vector kernel instead and the
-    two differ at rounding level. The backward flattens the same way:
-    ``a``'s gradient is ``g @ bᵀ`` on the flattened rows, and ``b``'s is one
-    ``[d, N] @ [N, f]`` GEMM, so the sum over the stacked rows happens inside
-    the GEMM rather than in ``_unbroadcast``. Every other shape pair (batched
-    operands, broadcasting) goes through ``np.matmul``.
+    An activation times a 2-d weight (``a`` of shape ``[..., t, d]``, ``b``
+    of shape ``[d, f]``) runs as one GEMM over the ``N = prod(...) * t``
+    flattened rows instead of one small GEMM per leading index. With ``t``
+    and ``f`` of at least 2, numpy would run one GEMM per stacked matrix and
+    the result has the same bits (measured with OpenBLAS); with a single row
+    or column numpy uses a matrix-vector kernel instead and the two differ
+    at rounding level. That product takes one of three paths:
+
+    - A weight narrower than ``_WIDE`` = 256 in either dimension is used as
+      stored, in ``a @ b``. There the few-row path below ran slower (f32,
+      one BLAS thread, 2 to 128 rows): 1.0 to 1.4 times at 128 x 512, 1.4
+      to 2.2 times at 64 x 64, and between 0.8 and 1.24 at 192 x 768.
+    - A weight at least ``_WIDE`` wide in both dimensions is stored
+      column-major from its first product on: ``b.data`` is replaced, once,
+      by a Fortran-ordered array of the same shape, dtype and values.
+      Re-laying every wide weight at checkpoint load instead took
+      ``load_weights`` of a 7-layer MiniLM-width checkpoint from 33-38 to
+      63-67 ms (medians of 15), time a command spends before its first
+      unit of work; re-laid lazily, it is spread over the first products.
+      With 2 to ``_FEW_ROWS`` = 128 rows the product runs as the
+      transposed GEMM ``(bᵀ @ aᵀ)ᵀ``, whose left operand is then
+      row-major, and is copied into an owning C-contiguous buffer. Over
+      the 42 weights of 7 MiniLM-width layers (hidden 384, ff 1536; f32,
+      one BLAS thread, weights in L3) it took 0.50 to 0.62 of the
+      row-major time from 2 to 33 rows and 0.72 to 0.86 from 41 to 129
+      rows, but 0.93 to 0.95 near 200 rows and 1.02 to 1.48 from 256 to
+      1024 rows; at hidden 256, ff 1024 it took 0.55 to 0.96 from 2 to
+      128 rows.
+    - One row, or more than ``_FEW_ROWS`` rows, run ``a @ b`` over the
+      stored weight; numpy hands the column-major layout to BLAS as a
+      transpose flag.
+
+    From 4 rows on the result had the bits of ``a @ b`` over a row-major
+    weight at every wide shape measured (256 x 1024, 1024 x 256, 384 x 384,
+    384 x 1536, 1536 x 384, in f32 and f64), and from 5 rows on at
+    256 x 256; with fewer rows it may differ in the last bits. Every path
+    re-lays a wide weight, so a weight's layout never depends on which
+    product came first, and threads that share it compute the same bits.
+
+    The backward flattens the same way: ``a``'s gradient is ``g @ bᵀ`` on
+    the flattened rows, and ``b``'s is one ``[d, N] @ [N, f]`` GEMM, so the
+    sum over the stacked rows happens inside the GEMM rather than in
+    ``_unbroadcast``. Every other shape pair (a batched ``b``,
+    broadcasting) goes through ``np.matmul``.
     """
     if not isinstance(a, Tensor) or not isinstance(b, Tensor):
         raise ShapeError("matmul expects tensors")
@@ -356,7 +391,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}"
         )
-    if a.data.ndim > 2 and b.data.ndim == 2:
+    if b.data.ndim == 2:
         return _stacked_matmul(a, b)
     try:
         data = np.matmul(a.data, b.data)
@@ -375,14 +410,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward_fn)
 
 
+# The cut-offs of the transposed GEMM path; ``matmul``'s docstring gives the
+# measurements behind them.
+_WIDE = 256
+_FEW_ROWS = 128
+_RELAY_LOCK = threading.Lock()
+
+
+def _column_major(w: Tensor) -> np.ndarray:
+    """``w.data``, re-laid column-major in place of the row-major array the
+    first time it is asked for. The lock keeps two threads from both making
+    a copy."""
+    if not w.data.flags.f_contiguous:
+        with _RELAY_LOCK:
+            if not w.data.flags.f_contiguous:
+                w.data = np.asfortranarray(w.data)
+    return w.data
+
+
 def _stacked_matmul(a: Tensor, b: Tensor) -> Tensor:
     """``a [..., d] @ b [d, f]`` as one GEMM over the flattened rows of ``a``."""
     d, f = b.data.shape
     rows = math.prod(a.data.shape[:-1])
+    flat = a.data.reshape(rows, d)
+    wide = min(d, f) >= _WIDE
+    weight = _column_major(b) if wide else b.data
     # Results are written through a 2-d view of an owning buffer, so they are
     # neither copied by ``_accumulate`` nor skipped by the allocation counter.
     data = np.empty(a.data.shape[:-1] + (f,), dtype=b.data.dtype)
-    np.matmul(a.data.reshape(rows, d), b.data, out=data.reshape(rows, f))
+    if wide and 2 <= rows <= _FEW_ROWS:
+        np.copyto(data.reshape(rows, f), np.matmul(weight.T, flat.T).T)
+    else:
+        np.matmul(flat, weight, out=data.reshape(rows, f))
 
     def backward_fn(out):
         g = out.grad.reshape(rows, f)

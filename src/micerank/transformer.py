@@ -209,7 +209,8 @@ class _ParameterSet:
 
 @dataclass
 class Weights(_ParameterSet):
-    """Cross-encoder parameters; read-only after load / shareable."""
+    """Cross-encoder parameters; read-only after load / shareable.
+    ``tensor.matmul`` may re-lay a wide weight column-major; its values stay."""
 
     STACKS = {"layers": "layers"}
     config: ModelConfig

@@ -11,16 +11,17 @@ efficiency direction, and metric arithmetic.
 """
 
 import math
+import statistics
 import time
 
 import numpy as np
 import pytest
 
 from micerank import doccache, retrieval, tensor
-from micerank.evalbench import bench_latency, count_flops, ndcg_at_k, rr_at_k
+from micerank.evalbench import count_flops, ndcg_at_k, rr_at_k, scoring_fn
 from micerank.masking import MaskSpec, MaskStep, SegmentLayout, build_mask
 from micerank.mice import encode_document, from_cross_encoder, init_mice_weights, mice_train_scores
-from micerank.tensor import select
+from micerank.tensor import no_grad, select
 from micerank.training import (
     TrainConfig,
     margin_mse,
@@ -339,7 +340,11 @@ def test_c7_desk_scale_learning():
 def test_c8_efficiency_direction():
     """Analytic FLOPs at the MiniLM-like operating point satisfy the claimed
     ratios; measured wall-clock preserves the precomp < online < joint
-    ordering at batch 8."""
+    ordering at batch 8.
+
+    The three modes' timed trials alternate, in a rotating order, and their
+    medians are compared: a burst of load from another process then slows
+    one trial of each mode instead of every trial of one."""
     minilm = ModelConfig(
         layers=12, hidden=384, heads=12, ff=1536, vocab_size=30522,
         max_query=16, max_doc=512, split_depth=4, interaction_layers=3,
@@ -353,19 +358,25 @@ def test_c8_efficiency_direction():
         layers=8, hidden=64, heads=8, ff=256, vocab_size=1024,
         max_query=16, max_doc=256, split_depth=4, interaction_layers=3,
     )
-    reports = {
-        mode: bench_latency(bench_cfg, mode, batch=8, n=16, m=256, trials=10, warmup=3, seed=0)
-        for mode in ("ce", "mice", "mice-precomp")
-    }
-    wall_ok = (
-        reports["mice-precomp"].latency_mean_ms
-        < reports["mice"].latency_mean_ms
-        < reports["ce"].latency_mean_ms
-    )
+    modes = ("ce", "mice", "mice-precomp")
+    times = {mode: [] for mode in modes}
+    with no_grad():
+        fns = {mode: scoring_fn(bench_cfg, mode, batch=8, n=16, m=256, seed=0)
+               for mode in modes}
+        for _ in range(3):
+            for fn in fns.values():
+                fn()
+        for trial in range(10):
+            for mode in modes[trial % 3:] + modes[:trial % 3]:
+                t0 = time.perf_counter()
+                fns[mode]()
+                times[mode].append((time.perf_counter() - t0) * 1e3)
+    ms = {mode: statistics.median(t) for mode, t in times.items()}
+    wall_ok = ms["mice-precomp"] < ms["mice"] < ms["ce"]
     detail = (
         f"(analytic CE/precomp {ce_f / pc_f:.1f}x >= 4, CE/online {ce_f / mi_f:.1f}x >= 2; "
-        f"wall-clock ms: precomp {reports['mice-precomp'].latency_mean_ms:.1f} < "
-        f"online {reports['mice'].latency_mean_ms:.1f} < joint {reports['ce'].latency_mean_ms:.1f})"
+        f"median wall-clock ms: precomp {ms['mice-precomp']:.1f} < "
+        f"online {ms['mice']:.1f} < joint {ms['ce']:.1f})"
     )
     _report("C8 efficiency direction", analytic_ok and wall_ok, detail)
 

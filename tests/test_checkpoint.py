@@ -31,7 +31,14 @@ from micerank.checkpoint import (
 from micerank.cli import dispatch
 from micerank.masking import MaskStep
 from micerank.mice import MiceWeights, from_cross_encoder, init_mice_weights
-from micerank.transformer import ModelConfig, Weights, init_ce_weights, init_layer_weights
+from micerank.transformer import (
+    ModelConfig,
+    Weights,
+    init_ce_weights,
+    init_layer_weights,
+    score_pairs,
+    spec_for,
+)
 
 CONFIG = ModelConfig(
     layers=2, hidden=8, heads=2, ff=12, vocab_size=16, max_query=3, max_doc=4,
@@ -191,6 +198,27 @@ def test_save_writes_the_serialization(tmp_path, dtype):
         path = tmp_path / "m.bin"
         save_weights(path, weights, step=step)
         assert path.read_bytes() == serialize_weights(weights, step)
+
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_weights_stored_column_major_save_the_same_bytes(tmp_path, dtype):
+    """A forward re-lays the wide layer weights column-major; the
+    checkpoint bytes and the fingerprint do not see the layout."""
+    wide = ModelConfig(layers=2, hidden=256, heads=4, ff=1024, vocab_size=16,
+                       max_query=3, max_doc=4)
+    save_weights(tmp_path / "before.bin", init_ce_weights(wide, seed=3))
+    weights, _ = load_weights(tmp_path / "before.bin", dtype=dtype)
+    digest = weights.fingerprint()
+    score_pairs([([1, 2], [3, 4, 5]), ([6], [7, 8])], spec_for(MaskStep.BASELINE, wide), weights)
+    layer = weights.layers[0]
+    assert all(w.data.flags.f_contiguous and not w.data.flags.c_contiguous
+               for w in (layer.wq, layer.wk, layer.wv, layer.wo, layer.w1, layer.w2))
+    save_weights(tmp_path / "after.bin", weights)
+    before = (tmp_path / "before.bin").read_bytes()
+    assert (tmp_path / "after.bin").read_bytes() == before
+    assert weights_fingerprint(weights) == digest == hashlib.sha256(before).digest()
+    assert weights.fingerprint() == digest
 
 
 class _DiskFillsUp:

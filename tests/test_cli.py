@@ -57,6 +57,26 @@ def workspace(tmp_path_factory):
     return root
 
 
+
+@pytest.fixture(scope="module")
+def wide_mice(workspace):
+    """A mid-fusion model whose layer weights ``tensor.matmul`` stores
+    column-major (hidden 256, ff 1024), trained two steps, and its cache."""
+    data, out = workspace / "data", workspace / "wide"
+    assert dispatch([
+        "train", "--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "queries.jsonl"),
+        "--qrels", str(data / "qrels.tsv"), "--out-dir", str(out), "--variant", "mice",
+        "--k-inter", "2", "--steps", "2", "--batch-size", "4", "--warmup", "1",
+        "--validate-every", "2", "--layers", "3", "--hidden", "256", "--heads", "4",
+        "--ff", "1024", "--max-query", "6", "--max-doc", "16", "--ell-star", "1",
+    ]) == 0
+    assert dispatch([
+        "encode-docs", "--model", str(out / "model.bin"),
+        "--corpus", str(data / "corpus.jsonl"), "--out", str(out / "cache.bin"),
+    ]) == 0
+    return out
+
+
 class TestPipeline:
     def test_artifacts_exist(self, workspace):
         for rel in ["data/corpus.jsonl", "data/queries.jsonl", "data/qrels.tsv",
@@ -183,6 +203,33 @@ class TestPipeline:
         assert [line.rsplit(" ", 1)[0] for line in ablate] == [
             line.rsplit(" ", 1)[0] for line in rerank
         ]
+
+
+    @pytest.mark.parametrize("mode", ["mice", "mice-precomp"])
+    def test_threads_score_a_wide_model_as_one_thread_does(
+        self, workspace, wide_mice, tmp_path, monkeypatch, mode
+    ):
+        """Two threads share freshly loaded weights and race to the first
+        products that re-lay them; the scores keep every bit."""
+        data = workspace / "data"
+        written = {}
+        write = retrieval.write_trec_run
+
+        def record(path, rankings, tag="micerank"):
+            rankings = list(rankings)
+            written[Path(path).stem] = [(r.query_id, r.items) for r in rankings]
+            write(path, rankings, tag=tag)
+
+        monkeypatch.setattr(retrieval, "write_trec_run", record)
+        extra = ["--cache", str(wide_mice / "cache.bin")] if mode == "mice-precomp" else []
+        for name, threads in (("one", "1"), ("two", "2")):
+            assert dispatch([
+                "rerank", "--model", str(wide_mice / "model.bin"), "--mode", mode, *extra,
+                "--queries", str(data / "queries.jsonl"), "--corpus", str(data / "corpus.jsonl"),
+                "--candidates", str(workspace / "bm25.trec"), "--batch-size", "7",
+                "--threads", threads, "--out", str(tmp_path / f"{name}.trec"),
+            ]) == 0
+        assert written["one"] and written["two"] == written["one"]
 
 
 class TestModelLoader:

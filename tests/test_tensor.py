@@ -5,10 +5,11 @@ differences in float64, the independent oracle for every differentiable op.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from micerank import tensor
@@ -140,6 +141,101 @@ class TestStackedMatmul:
         gx = matmul(x, w).data.reshape(-1, 6) * 2.0
         expected = x.data.reshape(-1, 5).T @ gx + y.data.reshape(-1, 5).T @ np.full((12, 6), 0.5)
         np.testing.assert_allclose(w.grad, expected, rtol=1e-12)
+
+
+class TestColumnMajorWeights:
+    """A weight at least ``_WIDE`` wide in both dimensions is stored
+    column-major from its first product on, and 2 to ``_FEW_ROWS`` rows run
+    as the transposed GEMM; narrower weights are used as stored."""
+
+    SHAPES = [(128, 512), (384, 384), (384, 1536), (1536, 384)]
+    MAX_ROWS = tensor._FEW_ROWS + 3
+
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        shape=st.sampled_from(SHAPES),
+        lead=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+        t=st.integers(1, MAX_ROWS),
+        seed=st.integers(0, 2**16),
+    )
+    @example(dtype=np.float32, shape=(384, 1536), lead=(), t=1, seed=0)
+    @example(dtype=np.float32, shape=(384, 1536), lead=(1,), t=2, seed=0)
+    @example(dtype=np.float64, shape=(384, 384), lead=(2,), t=2, seed=1)
+    @example(dtype=np.float32, shape=(1536, 384), lead=(), t=tensor._FEW_ROWS, seed=2)
+    @example(dtype=np.float64, shape=(384, 1536), lead=(), t=tensor._FEW_ROWS + 1, seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_product_equals_the_row_major_one(self, dtype, shape, lead, t, seed):
+        rng = np.random.default_rng(seed)
+        d, f = shape
+        rows = math.prod(lead) * min(t, self.MAX_ROWS // math.prod(lead))
+        a = rng.standard_normal((rows, d)).astype(dtype)
+        row_major = rng.standard_normal(shape).astype(dtype)
+        w = Tensor(row_major.copy())
+        x = Tensor(a.reshape(lead + (-1, d)))
+        expected = np.matmul(a, row_major).reshape(x.shape[:-1] + (f,))
+        wide = min(shape) >= tensor._WIDE
+
+        tensor.track_allocations(True)
+        try:
+            out = matmul(x, w)
+            counted = tensor.allocated_bytes()
+        finally:
+            tensor.track_allocations(False)
+        assert counted == out.data.nbytes
+        assert out.data.base is None and out.data.flags.c_contiguous
+        assert out.shape == expected.shape and out.dtype == dtype
+
+        stored = w.data
+        assert stored.flags.f_contiguous == wide
+        assert stored.shape == shape and stored.dtype == dtype
+        assert np.array_equal(stored, row_major)
+        again = matmul(x, w)
+        assert w.data is stored  # re-laid at most once
+        assert again.data.tobytes() == out.data.tobytes()
+
+        if not wide or (min(shape) >= 384 and rows >= 4):
+            assert out.data.tobytes() == expected.tobytes()
+        else:  # one to three rows: the last bits may differ
+            tol = 64 * np.finfo(dtype).eps * np.abs(expected).max()
+            assert np.abs(out.data - expected).max() <= tol
+
+    @pytest.mark.parametrize("shape", [(384, 1536), (1536, 384), (256, 256)])
+    @pytest.mark.parametrize("lead", [(1, 1), (1, 3), (2, 5), (3, 50)])
+    def test_gradients_equal_the_row_major_ones(self, shape, lead, rng):
+        d, f = shape
+        a = Tensor(rng.standard_normal(lead + (d,)), requires_grad=True)
+        row_major = rng.standard_normal(shape)
+        w = Tensor(row_major.copy(), requires_grad=True)
+        g = rng.standard_normal(lead + (f,))
+        with tensor.no_grad():
+            matmul(a, w)
+        assert w.data.flags.f_contiguous
+        (matmul(a, w) * Tensor(g)).sum().backward()
+        flat_a, flat_g = a.data.reshape(-1, d), g.reshape(-1, f)
+        np.testing.assert_allclose(a.grad.reshape(-1, d), flat_g @ row_major.T,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w.grad, flat_a.T @ flat_g, rtol=0, atol=1e-12)
+
+    def test_two_threads_relay_a_shared_weight_once(self, rng):
+        row_major = rng.standard_normal((384, 384)).astype(np.float32)
+        w = Tensor(row_major.copy())
+        x = Tensor(rng.standard_normal((2, 7, 384)).astype(np.float32))
+        start = threading.Barrier(2)
+        results = []
+
+        def product():
+            start.wait()
+            results.append((matmul(x, w).data, w.data))
+
+        threads = [threading.Thread(target=product) for _ in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        (out1, w1), (out2, w2) = results
+        assert w1 is w2 is w.data and w.data.flags.f_contiguous
+        assert out1.tobytes() == out2.tobytes()
+        assert np.array_equal(w.data, row_major)
 
 
 class TestMaskedSoftmax:

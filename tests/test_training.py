@@ -19,7 +19,7 @@ from micerank import mice, retrieval, training
 from micerank.checkpoint import load_weights, weights_fingerprint
 from micerank.evalbench import evaluate_run, ranked
 from micerank.masking import Segment
-from micerank.tensor import NumericError, Tensor
+from micerank.tensor import NumericError, Tensor, matmul
 from micerank.training import (
     Adam,
     SynthData,
@@ -135,6 +135,25 @@ class TestAdam:
         data = np.array([0.0])
         adam_step(data, np.array([0.5]), np.zeros(1), np.zeros(1), t=1, lr=0.1)
         assert data[0] == pytest.approx(-0.1, rel=1e-6)
+
+
+    def test_step_updates_a_column_major_weight_in_place(self):
+        """A wide weight that ``matmul`` stored column-major keeps its array
+        through a step, and gets the update a row-major copy gets."""
+        rng = np.random.default_rng(4)
+        row_major = rng.standard_normal((256, 384))
+        w = Tensor(row_major.copy(), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 3, 256)))
+        (matmul(x, w) * matmul(x, w)).sum().backward()
+        stored = w.data
+        assert stored.flags.f_contiguous and not stored.flags.c_contiguous
+        reference = Tensor(row_major.copy(), requires_grad=True)
+        reference.grad = w.grad.copy()
+        for opt in (Adam([("w", w)]), Adam([("w", reference)])):
+            opt.step(0.01)
+        assert w.data is stored
+        assert np.array_equal(stored, reference.data)
+        assert not np.array_equal(stored, row_major)
 
 
 def _dataset_bytes(data: SynthData) -> bytes:

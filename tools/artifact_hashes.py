@@ -10,7 +10,11 @@ of a mid-fusion model initialised from it (``--init-from``) and of a fresh
 mid-fusion model; ``encode-docs``; ``rerank`` in ``ce``, ``mice`` and
 ``mice-precomp`` modes in f32, in f64 and with ``--batch-size 7 --threads
 2``; ``ablate --step 2``; and a ``sweep --finetune-steps 5`` from the
-cross-encoder, which cuts it into mid-fusion models. Each line of output is
+cross-encoder, which cuts it into mid-fusion models. A second, wide segment
+(hidden 256, ff 1024, under ``wide/``) trains a mid-fusion model for a few
+steps, encodes the corpus and reranks in ``mice`` and ``mice-precomp`` modes
+with the same three flag sets: its weights are wide enough for
+``tensor.matmul`` to store them column-major. Each line of output is
 ``sha256 name``.
 
 A refactor that must leave outputs byte-identical runs this once against
@@ -43,6 +47,12 @@ ARCH = ["--layers", "3", "--hidden", "16", "--heads", "2", "--ff", "24",
         "--max-query", "6", "--max-doc", "16"]
 TRAIN = ["--ell-star", "1", "--steps", "30", "--batch-size", "4", "--warmup", "3",
          "--validate-every", "10"]
+# The wide segment: both dimensions of every layer weight reach
+# ``tensor._WIDE``.
+ARCH_WIDE = ["--layers", "3", "--hidden", "256", "--heads", "4", "--ff", "1024",
+             "--max-query", "6", "--max-doc", "16"]
+TRAIN_WIDE = ["--ell-star", "1", "--steps", "6", "--batch-size", "4", "--warmup", "2",
+              "--validate-every", "3"]
 RERANK_RUNS = {"f32": [], "f64": ["--precision", "f64"],
                "b7t2": ["--batch-size", "7", "--threads", "2"]}
 
@@ -110,6 +120,16 @@ def build(work: Path) -> None:
         "--out", work / "ablate-step2.trec")
     run("sweep", "--model", ce / "model.bin", "--corpus", corpus, "--queries", queries,
         "--qrels", qrels, "--finetune-steps", 5, "--out", work / "sweep.csv")
+
+    wide = work / "wide"
+    run("train", "--corpus", corpus, "--queries", queries, "--qrels", qrels, *TRAIN_WIDE,
+        *ARCH_WIDE, "--out-dir", wide, "--variant", "mice", "--k-inter", 2)
+    run("encode-docs", "--model", wide / "model.bin", "--corpus", corpus,
+        "--out", wide / "cache.bin")
+    for mode, extra in (("mice", []), ("mice-precomp", ["--cache", wide / "cache.bin"])):
+        for name, flags in RERANK_RUNS.items():
+            run("rerank", "--model", wide / "model.bin", "--mode", mode, *inputs, *extra,
+                *flags, "--out", wide / f"rerank-{mode}-{name}.trec")
 
 
 def main() -> None:
