@@ -210,7 +210,7 @@ _CUT_FLAGS = {"split_depth": "--ell-star", "interaction_layers": "--k-inter"}
 
 def _cmd_train(args) -> int:
     if args.config:
-        cfg = training.parse_config_text(Path(args.config).read_text())
+        cfg = training.parse_config_text(Path(args.config).read_text(), args.config)
     else:
         cfg = training.TrainConfig()
     cfg = dataclasses.replace(cfg, **{

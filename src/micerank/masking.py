@@ -33,8 +33,9 @@ Separators attend strictly to themselves from step 0 on (including across
 SEP1<->SEP2), which makes the step-3 masks literally block-diagonal over
 {CLS, Q, SEP1} x {D, SEP2} and the sinks static value reservoirs.
 
-Masks are cached per (n, m, step, layer regime) and returned read-only, so
-they are safe to share across threads.
+Every mask (joint, stream or interaction) is built by ``_mask`` and kept in
+its one bounded cache, which has room for every mask at the MiniLM point.
+Masks are returned read-only, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -185,29 +186,29 @@ def allowed_sources(
     return _RULES[step, step is MaskStep.STEP3 and layer_index <= split_depth][target]
 
 
-def _expand(step: MaskStep, severed: bool, rows: np.ndarray, cols: np.ndarray) -> AttentionMask:
-    """Read-only position-level mask; ``rows`` and ``cols`` are segment codes."""
+# Room for every mask of the MiniLM operating point (max_query 16, max_doc
+# 64): joint masks in two layer regimes, interaction masks, stream masks.
+_MASK_CACHE_SIZE = 16 * 64 * 3 + 16 + 64
+
+
+@functools.lru_cache(maxsize=_MASK_CACHE_SIZE)
+def _mask(step: MaskStep, severed: bool, row_streams: tuple, col_streams: tuple) -> AttentionMask:
+    """Read-only position-level mask under the ``(step, severed)`` rules.
+    Rows and columns each cover a sequence of streams, given as ``(body,
+    length)`` pairs in order (see :func:`_stream_codes`)."""
+    rows = np.concatenate([_stream_codes(length, body) for body, length in row_streams])
+    cols = np.concatenate([_stream_codes(length, body) for body, length in col_streams])
     allow = _TABLES[step, severed][rows[:, None], cols[None, :]]
     allow.setflags(write=False)
     return AttentionMask(allow)
-
-
-# Room for every mask of the MiniLM operating point (max_query 16, max_doc
-# 64) in both layer regimes.
-_MASK_CACHE_SIZE = 16 * 64 * 2
 
 
 def build_mask(layout: SegmentLayout, spec: MaskSpec, layer_index: int) -> AttentionMask:
     """Expand the segment-level rules of ``spec`` to position granularity."""
     if spec.total_layers and not 1 <= layer_index <= spec.total_layers:
         raise ValueError(f"layer index {layer_index} outside 1..{spec.total_layers}")
-    return _joint_mask(layout, spec.step, spec.severed(layer_index))
-
-
-@functools.lru_cache(maxsize=_MASK_CACHE_SIZE)
-def _joint_mask(layout: SegmentLayout, step: MaskStep, severed: bool) -> AttentionMask:
-    seg = layout.segments()
-    return _expand(step, severed, seg, seg)
+    pair = ((Segment.Q, layout.query_len), (Segment.D, layout.doc_len))
+    return _mask(spec.step, spec.severed(layer_index), pair, pair)
 
 
 # --------------------------------------------------------------------------
@@ -225,22 +226,18 @@ def _stream_codes(length: int, body: Segment) -> np.ndarray:
     return np.array([*[Segment.D] * length, Segment.SEP2], dtype=np.int8)
 
 
-@functools.lru_cache(maxsize=_MASK_CACHE_SIZE)
-def _stream_mask(length: int, body: Segment) -> AttentionMask:
-    seg = _stream_codes(length, body)
-    return _expand(MaskStep.STEP3, True, seg, seg)
-
-
 def query_stream_mask(query_len: int) -> AttentionMask:
     """Intra-stream mask over ``[CLS, Q x n, SEP1]``: CLS reads the stream,
     query tokens read each other and their sink, SEP1 only itself."""
-    return _stream_mask(query_len, Segment.Q)
+    stream = ((Segment.Q, query_len),)
+    return _mask(MaskStep.STEP3, True, stream, stream)
 
 
 def doc_stream_mask(doc_len: int) -> AttentionMask:
     """Intra-stream mask over ``[D x m, SEP2]``: document tokens read each
     other and their sink, SEP2 only itself."""
-    return _stream_mask(doc_len, Segment.D)
+    stream = ((Segment.D, doc_len),)
+    return _mask(MaskStep.STEP3, True, stream, stream)
 
 
 def interaction_mask(query_len: int, doc_len: int) -> AttentionMask:
@@ -251,11 +248,5 @@ def interaction_mask(query_len: int, doc_len: int) -> AttentionMask:
     tokens read themselves, their sink and the document tokens; CLS and SEP1
     never read the document side, and nobody reads SEP2.
     """
-    return _interaction_mask(query_len, doc_len)
-
-
-@functools.lru_cache(maxsize=_MASK_CACHE_SIZE)
-def _interaction_mask(query_len: int, doc_len: int) -> AttentionMask:
-    rows = _stream_codes(query_len, Segment.Q)
-    cols = np.concatenate([rows, _stream_codes(doc_len, Segment.D)])
-    return _expand(MaskStep.STEP3, False, rows, cols)  # post-split rules
+    query = (Segment.Q, query_len)
+    return _mask(MaskStep.STEP3, False, (query,), (query, (Segment.D, doc_len)))  # post-split

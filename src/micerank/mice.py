@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .masking import Segment, doc_stream_mask, interaction_mask, query_stream_mask
-from .tensor import Tensor, check_finite, gather_rows
+from .tensor import Tensor, gather_rows
 from .transformer import (
     LayerWeights,
     ModelConfig,
@@ -289,8 +289,7 @@ def mice_score_batch(
     docs = [doc.states for _, doc in items]
     doc_states = Tensor(stack_padded(docs, 0, q_states.dtype))
     q_states = _run_interactions(q_states, doc_states, q_lengths, [len(s) for s in docs], weights)
-    scores = check_finite(score_from_cls(q_states, weights), "relevance score")
-    return scores.data.copy()
+    return score_from_cls(q_states, weights).data.copy()
 
 
 def mice_train_scores(
@@ -301,4 +300,4 @@ def mice_train_scores(
     q_states, q_lengths = _query_batch([q for q, _ in pairs], weights)
     d_states, d_lengths = _stream_batch([d for _, d in pairs], Segment.D, weights)
     q_states = _run_interactions(q_states, d_states, q_lengths, d_lengths, weights)
-    return check_finite(score_from_cls(q_states, weights), "relevance score")
+    return score_from_cls(q_states, weights)

@@ -6,7 +6,9 @@ inputs; mixing the two float dtypes in one op is an error so precision bugs
 surface immediately.
 
 Each op links its result tensor to its parents together with a closure that
-routes the upstream gradient, forming one graph per forward pass.
+routes the upstream gradient, forming one graph per forward pass. The link
+is made only when a parent requires a gradient, so the closure of a
+one-parent op never tests its parent.
 ``Tensor.backward()`` walks that graph in reverse topological order and
 accumulates ``grad`` buffers on every ancestor that requires a gradient.
 Tensors are immutable after forward construction except for gradient
@@ -327,8 +329,7 @@ def _mul(a: Tensor, b: Tensor) -> Tensor:
 
 def _neg(x: Tensor) -> Tensor:
     def backward_fn(out):
-        if x.requires_grad:
-            _accumulate(x, -out.grad)
+        _accumulate(x, -out.grad)
 
     return _make(-x.data, (x,), backward_fn)
 
@@ -462,8 +463,7 @@ def _reshape(x: Tensor, shape: tuple) -> Tensor:
         raise ShapeError(f"reshape: {exc}") from None
 
     def backward_fn(out):
-        if x.requires_grad:
-            _accumulate(x, out.grad.reshape(x.data.shape))
+        _accumulate(x, out.grad.reshape(x.data.shape))
 
     return _make(data, (x,), backward_fn)
 
@@ -473,8 +473,7 @@ def _transpose(x: Tensor, axes: tuple) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def backward_fn(out):
-        if x.requires_grad:
-            _accumulate(x, np.transpose(out.grad, inverse))
+        _accumulate(x, np.transpose(out.grad, inverse))
 
     return _make(data, (x,), backward_fn)
 
@@ -513,10 +512,9 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     data = table.data[ids]
 
     def backward_fn(out):
-        if table.requires_grad:
-            g = np.zeros_like(table.data)
-            np.add.at(g, ids, out.grad)
-            _accumulate(table, g)
+        g = np.zeros_like(table.data)
+        np.add.at(g, ids, out.grad)
+        _accumulate(table, g)
 
     return _make(data, (table,), backward_fn)
 
@@ -530,10 +528,9 @@ def select(x: Tensor, index: int | slice, axis: int) -> Tensor:
     data = x.data[sl].copy()
 
     def backward_fn(out):
-        if x.requires_grad:
-            g = np.zeros_like(x.data)
-            g[sl] = out.grad
-            _accumulate(x, g)
+        g = np.zeros_like(x.data)
+        g[sl] = out.grad
+        _accumulate(x, g)
 
     return _make(data, (x,), backward_fn)
 
@@ -542,8 +539,6 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
 
     def backward_fn(out):
-        if not x.requires_grad:
-            return
         g = out.grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
@@ -591,10 +586,9 @@ def masked_softmax(logits: Tensor, allow) -> Tensor:
     probs /= probs.sum(axis=-1, keepdims=True)
 
     def backward_fn(out):
-        if logits.requires_grad:
-            g = out.grad
-            inner = (g * probs).sum(axis=-1, keepdims=True)
-            _accumulate(logits, probs * (g - inner))
+        g = out.grad
+        inner = (g * probs).sum(axis=-1, keepdims=True)
+        _accumulate(logits, probs * (g - inner))
 
     return _make(probs, (logits,), backward_fn)
 
@@ -611,10 +605,9 @@ def gelu(x: Tensor) -> Tensor:
     data = 0.5 * x.data * (1.0 + t)
 
     def backward_fn(out):
-        if x.requires_grad:
-            du = _GELU_C * (1.0 + 3.0 * _GELU_A * sq)
-            local = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
-            _accumulate(x, out.grad * local)
+        du = _GELU_C * (1.0 + 3.0 * _GELU_A * sq)
+        local = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
+        _accumulate(x, out.grad * local)
 
     return _make(data, (x,), backward_fn)
 

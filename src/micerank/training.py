@@ -62,9 +62,7 @@ __all__ = [
     "finetune_mice",
     "layer_drop_sweep",
     "write_sweep_csv",
-    "read_sweep_csv",
     "parse_config_text",
-    "format_config",
 ]
 
 log = logging.getLogger(__name__)
@@ -107,6 +105,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.steps > 0 and not self.warmup_steps < self.steps:
             raise ValueError("warmup_steps must be smaller than steps")
+        if not (self.lr_peak > 0 and np.isfinite(self.lr_peak)):
+            raise ValueError(f"lr_peak must be positive and finite, got {self.lr_peak}")
 
     @property
     def dtype(self):
@@ -125,27 +125,34 @@ class TrainConfig:
         return ModelConfig(vocab_size=vocab_size, **arch)
 
 
-def parse_config_text(text: str) -> TrainConfig:
-    """Parse a flat ``key = value`` config file (# starts a comment)."""
+def parse_config_text(text: str, source: str = "<config>") -> TrainConfig:
+    """Parse a flat ``key = value`` config file (# starts a comment), in
+    which each key appears once. Errors name ``source:line`` and the key."""
     types = {f.name: f.type for f in fields(TrainConfig)}
     casts = {"int": int, "float": float, "str": str}
-    values: dict = {}
+    values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        where = f"{source}:{lineno}"
         if not sep or not key or not value:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{where}: expected 'key = value', got {raw!r}")
         if key not in types:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = casts[types[key]](value)
-    return TrainConfig(**values)
-
-
-def format_config(cfg: TrainConfig) -> str:
-    return "".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in fields(TrainConfig))
+            raise ValueError(f"{where}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(f"{where}: repeated key {key!r} (first on line {first_line[key]})")
+        try:
+            values[key] = casts[types[key]](value)
+        except ValueError:
+            raise ValueError(f"{where}: {key} expects {types[key]}, got {value!r}") from None
+        first_line[key] = lineno
+    try:
+        return TrainConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -579,15 +586,3 @@ def write_sweep_csv(path, rows: Sequence[tuple[int, float]]) -> None:
         writer.writerow(["k_inter", "rr10"])
         for k, metric in rows:
             writer.writerow([k, f"{metric:.6f}"])
-
-
-def read_sweep_csv(path) -> list[tuple[int, float]]:
-    rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if len(header) != 2 or header[0] != "k_inter":
-            raise ValueError(f"{path} is not a sweep table")
-        for record in reader:
-            rows.append((int(record[0]), float(record[1])))
-    return rows

@@ -57,14 +57,12 @@ __all__ = [
     "ModelConfig",
     "LayerWeights",
     "Weights",
-    "init_layer_weights",
     "init_ce_weights",
     "encoder_layer",
     "live_allows",
     "score_pairs",
     "cross_encoder_forward",
     "joint_states",
-    "pair_positions",
 ]
 
 # Reserved token ids; word ids start at FIRST_WORD_ID. A single SEP id serves
@@ -243,11 +241,6 @@ def _initializer(config: ModelConfig, rng: np.random.Generator, dtype) -> Callab
     return init
 
 
-def init_layer_weights(config: ModelConfig, rng: np.random.Generator, dtype) -> LayerWeights:
-    init = _initializer(config, rng, dtype)
-    return LayerWeights(**{name: init(name) for name in LayerWeights.FIELDS})
-
-
 def init_ce_weights(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Weights:
     """Fresh randomly-initialized cross-encoder parameters."""
     return Weights.assemble(config, _initializer(config, np.random.default_rng(seed), dtype))
@@ -381,23 +374,6 @@ def frame_stream(
     return tokens, list(range(first, first + len(tokens)))
 
 
-def truncate_pair(q_ids: Sequence[int], d_ids: Sequence[int], config: ModelConfig):
-    """The query and document tokens a pair keeps after head truncation;
-    empty inputs are rejected."""
-    q, _ = frame_stream(q_ids, Segment.Q, config)
-    d, _ = frame_stream(d_ids, Segment.D, config)
-    return q[1:-1], d[:-1]
-
-
-def pair_positions(n: int, m: int, config: ModelConfig) -> list[int]:
-    """Position ids for [CLS, q*n, SEP1, d*m, SEP2]: the query stream's
-    followed by the document stream's, so document positions are anchored at
-    max_query + 2 and do not depend on the query length."""
-    _, q_pos = frame_stream([PAD_ID] * n, Segment.Q, config)
-    _, d_pos = frame_stream([PAD_ID] * m, Segment.D, config)
-    return q_pos + d_pos
-
-
 def stack_padded(rows: Sequence, fill, dtype) -> np.ndarray:
     """Stack ragged rows into one [B, s_max, ...] array, ``fill`` after each."""
     out = np.full((len(rows), max(map(len, rows)), *np.shape(rows[0])[1:]), fill, dtype=dtype)
@@ -484,10 +460,11 @@ def _pair_states(
 
 
 def score_from_cls(states: Tensor, weights) -> Tensor:
-    """Read the relevance score off the CLS row: ``w_cls . state + b_cls``."""
+    """Read the relevance score off the CLS row: ``w_cls . state + b_cls``.
+    Raises :class:`.tensor.NumericError` if a score is NaN or Inf."""
     cls = select(states, 0, axis=1)  # [B, d]
     scores = matmul(cls, weights.score_w) + weights.score_b
-    return scores.reshape((cls.shape[0],))
+    return check_finite(scores.reshape((cls.shape[0],)), "relevance score")
 
 
 def score_pairs(
@@ -501,8 +478,7 @@ def score_pairs(
     ``depth`` limits the stack to the first layers (default: all of them);
     the classification head is applied to whatever layer the run stops at.
     """
-    states = _pair_states(pairs, spec, weights, depth, live=True)
-    return check_finite(score_from_cls(states, weights), "relevance score")
+    return score_from_cls(_pair_states(pairs, spec, weights, depth, live=True), weights)
 
 
 def cross_encoder_forward(

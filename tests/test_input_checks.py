@@ -406,3 +406,55 @@ def test_sweep_without_fine_tuning_scores_qrels_of_held_out_queries_only(ws, tmp
                      "--k-min", "1", "--k-max", "2", "--finetune-steps", "0",
                      "--out", str(out)]) == 0
     assert [row.split(",")[0] for row in out.read_text().splitlines()] == ["k_inter", "2", "1"]
+
+
+class TestTrainLearningRate:
+    """A learning rate that is not positive and finite is refused before
+    anything is trained or written, naming ``lr_peak``: a negative one trains
+    uphill and exits 0, and NaN fails only later, as a non-finite score."""
+
+    def train(self, ws, tmp_path, *flags):
+        return dispatch(["train", *inputs(ws, "corpus", "queries", "qrels"),
+                         "--out-dir", str(tmp_path / "out"), *ARCH, *SHORT, *flags])
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_flag_is_data_error(self, ws, tmp_path, capsys, value):
+        assert self.train(ws, tmp_path, "--lr", value) == 2
+        assert f"lr_peak must be positive and finite, got {float(value)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_value_is_data_error(self, ws, tmp_path, capsys):
+        config = tmp_path / "train.cfg"
+        config.write_text("lr_peak = nan\n")
+        assert self.train(ws, tmp_path, "--config", str(config)) == 2
+        assert f"{config}: lr_peak must be positive and finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestTrainConfigFile:
+    """An error in a ``--config`` file names the file, the line and the key."""
+
+    def train(self, ws, tmp_path, text):
+        config = tmp_path / "train.cfg"
+        config.write_text(text)
+        code = dispatch(["train", *inputs(ws, "corpus", "queries", "qrels"), "--out-dir",
+                         str(tmp_path / "out"), "--config", str(config), *ARCH, *SHORT])
+        return code, config
+
+    def test_value_of_the_wrong_type_is_data_error(self, ws, tmp_path, capsys):
+        code, config = self.train(ws, tmp_path, "# desk run\nsteps = abc\n")
+        assert code == 2
+        assert f"{config}:2: steps expects int, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_key_is_data_error(self, ws, tmp_path, capsys):
+        """The last line would silently win over the first."""
+        code, config = self.train(ws, tmp_path, "seed = 1\nsteps = 5\n\nseed = 2\n")
+        assert code == 2
+        assert f"{config}:4: repeated key 'seed' (first on line 1)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_key_names_file_and_line(self, ws, tmp_path, capsys):
+        code, config = self.train(ws, tmp_path, "steps = 5\nlearning_rate = 0.1\n")
+        assert code == 2
+        assert f"{config}:2: unknown config key 'learning_rate'" in capsys.readouterr().err

@@ -28,10 +28,8 @@ from micerank.transformer import (
     joint_states,
     pad_allow,
     pad_frames,
-    pair_positions,
     score_pairs,
     spec_for,
-    truncate_pair,
 )
 
 CFG = ModelConfig(
@@ -71,9 +69,7 @@ def test_pair_is_query_stream_then_document_stream(pairs, step):
         qc, dc = q[: CFG.max_query], d[: CFG.max_doc]
         n, m = len(qc), len(dc)
         assert q_tokens + d_tokens == [CLS_ID, *qc, SEP_ID, *dc, SEP_ID]
-        assert q_pos + d_pos == pair_positions(n, m, CFG)
         assert q_pos + d_pos == [*range(n + 2), *range(CFG.max_query + 2, CFG.max_query + 3 + m)]
-        assert truncate_pair(q, d, CFG) == (qc, dc)
         frames.append((q_tokens + d_tokens, q_pos + d_pos))
         layouts.append(SegmentLayout(n, m))
 

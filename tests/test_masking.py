@@ -234,7 +234,38 @@ class TestCachingAndStreams:
             a.allow[0, 0] = False
 
     def test_every_mask_cache_is_bounded(self):
+        """One bounded cache holds every kind of mask, with room for all of
+        them at the MiniLM point (max_query 16, max_doc 64): joint masks in
+        two layer regimes, interaction masks and stream masks."""
         caches = {name: f for name, f in vars(masking).items() if hasattr(f, "cache_info")}
-        assert len(caches) >= 3, sorted(caches)  # joint, stream and interaction masks
-        for name, cache in caches.items():
-            assert cache.cache_info().maxsize is not None, name
+        assert list(caches) == ["_mask"]
+        assert caches["_mask"].cache_info().maxsize >= 2 * 16 * 64 + 16 * 64 + 16 + 64
+
+
+@given(n=st.integers(1, 16), m=st.integers(1, 64), step=st.sampled_from(STEPS_IN_ORDER),
+       order=st.permutations(range(7)))
+@settings(max_examples=40, deadline=None)
+def test_one_mask_cache_never_confuses_kinds(n, m, step, order):
+    """Joint, stream and interaction masks share one cache. Built in any
+    order, and with a query and a document stream of the same length among
+    them, each equals its part of the oracle's joint mask: the stream masks
+    the diagonal blocks of the severed one, the interaction mask the query
+    rows of the post-split one."""
+    layout = SegmentLayout(n, m)
+    severed = oracle_matrix(layout, MaskStep.STEP3, True)
+    post_split = oracle_matrix(layout, MaskStep.STEP3, False)
+    square = oracle_matrix(SegmentLayout(n, n), MaskStep.STEP3, True)
+    spec = MaskSpec(MaskStep.STEP3, split_depth=1, total_layers=2)
+    cases = [
+        (lambda: build_mask(layout, spec, 1), severed),
+        (lambda: build_mask(layout, spec, 2), post_split),
+        (lambda: build_mask(layout, MaskSpec(step, split_depth=1), 2),
+         oracle_matrix(layout, step, False)),
+        (lambda: query_stream_mask(n), severed[: n + 2, : n + 2]),
+        (lambda: doc_stream_mask(m), severed[n + 2 :, n + 2 :]),
+        (lambda: doc_stream_mask(n), square[n + 2 :, n + 2 :]),
+        (lambda: interaction_mask(n, m), post_split[: n + 2]),
+    ]
+    for i in order:
+        build, expected = cases[i]
+        np.testing.assert_array_equal(build().allow, expected, err_msg=str(i))

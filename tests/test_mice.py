@@ -24,10 +24,12 @@ from micerank.mice import (
     mice_score_batch,
     mice_train_scores,
 )
+from micerank.tensor import NumericError
 from micerank.transformer import (
     ModelConfig,
     cross_encoder_forward,
     init_ce_weights,
+    score_pairs,
 )
 
 from conftest import assert_grads_close, fd_gradient
@@ -319,6 +321,25 @@ class TestMiceForward:
         doc = DocState(doc_id="x", states=np.zeros((4, 8)), m=3)
         with pytest.raises(ConsistencyError):
             mice_forward([5], doc, mw)
+
+
+@pytest.mark.parametrize("scorer", ["score_pairs", "mice_score_batch", "mice_train_scores"])
+def test_nan_score_is_numeric_error(scorer, rng):
+    """Every batched scorer reads its scores through ``score_from_cls``,
+    which refuses a score that is not finite."""
+    ce = make_ce(layers=3, split=1)
+    mw = from_cross_encoder(ce, 1, 2)
+    pairs = [random_pair(rng, ce.config) for _ in range(3)]
+    run = {
+        "score_pairs": lambda: score_pairs(pairs, step3_spec(ce.config), ce),
+        "mice_score_batch": lambda: mice_score_batch(
+            [(q, encode_document(d, mw)) for q, d in pairs], mw),
+        "mice_train_scores": lambda: mice_train_scores(pairs, mw),
+    }[scorer]
+    ce.score_b.data[:] = np.nan
+    mw.score_b.data[:] = np.nan
+    with pytest.raises(NumericError, match="non-finite relevance score"):
+        run()
 
 
 class TestWeightSurgery:

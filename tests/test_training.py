@@ -5,6 +5,8 @@ Long-horizon learning (RR thresholds) lives in the acceptance suite; the
 runs here are kept to a few dozen steps.
 """
 
+import csv
+import dataclasses
 import io
 import json
 import os
@@ -26,12 +28,10 @@ from micerank.training import (
     TrainConfig,
     adam_step,
     finetune_mice,
-    format_config,
     layer_drop_sweep,
     lr_schedule,
     margin_mse,
     parse_config_text,
-    read_sweep_csv,
     split_queries,
     synth_corpus,
     teacher_margin_score,
@@ -230,7 +230,8 @@ class TestSynthCorpus:
 class TestConfigFile:
     def test_round_trip(self):
         cfg = TrainConfig(steps=77, warmup_steps=11, lr_peak=5e-4, variant="step2", hidden=48)
-        assert parse_config_text(format_config(cfg)) == cfg
+        text = "".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in dataclasses.fields(cfg))
+        assert parse_config_text(text) == cfg
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config_text("# a comment\n\nsteps = 7\nwarmup_steps = 2 # inline\n")
@@ -524,13 +525,9 @@ class TestSweep:
         rows = layer_drop_sweep(weights, 2, [1, 2], data, finetune_steps=0)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, rows)
-        back = read_sweep_csv(path)
-        assert [k for k, _ in back] == [k for k, _ in rows]
+        with open(path, newline="") as f:
+            header, *back = csv.reader(f)
+        assert header == ["k_inter", "rr10"]
+        assert [int(k) for k, _ in back] == [k for k, _ in rows]
         for (_, a), (_, b) in zip(rows, back):
-            assert b == pytest.approx(a, abs=1e-6)
-
-    def test_bad_csv_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("foo,bar\n1,2\n")
-        with pytest.raises(ValueError):
-            read_sweep_csv(path)
+            assert float(b) == pytest.approx(a, abs=1e-6)

@@ -15,7 +15,7 @@ from micerank.checkpoint import (
     serialize_weights,
     weights_fingerprint,
 )
-from micerank.masking import MaskSpec, MaskStep
+from micerank.masking import MaskSpec, MaskStep, Segment
 from micerank.tensor import Tensor
 from micerank.transformer import (
     CLS_ID,
@@ -25,11 +25,10 @@ from micerank.transformer import (
     cross_encoder_forward,
     embed,
     encoder_layer,
+    frame_stream,
     init_ce_weights,
     joint_states,
-    pair_positions,
     score_pairs,
-    truncate_pair,
 )
 
 from conftest import assert_grads_close, fd_gradient
@@ -80,10 +79,12 @@ def ref_softmax(x):
 
 
 def reference_unmasked_forward(q_ids, d_ids, weights):
-    """Plain-numpy unmasked cross-encoder, written independently."""
+    """Plain-numpy unmasked cross-encoder, written independently. Query
+    positions count from 0; document positions from ``max_query + 2``."""
     cfg = weights.config
+    n, m = len(q_ids), len(d_ids)
     ids = [CLS_ID, *q_ids, SEP_ID, *d_ids, SEP_ID]
-    pos = pair_positions(len(q_ids), len(d_ids), cfg)
+    pos = [*range(n + 2), *range(cfg.max_query + 2, cfg.max_query + m + 3)]
     x = weights.token_emb.data[ids] + weights.pos_emb.data[pos]
     h = cfg.heads
     dh = cfg.hidden // h
@@ -219,13 +220,14 @@ class TestCrossEncoderForward:
         assert full == clipped
 
     def test_truncation_never_empties_query(self, config):
-        q, d = truncate_pair([5, 6, 7], [8] * 99, config)
-        assert q == [5, 6, 7]
-        assert len(d) == config.max_doc
-        with pytest.raises(ValueError):
-            truncate_pair([], [8], config)
-        with pytest.raises(ValueError):
-            truncate_pair([5], [], config)
+        q, _ = frame_stream([5, 6, 7], Segment.Q, config)
+        d, _ = frame_stream([8] * 99, Segment.D, config)
+        assert q == [CLS_ID, 5, 6, 7, SEP_ID]
+        assert d == [8] * config.max_doc + [SEP_ID]
+        with pytest.raises(ValueError, match="query must hold at least one token"):
+            frame_stream([], Segment.Q, config)
+        with pytest.raises(ValueError, match="document must hold at least one token"):
+            frame_stream([], Segment.D, config)
 
     def test_depth_validation(self, weights):
         with pytest.raises(ValueError):
