@@ -171,10 +171,10 @@ def _load_model(args, dtype):
     return weights, step, corpus, vocab
 
 
-def _load_data(corpus_path, queries_path, qrels_path=None) -> training.SynthData:
+def _load_data(corpus_path, queries_path, qrels_path) -> training.SynthData:
     corpus = retrieval.read_jsonl(corpus_path)
     queries = retrieval.read_jsonl(queries_path)
-    qrels = retrieval.read_qrels(qrels_path) if qrels_path else {}
+    qrels = retrieval.read_qrels(qrels_path)
     return training.SynthData(corpus=corpus, queries=queries, qrels=qrels)
 
 
@@ -209,26 +209,21 @@ _CUT_FLAGS = {"split_depth": "--ell-star", "interaction_layers": "--k-inter"}
 
 
 def _cmd_train(args) -> int:
-    if args.config:
-        cfg = training.parse_config_text(Path(args.config).read_text(), args.config)
-    else:
-        cfg = training.TrainConfig()
-    cfg = dataclasses.replace(cfg, **{
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(training.TrainConfig)
-        if getattr(args, f.name, None) is not None
-    })
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(training.TrainConfig)
+             if getattr(args, f.name) is not None}
+    text = Path(args.config).read_text() if args.config else ""
+    cfg = training.parse_config_text(text, args.config, given)
     init = None
     if args.init_from:
         init, _ = checkpoint.load_weights(args.init_from, dtype=cfg.dtype)
         cut = cfg.variant == "mice" and not isinstance(init, mice.MiceWeights)
         for name, flag in (_ARCH_FLAGS if cut else {**_ARCH_FLAGS, **_CUT_FLAGS}).items():
-            if getattr(args, name) is not None:
+            if name in given:
                 raise ValueError(f"train --init-from does not read {flag}: the checkpoint "
                                  "fixes it")
         if cut:
             init = mice.from_cross_encoder(init, cfg.split_depth, cfg.interaction_layers)
-    elif cfg.variant != "mice" and args.interaction_layers is not None:
+    elif cfg.variant != "mice" and "interaction_layers" in given:
         raise ValueError(f"train --variant {cfg.variant} does not read --k-inter: "
                          "a cross-encoder has no interaction layers")
     data = _load_data(args.corpus, args.queries, args.qrels)

@@ -146,12 +146,7 @@ class DocStateCache:
         states = np.frombuffer(self._mm, dtype="<f4", count=count, offset=offset)
         states = states.reshape(m + 1, self.header.hidden).copy()
         states.setflags(write=False)
-        return DocState(
-            doc_id=doc_id,
-            states=states,
-            m=m,
-            checkpoint_hash=self.header.checkpoint_hash,
-        )
+        return DocState(doc_id=doc_id, states=states, checkpoint_hash=self.header.checkpoint_hash)
 
     def close(self) -> None:
         self._mm.close()

@@ -104,11 +104,13 @@ _RULES = {
     (MaskStep.STEP3, False): _STEP2,
     (MaskStep.STEP3, True): {**_STEP2, Segment.Q: frozenset({Segment.Q, Segment.SEP1})},
 }
-# The same rules as boolean [target, source] tables over segment codes.
+# The same rules as boolean [target, source] tables over segment codes, keyed
+# by plain values, as ``_mask``'s cache key is: those hash in C.
 _TABLES = {
-    key: np.array([[source in rule[target] for source in Segment] for target in Segment])
-    for key, rule in _RULES.items()
+    (step.value, severed): np.array([[src in rule[tgt] for src in Segment] for tgt in Segment])
+    for (step, severed), rule in _RULES.items()
 }
+_Q, _D, _STEP3 = int(Segment.Q), int(Segment.D), MaskStep.STEP3.value
 
 
 @dataclass(frozen=True)
@@ -192,10 +194,10 @@ _MASK_CACHE_SIZE = 16 * 64 * 3 + 16 + 64
 
 
 @functools.lru_cache(maxsize=_MASK_CACHE_SIZE)
-def _mask(step: MaskStep, severed: bool, row_streams: tuple, col_streams: tuple) -> AttentionMask:
-    """Read-only position-level mask under the ``(step, severed)`` rules.
-    Rows and columns each cover a sequence of streams, given as ``(body,
-    length)`` pairs in order (see :func:`_stream_codes`)."""
+def _mask(step: str, severed: bool, row_streams: tuple, col_streams: tuple) -> AttentionMask:
+    """Read-only position-level mask under the ``(step value, severed)``
+    rules. Rows and columns each cover a sequence of streams, given as
+    ``(segment code, length)`` int pairs in order (see :func:`_stream_codes`)."""
     rows = np.concatenate([_stream_codes(length, body) for body, length in row_streams])
     cols = np.concatenate([_stream_codes(length, body) for body, length in col_streams])
     allow = _TABLES[step, severed][rows[:, None], cols[None, :]]
@@ -207,8 +209,8 @@ def build_mask(layout: SegmentLayout, spec: MaskSpec, layer_index: int) -> Atten
     """Expand the segment-level rules of ``spec`` to position granularity."""
     if spec.total_layers and not 1 <= layer_index <= spec.total_layers:
         raise ValueError(f"layer index {layer_index} outside 1..{spec.total_layers}")
-    pair = ((Segment.Q, layout.query_len), (Segment.D, layout.doc_len))
-    return _mask(spec.step, spec.severed(layer_index), pair, pair)
+    pair = ((_Q, layout.query_len), (_D, layout.doc_len))
+    return _mask(spec.step.value, spec.severed(layer_index), pair, pair)
 
 
 # --------------------------------------------------------------------------
@@ -218,10 +220,10 @@ def build_mask(layout: SegmentLayout, spec: MaskSpec, layer_index: int) -> Atten
 # --------------------------------------------------------------------------
 
 
-def _stream_codes(length: int, body: Segment) -> np.ndarray:
+def _stream_codes(length: int, body: int) -> np.ndarray:
     """Segment codes of the query stream ``[CLS, Q x n, SEP1]`` (``body`` Q)
     or of the document stream ``[D x m, SEP2]`` (``body`` D)."""
-    if body is Segment.Q:
+    if body == Segment.Q:
         return np.array([Segment.CLS, *[Segment.Q] * length, Segment.SEP1], dtype=np.int8)
     return np.array([*[Segment.D] * length, Segment.SEP2], dtype=np.int8)
 
@@ -229,15 +231,15 @@ def _stream_codes(length: int, body: Segment) -> np.ndarray:
 def query_stream_mask(query_len: int) -> AttentionMask:
     """Intra-stream mask over ``[CLS, Q x n, SEP1]``: CLS reads the stream,
     query tokens read each other and their sink, SEP1 only itself."""
-    stream = ((Segment.Q, query_len),)
-    return _mask(MaskStep.STEP3, True, stream, stream)
+    stream = ((_Q, query_len),)
+    return _mask(_STEP3, True, stream, stream)
 
 
 def doc_stream_mask(doc_len: int) -> AttentionMask:
     """Intra-stream mask over ``[D x m, SEP2]``: document tokens read each
     other and their sink, SEP2 only itself."""
-    stream = ((Segment.D, doc_len),)
-    return _mask(MaskStep.STEP3, True, stream, stream)
+    stream = ((_D, doc_len),)
+    return _mask(_STEP3, True, stream, stream)
 
 
 def interaction_mask(query_len: int, doc_len: int) -> AttentionMask:
@@ -248,5 +250,5 @@ def interaction_mask(query_len: int, doc_len: int) -> AttentionMask:
     tokens read themselves, their sink and the document tokens; CLS and SEP1
     never read the document side, and nobody reads SEP2.
     """
-    query = (Segment.Q, query_len)
-    return _mask(MaskStep.STEP3, False, (query,), (query, (Segment.D, doc_len)))  # post-split
+    query = (_Q, query_len)
+    return _mask(_STEP3, False, (query,), (query, (_D, doc_len)))  # post-split

@@ -84,23 +84,22 @@ class ConsistencyError(RuntimeError):
 class DocState:
     """A document's frozen hidden states at the stream-split layer.
 
-    ``states`` holds ``m`` document-token rows plus the trailing sink row,
-    i.e. shape ``(m + 1, d)``. ``checkpoint_hash`` records which checkpoint
-    produced it; consumers refuse to mix states across checkpoints.
+    ``states`` holds :attr:`m` document-token rows plus the trailing sink
+    row, i.e. shape ``(m + 1, d)``. ``checkpoint_hash`` records which
+    checkpoint produced it; consumers refuse to mix states across checkpoints.
     """
 
     doc_id: str
     states: np.ndarray
-    m: int
     checkpoint_hash: bytes | None = None
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("document must hold at least one token")
-        if self.states.ndim != 2 or self.states.shape[0] != self.m + 1:
-            raise ValueError(
-                f"states must have {self.m + 1} rows, got shape {self.states.shape}"
-            )
+        if self.states.ndim != 2 or self.states.shape[0] < 2:
+            raise ValueError(f"states must be 2-d with at least 2 rows, got {self.states.shape}")
+
+    @property
+    def m(self) -> int:
+        return self.states.shape[0] - 1
 
 
 @dataclass
@@ -221,11 +220,11 @@ def encode_documents(
     for group in groups.values():
         for start in range(0, len(group), _ENCODE_BATCH):
             batch = group[start : start + _ENCODE_BATCH]
-            states, lengths = _stream_batch([docs[i][1] for i in batch], Segment.D, weights)
+            states, _ = _stream_batch([docs[i][1] for i in batch], Segment.D, weights)
             for row, i in enumerate(batch):
                 frozen = np.array(states.data[row], copy=True)
                 frozen.setflags(write=False)
-                out[i] = DocState(docs[i][0], frozen, lengths[row] - 1, digest)
+                out[i] = DocState(docs[i][0], frozen, checkpoint_hash=digest)
     return out
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -93,8 +93,9 @@ class TrainConfig:
     precision: str = "f32"
 
     def __post_init__(self):
+        # Each refusal starts with its field's name, which parse_config_text reads.
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.precision not in PRECISIONS:
             raise ValueError(f"precision must be f32 or f64, got {self.precision!r}")
         for name in ("steps", "warmup_steps"):
@@ -125,9 +126,11 @@ class TrainConfig:
         return ModelConfig(vocab_size=vocab_size, **arch)
 
 
-def parse_config_text(text: str, source: str = "<config>") -> TrainConfig:
-    """Parse a flat ``key = value`` config file (# starts a comment), in
-    which each key appears once. Errors name ``source:line`` and the key."""
+def parse_config_text(text: str, source: str = "<config>", given=None) -> TrainConfig:
+    """The :class:`TrainConfig` of a flat ``key = value`` config file (#
+    starts a comment; each key appears once) under the ``given`` field values,
+    checked once. A line error names ``source:line`` and the key; a refused
+    value names ``source`` only when the file gave it."""
     types = {f.name: f.type for f in fields(TrainConfig)}
     casts = {"int": int, "float": float, "str": str}
     values, first_line = {}, {}
@@ -149,10 +152,13 @@ def parse_config_text(text: str, source: str = "<config>") -> TrainConfig:
         except ValueError:
             raise ValueError(f"{where}: {key} expects {types[key]}, got {value!r}") from None
         first_line[key] = lineno
+    given = given or {}
     try:
-        return TrainConfig(**values)
+        return TrainConfig(**{**values, **given})
     except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+        if str(exc).partition(" ")[0] in values.keys() - given.keys():
+            raise ValueError(f"{source}: {exc}") from None
+        raise
 
 
 # --------------------------------------------------------------------------
@@ -196,9 +202,8 @@ def adam_step(data, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8) -> None
 class Adam:
     """Adam over named parameters; moments start at zero."""
 
-    def __init__(self, params: Sequence[tuple[str, Tensor]], beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: Sequence[tuple[str, Tensor]]):
         self.params = list(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.moments = {
             name: (np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in self.params
@@ -213,7 +218,7 @@ class Adam:
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient in parameter {name!r}")
             m, v = self.moments[name]
-            adam_step(p.data, g, m, v, self.t, lr, self.beta1, self.beta2, self.eps)
+            adam_step(p.data, g, m, v, self.t, lr)
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -227,14 +232,15 @@ class Adam:
 
 @dataclass
 class SynthData:
-    """Corpus, queries and graded relevance, plus the oracle teacher."""
+    """Corpus, queries and graded relevance, plus the oracle teacher. What is
+    derived from them is built on first use, so a ``replace`` copy builds its own."""
 
     corpus: list
     queries: list
     qrels: dict
-    _doc_terms: dict = field(default=None, repr=False, compare=False)
-    _query_text: dict = field(default=None, repr=False, compare=False)
-    _task: _Task = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._doc_terms = self._query_text = self._task = None
 
     def doc_terms(self, doc_id: str) -> frozenset:
         if self._doc_terms is None:

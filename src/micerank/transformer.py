@@ -29,7 +29,7 @@ the CLS row, which is never padding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -148,9 +148,9 @@ class _ParameterSet:
     :meth:`named_parameters` yields."""
 
     STACKS = {}
-    _fingerprint: bytes | None = field(default=None, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self):
+        self._fingerprint = None  # fingerprint() fills it; a copy hashes its own tensors
         for stack, count in self.STACKS.items():
             expected, got = getattr(self.config, count), len(getattr(self, stack))
             if got != expected:

@@ -31,6 +31,7 @@ from micerank.checkpoint import (
 from micerank.cli import dispatch
 from micerank.masking import MaskStep
 from micerank.mice import MiceWeights, from_cross_encoder, init_mice_weights
+from micerank.tensor import Tensor
 from micerank.transformer import (
     ModelConfig,
     Weights,
@@ -306,6 +307,26 @@ def test_round_trip_keeps_class_names_and_fingerprint(tmp_path_factory, config, 
     assert type(back) is cls
     assert [n for n, _ in back.named_parameters()] == [n for n, _ in weights.named_parameters()]
     assert back.fingerprint() == weights.fingerprint()
+
+
+@pytest.mark.parametrize("cls", list(LAYOUTS))
+def test_a_copy_fingerprints_its_own_tensors(cls):
+    """The digest ``fingerprint`` caches is not a field, so a copy made
+    with ``dataclasses.replace`` hashes the tensors it holds."""
+    init, _ = LAYOUTS[cls]
+    weights = init(dataclasses.replace(CONFIG, interaction_layers=1), seed=0)
+    before = weights.fingerprint()
+    copy = dataclasses.replace(weights, score_b=Tensor(weights.score_b.data + 1))
+    assert copy.fingerprint() == weights_fingerprint(copy) != before
+    assert weights.fingerprint() == before
+
+
+@pytest.mark.parametrize("cls", list(LAYOUTS))
+def test_fingerprint_is_not_a_constructor_argument(cls):
+    init, _ = LAYOUTS[cls]
+    weights = init(dataclasses.replace(CONFIG, interaction_layers=1), seed=0)
+    with pytest.raises(TypeError, match="_fingerprint"):
+        dataclasses.replace(weights, _fingerprint=b"\0" * 32)
 
 
 @settings(max_examples=30, deadline=None)

@@ -38,7 +38,7 @@ def hand_built_cache(path, entries, hidden=8, payload_bytes=None):
 def make_state(doc_id: str, m: int, seed: int = 0, d: int = 8) -> DocState:
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((m + 1, d)).astype(np.float32)
-    return DocState(doc_id=doc_id, states=states, m=m, checkpoint_hash=HASH)
+    return DocState(doc_id=doc_id, states=states, checkpoint_hash=HASH)
 
 
 class TestRoundTrip:
@@ -75,7 +75,7 @@ class TestRoundTrip:
     def test_float64_states_stored_as_f32(self, tmp_path):
         rng = np.random.default_rng(3)
         states = rng.standard_normal((4, 8))  # float64 on purpose
-        doc = DocState(doc_id="x", states=states, m=3, checkpoint_hash=HASH)
+        doc = DocState(doc_id="x", states=states, checkpoint_hash=HASH)
         path = tmp_path / "cache.bin"
         write_cache(path, [doc], hidden=8, split_depth=1, checkpoint_hash=HASH)
         with read_cache(path) as cache:

@@ -6,6 +6,7 @@ tiny synthetic setup, so exit codes and messages are asserted directly.
 
 import dataclasses
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -430,6 +431,17 @@ class TestTrainLearningRate:
         assert f"{config}: lr_peak must be positive and finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_flag_over_a_valid_file_does_not_blame_the_file(self, ws, tmp_path, capsys):
+        """The file sets ``lr_peak`` too, and is valid once ``--steps`` and
+        ``--warmup`` replace its schedule; the refused value is the flag's."""
+        config = tmp_path / "train.cfg"
+        config.write_text("steps = 10\nwarmup_steps = 50\nlr_peak = 1e-3\n")
+        assert self.train(ws, tmp_path, "--config", str(config), "--lr", "nan") == 2
+        err = capsys.readouterr().err
+        assert "lr_peak must be positive and finite, got nan" in err
+        assert str(config) not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrainConfigFile:
     """An error in a ``--config`` file names the file, the line and the key."""
@@ -453,6 +465,19 @@ class TestTrainConfigFile:
         assert code == 2
         assert f"{config}:4: repeated key 'seed' (first on line 1)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_flags_replace_file_values_before_the_check(self, ws, tmp_path):
+        """The file alone is refused (warmup 50 of 10 steps); with ``--warmup
+        1`` the merged settings are valid and train 10 steps with warmup 1."""
+        config = tmp_path / "train.cfg"
+        config.write_text("steps = 10\nwarmup_steps = 50\nbatch_size = 2\nvalidate_every = 5\n")
+        assert dispatch(["train", *inputs(ws, "corpus", "queries", "qrels"), "--out-dir",
+                         str(tmp_path / "out"), "--config", str(config), *ARCH,
+                         "--warmup", "1"]) == 0
+        lines = (tmp_path / "out" / "metrics.jsonl").read_text().splitlines()
+        expected = training.TrainConfig(steps=10, warmup_steps=1)
+        assert [(m["step"], m["lr"]) for m in map(json.loads, lines)] == [
+            (step, training.lr_schedule(step, expected)) for step in (5, 10)]
 
     def test_unknown_key_names_file_and_line(self, ws, tmp_path, capsys):
         code, config = self.train(ws, tmp_path, "steps = 5\nlearning_rate = 0.1\n")

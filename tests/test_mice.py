@@ -104,8 +104,14 @@ class TestStreamEncoding:
             encode_document([], mw)
 
     def test_docstate_shape_validated(self):
-        with pytest.raises(ValueError):
-            DocState(doc_id="x", states=np.zeros((3, 8)), m=3)
+        """A state is 2-d and holds a token row and the sink row."""
+        for shape in [(8,), (0, 8), (1, 8), (2, 3, 8)]:
+            with pytest.raises(ValueError, match="states must be 2-d"):
+                DocState(doc_id="x", states=np.zeros(shape))
+
+    @pytest.mark.parametrize("rows", [2, 3, 9])
+    def test_docstate_m_counts_token_rows(self, rows):
+        assert DocState(doc_id="x", states=np.zeros((rows, 8))).m == rows - 1
 
 
 class TestEncodeDocuments:
@@ -164,7 +170,7 @@ class TestInteractionLayer:
         q_states = encode_query(q, mw)
         lw = mw.interaction[0]
         out = interaction_layer(q_states, doc, lw, mw.config.heads).data
-        zeroed = DocState(doc_id="t", states=np.zeros_like(doc.states), m=doc.m,
+        zeroed = DocState(doc_id="t", states=np.zeros_like(doc.states),
                           checkpoint_hash=doc.checkpoint_hash)
         out_zero = interaction_layer(q_states, zeroed, lw, mw.config.heads).data
         sep1 = len(q) + 1
@@ -182,7 +188,6 @@ class TestInteractionLayer:
             noisy = DocState(
                 doc_id="t",
                 states=doc.states + rng.standard_normal(doc.states.shape) * 50,
-                m=doc.m,
                 checkpoint_hash=doc.checkpoint_hash,
             )
             out = interaction_layer(q_states, noisy, lw, mw.config.heads).data
@@ -318,7 +323,7 @@ class TestMiceForward:
 
     def test_hidden_width_mismatch_rejected(self, rng):
         mw = from_cross_encoder(make_ce(), 3, 2)
-        doc = DocState(doc_id="x", states=np.zeros((4, 8)), m=3)
+        doc = DocState(doc_id="x", states=np.zeros((4, 8)))
         with pytest.raises(ConsistencyError):
             mice_forward([5], doc, mw)
 

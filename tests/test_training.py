@@ -219,6 +219,16 @@ class TestSynthCorpus:
         assert teacher_margin_score(["a", "b"], {"a"}, False) == pytest.approx(1.0)
         assert teacher_margin_score(["a"], set(), False) == 0.0
 
+    def test_a_copy_builds_the_task_of_its_own_corpus(self):
+        """The tokenized task is not a field: ``dataclasses.replace`` with
+        another corpus does not keep the first corpus's task."""
+        data = synth_corpus(seed=1, n_docs=20, n_queries=10, vocab_size=48)
+        assert training._prepare_task(data).doc_ids == data.doc_ids()
+        smaller = dataclasses.replace(data, corpus=data.corpus[:12])
+        task = training._prepare_task(smaller)
+        assert task.doc_ids == smaller.doc_ids() != data.doc_ids()
+        assert set(task.doc_tokens) == set(smaller.doc_ids())
+
     def test_split_is_deterministic_and_disjoint(self):
         data = synth_corpus(seed=1, n_docs=20, n_queries=10, vocab_size=48)
         train_q, val_q = split_queries(data)
