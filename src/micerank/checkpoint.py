@@ -2,8 +2,12 @@
 
 Layout (all integers little-endian):
 
-* magic ``MICEWTS1`` (8 bytes)
-* entry count, u32
+* a fixed header: magic ``MICEWTS2`` (8 bytes); the kind, u32, the
+  parameter set's index in ``_KINDS`` (0 for a cross-encoder, 1 for the
+  mid-fusion model); the step code, u32, the index in ``tuple(MaskStep)`` of
+  the masking step the model was trained with (0 for the baseline); the nine
+  :class:`.transformer.ModelConfig` fields, each u32, in declaration order;
+  the entry count, u32
 * per entry: name length u32, name (utf-8), rank u32, ``rank`` dims each
   u32, then the payload as 32-bit little-endian floats, row-major.
 
@@ -11,21 +15,14 @@ Tensor names follow ``named_parameters``: ``token_emb``, ``pos_emb``, then
 ``{stack}.{i}.{field}`` for each layer stack in the ``STACKS`` order of the
 parameter set (``layers`` for :class:`.transformer.Weights`; ``lower`` and
 ``interaction`` for :class:`.mice.MiceWeights`), then ``score_w`` and
-``score_b``. One reserved entry, ``meta.config``, stores the architecture
-description and model kind as a small float vector so a checkpoint is
-self-describing:
-
-``[kind, layers, hidden, heads, ff, vocab_size, max_query, max_doc,
-split_depth, interaction_layers, step_code]``
-
-where ``kind`` is the parameter set's index in ``_KINDS`` (0 for a
-cross-encoder, 1 for the mid-fusion model), and ``step_code`` records the
-masking step the cross-encoder was trained with (-1 baseline, 0..3 for the
-ablation steps; unused for mid-fusion). Every value must be integral. The
-loader builds the parameter set with ``assemble``, which asks for each
-tensor by its name, so it takes each entry by name, not by position. It
-refuses a kind or step code it does not know, a missing entry, a name
-that appears twice, and any entry the parameter set does not name.
+``score_b``. The header states the config once; the tensors' shapes must
+agree with it, which the parameter set checks as it is built, so a file
+whose header and tensors disagree does not load. The loader builds the
+parameter set with ``assemble``, which asks for each tensor by its name, so
+it takes each entry by name, not by position. It refuses another magic (a
+``MICEWTS1`` file too: that float-metadata format is no longer read), a kind
+or step code it does not know, a missing entry, a name that appears twice,
+and any entry the parameter set does not name.
 
 Payloads are stored in 32 bits regardless of compute precision; a float64
 model round-trips through its float32 projection.
@@ -35,14 +32,16 @@ straight into a fresh float32 array, which a float32 load keeps as the
 parameter itself. So a load holds the weights once, not as a file image plus
 copies. One writer produces the canonical byte stream, entry by entry, for
 :func:`save_weights`, :func:`serialize_weights` and
-:func:`weights_fingerprint`; the fingerprint hashes that stream as it goes
-and is computed only when first asked for. :func:`save_weights` writes a
-temporary file beside the target and renames it over the target, so a
-failed save leaves the previous checkpoint intact.
+:func:`weights_fingerprint`; the fingerprint hashes that stream, with the
+baseline step code, as it goes and is computed only when first asked for, so
+it equals the sha256 of a file saved at the baseline step.
+:func:`save_weights` writes a temporary file beside the target and renames
+it over the target, so a failed save leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import math
@@ -69,55 +68,30 @@ __all__ = [
     "weights_fingerprint",
 ]
 
-MAGIC = b"MICEWTS1"
+MAGIC = b"MICEWTS2"
 
-_STEP_CODES = {
-    MaskStep.BASELINE: -1.0,
-    MaskStep.STEP0: 0.0,
-    MaskStep.STEP1: 1.0,
-    MaskStep.STEP2: 2.0,
-    MaskStep.STEP3: 3.0,
-}
-_CODE_STEPS = {v: k for k, v in _STEP_CODES.items()}
-
-# The parameter-set classes; a checkpoint's kind code is the index.
+# The parameter-set classes and the masking steps; a checkpoint's kind and
+# step codes are indices into these.
 _KINDS = (Weights, MiceWeights)
+_STEPS = tuple(MaskStep)
+
+# magic, kind, step code, the ModelConfig fields in declaration order, entry count
+_HEADER = struct.Struct(f"<8sII{len(dataclasses.fields(ModelConfig))}II")
 
 
 class CheckpointFormatError(ValueError):
     """The file is not a valid weights checkpoint."""
 
 
-# The ModelConfig fields ``meta.config`` stores between kind and step code,
-# in file order.
-_CONFIG_FIELDS = (
-    "layers", "hidden", "heads", "ff", "vocab_size",
-    "max_query", "max_doc", "split_depth", "interaction_layers",
-)
-
-
-def _meta_vector(weights, step: MaskStep) -> np.ndarray:
-    kind = _KINDS.index(type(weights))
-    config = [getattr(weights.config, name) for name in _CONFIG_FIELDS]
-    for name, value in zip(_CONFIG_FIELDS, config):
-        if abs(value) >= 2**24:
-            raise ValueError(
-                f"config.{name} = {value} cannot be stored exactly in the float32 "
-                f"checkpoint metadata (must be below 2**24)"
-            )
-    return np.array([kind, *config, _STEP_CODES[step]], dtype=np.float32)
-
-
 def _write_canonical(write, weights, step: MaskStep) -> None:
     """Feed the checkpoint bytes of ``weights`` to ``write``, one entry at a
     time: the single writer behind the file, the serialization and the
     fingerprint. Contiguous float32 payloads go out as views, uncopied."""
-    entries = [("meta.config", _meta_vector(weights, step))]
-    entries += [(name, t.data) for name, t in weights.named_parameters()]
-    write(MAGIC)
-    write(struct.pack("<I", len(entries)))
-    for name, payload in entries:
-        raw = name.encode("utf-8")
+    entries = list(weights.named_parameters())
+    write(_HEADER.pack(MAGIC, _KINDS.index(type(weights)), _STEPS.index(step),
+                       *dataclasses.astuple(weights.config), len(entries)))
+    for name, tensor in entries:
+        raw, payload = name.encode("utf-8"), tensor.data
         write(struct.pack(
             f"<I{len(raw)}sI{payload.ndim}I", len(raw), raw, payload.ndim, *payload.shape
         ))
@@ -201,12 +175,18 @@ class _Reader:
         return payload
 
 
-def _read_entries(path) -> dict[str, np.ndarray]:
+def _read_checkpoint(path):
+    """The parameter-set class, masking step, config values and named
+    payloads of the checkpoint at ``path``."""
     with open(path, "rb") as file:
         r = _Reader(file, path)
-        if r.take(8) != MAGIC:
+        if r.take(len(MAGIC)) != MAGIC:
             raise CheckpointFormatError(f"{path} is not a weights checkpoint (bad magic)")
-        count = r.u32()
+        _, kind, code, *config, count = _HEADER.unpack(MAGIC + r.take(_HEADER.size - len(MAGIC)))
+        if kind >= len(_KINDS):
+            raise CheckpointFormatError(f"unknown model kind {kind} in {path}")
+        if code >= len(_STEPS):
+            raise CheckpointFormatError(f"{path}: step code {code} is not a masking step")
         entries: dict[str, np.ndarray] = {}
         for _ in range(count):
             name = r.take(r.u32()).decode("utf-8")
@@ -216,7 +196,7 @@ def _read_entries(path) -> dict[str, np.ndarray]:
             entries[name] = r.floats(struct.unpack(f"<{rank}I", r.take(4 * rank)))
     if r.off != r.size:
         raise CheckpointFormatError(f"{path} has {r.size - r.off} trailing bytes")
-    return entries
+    return _KINDS[kind], _STEPS[code], config, entries
 
 
 def _param(entries: dict, name: str, dtype) -> Tensor:
@@ -234,26 +214,16 @@ def load_weights(path, dtype=np.float32):
 
     ``weights`` is a :class:`.transformer.Weights` or
     :class:`.mice.MiceWeights` depending on the stored kind; ``step`` is the
-    masking step recorded at save time.
+    masking step recorded at save time. A config the header gives that is
+    not valid, or that disagrees with a tensor's shape, is refused naming
+    the file.
     """
     dtype = np.dtype(dtype)
-    entries = _read_entries(path)
-    meta = entries.pop("meta.config", None)
-    if meta is None or meta.shape != (len(_CONFIG_FIELDS) + 2,):
-        raise CheckpointFormatError(f"{path} lacks a valid meta.config entry")
-    for name, value in zip(("kind", *_CONFIG_FIELDS, "step_code"), meta):
-        if not float(value).is_integer():
-            raise CheckpointFormatError(f"{path}: meta.config {name} = {value} is not an integer")
-    kind = int(meta[0])
-    if not 0 <= kind < len(_KINDS):
-        raise CheckpointFormatError(f"unknown model kind {kind} in {path}")
-    if float(meta[-1]) not in _CODE_STEPS:
-        raise CheckpointFormatError(
-            f"{path}: meta.config step_code = {meta[-1]} is not a masking step"
-        )
-    config = ModelConfig(**{name: int(v) for name, v in zip(_CONFIG_FIELDS, meta[1:-1])})
-    step = _CODE_STEPS[float(meta[-1])]
-    weights = _KINDS[kind].assemble(config, lambda name: _param(entries, name, dtype))
+    cls, step, config, entries = _read_checkpoint(path)
+    try:
+        weights = cls.assemble(ModelConfig(*config), lambda name: _param(entries, name, dtype))
+    except ValueError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from None
     if entries:  # what the parameters left: a tensor the layout does not name
         raise CheckpointFormatError(f"{path}: unknown tensor {next(iter(entries))!r}")
     return weights, step

@@ -41,7 +41,7 @@ Masks are returned read-only, so they are safe to share across threads.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -52,7 +52,6 @@ __all__ = [
     "SegmentLayout",
     "MaskSpec",
     "AttentionMask",
-    "allowed_sources",
     "build_mask",
     "query_stream_mask",
     "doc_stream_mask",
@@ -110,7 +109,10 @@ _TABLES = {
     (step.value, severed): np.array([[src in rule[tgt] for src in Segment] for tgt in Segment])
     for (step, severed), rule in _RULES.items()
 }
-_Q, _D, _STEP3 = int(Segment.Q), int(Segment.D), MaskStep.STEP3.value
+_Q, _D = int(Segment.Q), int(Segment.D)
+# Reading a member off MaskStep, or a member's value, takes about 200 ns, a
+# quarter of a cached mask lookup; the per-layer paths read these copies.
+_STEP3, _STEP3_VALUE = MaskStep.STEP3, MaskStep.STEP3.value
 
 
 @dataclass(frozen=True)
@@ -155,9 +157,11 @@ class MaskSpec:
     step: MaskStep
     split_depth: int = 0
     total_layers: int = 0
+    _value: str = field(init=False, repr=False, compare=False)  # step.value, for build_mask
 
     def __post_init__(self):
-        if self.step is MaskStep.STEP3:
+        object.__setattr__(self, "_value", self.step.value)
+        if self.step is _STEP3:
             if self.split_depth < 1:
                 raise ValueError("step 3 needs split_depth >= 1")
             if self.total_layers and self.split_depth > self.total_layers:
@@ -167,7 +171,7 @@ class MaskSpec:
 
     def severed(self, layer_index: int) -> bool:
         """True when this layer fully separates the query and document streams."""
-        return self.step is MaskStep.STEP3 and layer_index <= self.split_depth
+        return self.step is _STEP3 and layer_index <= self.split_depth
 
 
 @dataclass(frozen=True)
@@ -179,13 +183,6 @@ class AttentionMask:
     def __post_init__(self):
         if not self.allow.any(axis=1).all():
             raise ValueError("attention mask has a row with no allowed source")
-
-
-def allowed_sources(
-    step: MaskStep, target: Segment, layer_index: int = 1, split_depth: int = 0
-) -> frozenset:
-    """The set of segments ``target`` may attend to at ``layer_index``."""
-    return _RULES[step, step is MaskStep.STEP3 and layer_index <= split_depth][target]
 
 
 # Room for every mask of the MiniLM operating point (max_query 16, max_doc
@@ -210,7 +207,7 @@ def build_mask(layout: SegmentLayout, spec: MaskSpec, layer_index: int) -> Atten
     if spec.total_layers and not 1 <= layer_index <= spec.total_layers:
         raise ValueError(f"layer index {layer_index} outside 1..{spec.total_layers}")
     pair = ((_Q, layout.query_len), (_D, layout.doc_len))
-    return _mask(spec.step.value, spec.severed(layer_index), pair, pair)
+    return _mask(spec._value, spec.severed(layer_index), pair, pair)
 
 
 # --------------------------------------------------------------------------
@@ -232,14 +229,14 @@ def query_stream_mask(query_len: int) -> AttentionMask:
     """Intra-stream mask over ``[CLS, Q x n, SEP1]``: CLS reads the stream,
     query tokens read each other and their sink, SEP1 only itself."""
     stream = ((_Q, query_len),)
-    return _mask(_STEP3, True, stream, stream)
+    return _mask(_STEP3_VALUE, True, stream, stream)
 
 
 def doc_stream_mask(doc_len: int) -> AttentionMask:
     """Intra-stream mask over ``[D x m, SEP2]``: document tokens read each
     other and their sink, SEP2 only itself."""
     stream = ((_D, doc_len),)
-    return _mask(_STEP3, True, stream, stream)
+    return _mask(_STEP3_VALUE, True, stream, stream)
 
 
 def interaction_mask(query_len: int, doc_len: int) -> AttentionMask:
@@ -251,4 +248,4 @@ def interaction_mask(query_len: int, doc_len: int) -> AttentionMask:
     never read the document side, and nobody reads SEP2.
     """
     query = (_Q, query_len)
-    return _mask(_STEP3, False, (query,), (query, (_D, doc_len)))  # post-split
+    return _mask(_STEP3_VALUE, False, (query,), (query, (_D, doc_len)))  # post-split

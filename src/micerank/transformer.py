@@ -97,8 +97,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.layers < 1:
             raise ValueError("need at least one layer")
-        if self.heads < 1:
-            raise ValueError(f"heads must be at least 1, got {self.heads}")
+        for name in ("heads", "hidden", "ff", "max_query", "max_doc"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if not 1 <= self.split_depth <= self.layers:
@@ -114,6 +115,9 @@ class ModelConfig:
             )
         if self.vocab_size <= FIRST_WORD_ID:
             raise ValueError(f"vocab_size must exceed {FIRST_WORD_ID}")
+        for f in fields(self):  # a checkpoint stores each field as a u32
+            if getattr(self, f.name) >= 2**32:
+                raise ValueError(f"{f.name} must be below 2**32, got {getattr(self, f.name)}")
 
     @property
     def position_count(self) -> int:
@@ -143,9 +147,10 @@ class _ParameterSet:
     ``token_emb``, ``pos_emb``, ``score_w`` and ``score_b``. ``STACKS`` maps
     each list of encoder layers, in serialization order, to the
     :class:`ModelConfig` field that counts them. Construction checks every
-    stack's length against it, and that no stack is empty. Every parameter
-    set is built by :meth:`assemble`, one tensor per name that
-    :meth:`named_parameters` yields."""
+    stack's length against it, that no stack is empty, and every tensor's
+    shape against :func:`param_shape`, so a config cannot disagree with the
+    tensors it describes. Every parameter set is built by :meth:`assemble`,
+    one tensor per name that :meth:`named_parameters` yields."""
 
     STACKS = {}
 
@@ -157,6 +162,10 @@ class _ParameterSet:
                 raise ValueError(f"{stack} holds {got} layers; config.{count} is {expected}")
             if not expected:
                 raise ValueError(f"{stack} needs at least one layer; config.{count} is 0")
+        for name, t in self.named_parameters():
+            shape = param_shape(name, self.config)
+            if t.shape != shape:
+                raise ValueError(f"{name} has shape {t.shape}; the config gives {shape}")
 
     @classmethod
     def assemble(cls, config: ModelConfig, take: Callable[[str], Tensor]):
@@ -219,23 +228,29 @@ class Weights(_ParameterSet):
     score_b: Tensor
 
 
+def param_shape(name: str, config: ModelConfig) -> tuple[int, ...]:
+    """The shape of the tensor a model of ``config`` holds under ``name``, as
+    :meth:`_ParameterSet.named_parameters` gives it."""
+    d, f = config.hidden, config.ff
+    shapes = {"token_emb": (config.vocab_size, d), "pos_emb": (config.position_count, d),
+              "wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d), "w1": (d, f), "w2": (f, d),
+              "score_w": (d, 1), "score_b": (1,)}
+    return shapes.get(name.rpartition(".")[2], (d,))  # else a layernorm gain or bias
+
+
 def _initializer(config: ModelConfig, rng: np.random.Generator, dtype) -> Callable[[str], Tensor]:
     """Seeded initial tensors by parameter name: layernorm gains are ones,
     biases zeros, and every other tensor is drawn from ``rng``, a normal of
     standard deviation 0.02. So the draws follow the order of the calls."""
-    d, f = config.hidden, config.ff
-    drawn = {"token_emb": (config.vocab_size, d), "pos_emb": (config.position_count, d),
-             "wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d), "w1": (d, f), "w2": (f, d),
-             "score_w": (d, 1)}
 
     def init(name: str) -> Tensor:
-        key = name.rpartition(".")[2]
-        if key in drawn:
-            data = (rng.standard_normal(drawn[key]) * 0.02).astype(dtype)
+        key, shape = name.rpartition(".")[2], param_shape(name, config)
+        if key.startswith("ln_"):
+            data = (np.ones if key.endswith("_gain") else np.zeros)(shape, dtype)
         elif key == "score_b":
-            data = np.zeros(1, dtype)
-        else:  # a layernorm gain or bias
-            data = (np.ones if key.endswith("_gain") else np.zeros)(d, dtype)
+            data = np.zeros(shape, dtype)
+        else:
+            data = (rng.standard_normal(shape) * 0.02).astype(dtype)
         return Tensor(data, requires_grad=True)
 
     return init

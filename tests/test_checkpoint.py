@@ -1,8 +1,9 @@
-"""The checkpoint loader refuses ``meta.config`` values it cannot read
-exactly: a non-integral kind or config field, and an unknown kind or masking
-step code. Loading holds the weights once; the fingerprint is streamed and
-lazy; a save is atomic. Both parameter sets round-trip with their layer
-stacks, whose lengths construction checks against the config."""
+"""The checkpoint loader refuses a header it cannot read (another magic, an
+unknown kind or masking step code) and a header whose config disagrees with
+a tensor's shape. Loading holds the weights once; the fingerprint is
+streamed and lazy; a save is atomic. Both parameter sets round-trip with
+their layer stacks, whose lengths and shapes construction checks against the
+config."""
 
 import builtins
 import dataclasses
@@ -43,54 +44,52 @@ from micerank.transformer import (
 CONFIG = ModelConfig(
     layers=2, hidden=8, heads=2, ff=12, vocab_size=16, max_query=3, max_doc=4,
 )
-# meta.config: [kind, layers, hidden, heads, ff, vocab_size, max_query,
-# max_doc, split_depth, interaction_layers, step_code]
-META = [0.0, 2.0, 8.0, 2.0, 12.0, 16.0, 3.0, 4.0, 1.0, 0.0, -1.0]
-# The file starts with the magic, the entry count (meta.config, four model
-# tensors and ten per layer) and the meta.config entry: name length, name,
-# rank 1, its one dim, then the 11 float32 values.
-META_HEADER = (
-    MAGIC + struct.pack("<I", 1 + 4 + 10 * CONFIG.layers)
-    + struct.pack("<I", 11) + b"meta.config" + struct.pack("<II", 1, len(META))
-)
+# The fixed header: magic, kind, step code, the nine ModelConfig fields in
+# declaration order, entry count.
+HEADER = struct.Struct("<8sII9II")
+FIELDS = ("kind", "step_code", "layers", "hidden", "heads", "ff", "vocab_size",
+          "max_query", "max_doc", "split_depth", "interaction_layers", "count")
+# CONFIG's cross-encoder at the baseline step: four model tensors and ten
+# per layer.
+VALUES = dict(zip(FIELDS, (0, 0, 2, 8, 2, 12, 16, 3, 4, 1, 0, 4 + 10 * CONFIG.layers)))
 
 
-def checkpoint_with_meta(path, meta):
-    """A CE checkpoint of ``CONFIG`` whose ``meta.config`` holds ``meta``."""
+def checkpoint_with_header(path, **changes):
+    """A CE checkpoint of ``CONFIG`` whose header holds ``changes`` in place
+    of the true values."""
     blob = serialize_weights(init_ce_weights(CONFIG, seed=0))
-    assert blob.startswith(META_HEADER + struct.pack(f"<{len(META)}f", *META))
-    body = blob[len(META_HEADER) + 4 * len(META):]
-    path.write_bytes(META_HEADER + struct.pack(f"<{len(meta)}f", *meta) + body)
+    assert blob[:HEADER.size] == HEADER.pack(MAGIC, *VALUES.values())
+    values = {**VALUES, **changes}
+    path.write_bytes(HEADER.pack(MAGIC, *values.values()) + blob[HEADER.size:])
     return path
 
 
-def test_hand_built_meta_loads(tmp_path):
-    weights, step = load_weights(checkpoint_with_meta(tmp_path / "m.bin", META))
+def test_hand_built_header_loads(tmp_path):
+    weights, step = load_weights(checkpoint_with_header(tmp_path / "m.bin"))
     assert weights.config == CONFIG
     assert step is MaskStep.BASELINE
-    step3 = META[:-1] + [3.0]
-    assert load_weights(checkpoint_with_meta(tmp_path / "s.bin", step3))[1] is MaskStep.STEP3
+    step3 = checkpoint_with_header(tmp_path / "s.bin", step_code=4)
+    assert load_weights(step3)[1] is MaskStep.STEP3
 
 
-@pytest.mark.parametrize("field,index,value", [
-    ("step_code", 10, 7.0),
-    ("step_code", 10, 2.5),
-    ("kind", 0, 0.5),
-    ("layers", 1, 2.9),
-    ("heads", 3, float("nan")),
-])
-def test_bad_meta_value_is_refused(tmp_path, field, index, value):
-    meta = list(META)
-    meta[index] = value
-    path = checkpoint_with_meta(tmp_path / "bad.bin", meta)
-    with pytest.raises(CheckpointFormatError, match=f"{field} = "):
+def test_format_one_is_refused_as_a_bad_magic(tmp_path):
+    path = tmp_path / "v1.bin"
+    path.write_bytes(b"MICEWTS1" + serialize_weights(init_ce_weights(CONFIG, seed=0))[8:])
+    with pytest.raises(CheckpointFormatError, match="bad magic"):
         load_weights(path)
 
 
-@pytest.mark.parametrize("kind", [2.0, -1.0])
+@pytest.mark.parametrize("code", [5, 2**32 - 1])
+def test_unknown_step_code_is_refused(tmp_path, code):
+    path = checkpoint_with_header(tmp_path / "bad.bin", step_code=code)
+    with pytest.raises(CheckpointFormatError, match=f"step code {code} is not a masking step"):
+        load_weights(path)
+
+
+@pytest.mark.parametrize("kind", [2, 2**32 - 1])
 def test_unknown_kind_is_refused(tmp_path, kind):
-    path = checkpoint_with_meta(tmp_path / "bad.bin", [kind, *META[1:]])
-    with pytest.raises(CheckpointFormatError, match=f"unknown model kind {int(kind)}"):
+    path = checkpoint_with_header(tmp_path / "bad.bin", kind=kind)
+    with pytest.raises(CheckpointFormatError, match=f"unknown model kind {kind}"):
         load_weights(path)
 
 
@@ -98,15 +97,15 @@ def checkpoint_with_extra_entry(path, name, extra):
     """A CE checkpoint of ``CONFIG`` with one more entry, ``name`` holding
     ``extra``, at the end (the entry count raised to match)."""
     blob = serialize_weights(init_ce_weights(CONFIG, seed=0))
-    count = struct.unpack("<I", blob[8:12])[0]
     extra = np.asarray(extra, dtype="<f4")
     entry = (struct.pack(f"<I{len(name)}sI{extra.ndim}I", len(name), name.encode(), extra.ndim,
                          *extra.shape) + extra.tobytes())
-    path.write_bytes(blob[:8] + struct.pack("<I", count + 1) + blob[12:] + entry)
+    header = HEADER.pack(MAGIC, *{**VALUES, "count": VALUES["count"] + 1}.values())
+    path.write_bytes(header + blob[HEADER.size:] + entry)
     return path
 
 
-@pytest.mark.parametrize("name", ["layers.2.wq", "lower.0.wq", "meta.extra"])
+@pytest.mark.parametrize("name", ["layers.2.wq", "lower.0.wq", "meta.config", "meta.extra"])
 def test_tensor_the_layout_does_not_name_is_refused(tmp_path, name):
     """A 2-layer CE with one more entry does not load as a 2-layer model."""
     extra = np.zeros((CONFIG.hidden, CONFIG.hidden))
@@ -115,7 +114,7 @@ def test_tensor_the_layout_does_not_name_is_refused(tmp_path, name):
         load_weights(path)
 
 
-@pytest.mark.parametrize("name,extra", [("score_b", [7.0]), ("meta.config", META)])
+@pytest.mark.parametrize("name,extra", [("score_b", [7.0]), ("token_emb", np.zeros((16, 8)))])
 def test_tensor_named_twice_is_refused(tmp_path, name, extra):
     """A second entry of one name does not replace the first."""
     path = checkpoint_with_extra_entry(tmp_path / "twice.bin", name, extra)
@@ -124,14 +123,41 @@ def test_tensor_named_twice_is_refused(tmp_path, name, extra):
         load_weights(path)
 
 
-def test_bad_meta_is_a_data_error_naming_the_field(tmp_path, capsys):
-    path = checkpoint_with_meta(tmp_path / "bad.bin", META[:-1] + [7.0])
+def test_bad_header_is_a_data_error_naming_the_field(tmp_path, capsys):
+    path = checkpoint_with_header(tmp_path / "bad.bin", step_code=7)
     code = dispatch([
         "encode-docs", "--model", str(path), "--corpus", str(tmp_path / "corpus.jsonl"),
         "--out", str(tmp_path / "cache.bin"),
     ])
     assert code == 2
-    assert "step_code" in capsys.readouterr().err
+    assert "step code 7" in capsys.readouterr().err
+
+
+# Each config field the header can contradict, the first tensor whose shape
+# then disagrees, and that tensor's shape in CONFIG and under the header.
+DISAGREEMENTS = [
+    ("ff", 99, "layers.0.w1", (8, 12), (8, 99)),
+    ("vocab_size", 1000, "token_emb", (16, 8), (1000, 8)),
+    ("hidden", 16, "token_emb", (16, 8), (16, 16)),
+    ("max_doc", 5, "pos_emb", (10, 8), (11, 8)),
+]
+
+
+@pytest.mark.parametrize("field,value,tensor,shape,given", DISAGREEMENTS)
+def test_header_disagreeing_with_a_tensor_is_refused(tmp_path, field, value, tensor, shape,
+                                                     given):
+    path = checkpoint_with_header(tmp_path / "bad.bin", **{field: value})
+    message = f"{path}: {tensor} has shape {shape}; the config gives {given}"
+    with pytest.raises(CheckpointFormatError, match=f"^{re.escape(message)}$"):
+        load_weights(path)
+
+
+@pytest.mark.parametrize("field,value,tensor,shape,given", DISAGREEMENTS)
+def test_config_disagreeing_with_a_tensor_is_refused(field, value, tensor, shape, given):
+    """Construction checks every shape, so a copy with another config fails."""
+    weights = init_ce_weights(CONFIG, seed=0)
+    with pytest.raises(ValueError, match=re.escape(f"{tensor} has shape {shape}")):
+        dataclasses.replace(weights, config=dataclasses.replace(CONFIG, **{field: value}))
 
 
 # A CE checkpoint of about 8 MiB: big enough that the loader's own small

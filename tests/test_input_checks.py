@@ -155,12 +155,11 @@ class TestInteractionLayerCounts:
     def no_interaction(self, ws, tmp_path):
         """The workspace's mid-fusion checkpoint cut to its lower stack
         (``interaction_layers = 0``), and a cache of its document states."""
-        entries = checkpoint._read_entries(ws / "mice" / "model.bin")
-        meta = entries.pop("meta.config")
-        meta[1], meta[9] = meta[8], 0  # layers = split_depth, no interaction layers
+        config, entries = checkpoint_entries(ws / "mice" / "model.bin")
         kept = {name: t for name, t in entries.items() if not name.startswith("interaction.")}
         model = tmp_path / "model.bin"
-        write_checkpoint(model, {"meta.config": meta, **kept})
+        write_checkpoint(model, KIND_MICE, dataclasses.replace(
+            config, layers=config.split_depth, interaction_layers=0), kept)
         full, _ = checkpoint.load_weights(ws / "mice" / "model.bin")
         corpus = retrieval.read_jsonl(ws / "data" / "corpus.jsonl")
         vocab = retrieval.build_vocab(text for _, text in corpus)
@@ -274,9 +273,22 @@ class TestCommandInputs:
         assert not out.exists()
 
 
-def write_checkpoint(path, entries):
-    """A checkpoint file holding ``entries`` (name -> array), in order."""
-    blob = [checkpoint.MAGIC, struct.pack("<I", len(entries))]
+# The checkpoint header: magic, kind, step code, the nine ModelConfig fields
+# in declaration order, entry count. Kind 0 is a cross-encoder, 1 mid-fusion.
+HEADER = struct.Struct("<8sII9II")
+KIND_CE, KIND_MICE = 0, 1
+
+
+def checkpoint_entries(path):
+    """The config and the ``{name: array}`` entries of the checkpoint at ``path``."""
+    weights, _ = checkpoint.load_weights(path)
+    return weights.config, {name: t.data for name, t in weights.named_parameters()}
+
+
+def write_checkpoint(path, kind, config, entries):
+    """A checkpoint file of ``kind`` and ``config`` at the baseline step,
+    holding ``entries`` (name -> array) in order."""
+    blob = [HEADER.pack(checkpoint.MAGIC, kind, 0, *dataclasses.astuple(config), len(entries))]
     for name, payload in entries.items():
         raw = name.encode()
         blob.append(struct.pack(f"<I{len(raw)}sI{payload.ndim}I",
@@ -288,19 +300,41 @@ def write_checkpoint(path, entries):
 @pytest.mark.parametrize("damage,message", [
     ("missing tensor", "checkpoint is missing tensor 'score_b'"),
     ("trailing bytes", "has 3 trailing bytes"),
-    ("no meta.config", "lacks a valid meta.config entry"),
+    ("truncated", "truncated file"),
 ])
 def test_damaged_checkpoint_is_data_error(ws, tmp_path, capsys, damage, message):
-    entries = checkpoint._read_entries(ws / "ce" / "model.bin")
     model = tmp_path / "model.bin"
-    if damage == "trailing bytes":
-        model.write_bytes((ws / "ce" / "model.bin").read_bytes() + b"\0\0\0")
+    blob = (ws / "ce" / "model.bin").read_bytes()
+    if damage == "missing tensor":
+        config, entries = checkpoint_entries(ws / "ce" / "model.bin")
+        del entries["score_b"]
+        write_checkpoint(model, KIND_CE, config, entries)
     else:
-        del entries["score_b" if damage == "missing tensor" else "meta.config"]
-        write_checkpoint(model, entries)
+        model.write_bytes(blob + b"\0\0\0" if damage == "trailing bytes" else blob[:-3])
     out = tmp_path / "run.trec"
     assert dispatch(rerank_argv(ws, model, out=out)) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(model) in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value,tensor", [
+    ("ff", 99, "layers.0.w1"),
+    ("vocab_size", 1000, "token_emb"),
+    ("hidden", 32, "token_emb"),
+    ("max_doc", 17, "pos_emb"),
+])
+def test_header_disagreeing_with_a_tensor_is_data_error(ws, tmp_path, capsys, field, value,
+                                                         tensor):
+    """The header states the config once; a tensor of another shape is
+    refused at load, naming the file and the tensor."""
+    config, entries = checkpoint_entries(ws / "ce" / "model.bin")
+    model = tmp_path / "model.bin"
+    write_checkpoint(model, KIND_CE, dataclasses.replace(config, **{field: value}), entries)
+    out = tmp_path / "run.trec"
+    assert dispatch(rerank_argv(ws, model, out=out)) == 2
+    err = capsys.readouterr().err
+    assert f"{model}: {tensor} has shape {entries[tensor].shape}; the config gives" in err
     assert not out.exists()
 
 
@@ -441,6 +475,26 @@ class TestTrainLearningRate:
         assert "lr_peak must be positive and finite, got nan" in err
         assert str(config) not in err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags,field", [
+    (["--hidden", "0"], "hidden"),
+    (["--ff", "0"], "ff"),
+    (["--hidden", "-4"], "hidden"),
+    (["--ff", "-3"], "ff"),
+    (["--max-query", "0"], "max_query"),
+    (["--max-doc", "-1"], "max_doc"),
+])
+def test_train_with_a_size_below_one_is_data_error(ws, tmp_path, capsys, flags, field):
+    """A zero width used to train and then fail writing the checkpoint; a
+    negative one failed inside numpy, and a negative cap in the framing."""
+    out = tmp_path / "out"
+    assert dispatch(["train", *inputs(ws, "corpus", "queries", "qrels"),
+                     "--out-dir", str(out), *ARCH, *SHORT, *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} must be at least 1, got {flags[1]}" in err
+    assert "Traceback" not in err
+    assert not (out / "model.bin").exists()
 
 
 class TestTrainConfigFile:

@@ -17,7 +17,6 @@ from micerank.masking import (
     MaskStep,
     Segment,
     SegmentLayout,
-    allowed_sources,
     build_mask,
     doc_stream_mask,
     interaction_mask,
@@ -64,26 +63,6 @@ def oracle_matrix(layout: SegmentLayout, step: MaskStep, severed: bool) -> np.nd
         for j, s in enumerate(seg):
             out[i, j] = s in allowed[t]
     return out
-
-
-class TestAllowedSources:
-    @pytest.mark.parametrize("step", STEPS_IN_ORDER)
-    @pytest.mark.parametrize("target", ALL_SEGMENTS)
-    @pytest.mark.parametrize("severed", [False, True])
-    def test_matches_rule_interpreter(self, step, target, severed):
-        layer, split = (1, 2) if severed else (5, 2)
-        got = allowed_sources(step, target, layer_index=layer, split_depth=split)
-        assert got == frozenset(oracle_allowed(step, severed)[target])
-
-    def test_step2_document_reads_itself_and_sink(self):
-        assert allowed_sources(MaskStep.STEP2, D) == {D, SEP2}
-
-    def test_baseline_is_unrestricted(self):
-        assert allowed_sources(MaskStep.BASELINE, Q) == set(ALL_SEGMENTS)
-
-    def test_step3_depends_on_layer(self):
-        assert allowed_sources(MaskStep.STEP3, Q, layer_index=2, split_depth=4) == {Q, SEP1}
-        assert allowed_sources(MaskStep.STEP3, Q, layer_index=5, split_depth=4) == {Q, SEP1, D}
 
 
 class TestBuildMask:
