@@ -65,6 +65,44 @@ def oracle_matrix(layout: SegmentLayout, step: MaskStep, severed: bool) -> np.nd
     return out
 
 
+def rows_read(target: Segment, step: MaskStep, layer: int, split: int) -> np.ndarray:
+    """The rows of ``target`` positions in a (2, 3) pair's mask at ``layer``."""
+    layout = SegmentLayout(2, 3)
+    mask = build_mask(layout, MaskSpec(step, split_depth=split, total_layers=6), layer)
+    return mask.allow[layout.segments() == target]
+
+
+def reads_exactly(rows: np.ndarray, sources) -> bool:
+    """True when every row reads the positions of ``sources`` and no others."""
+    seg = SegmentLayout(2, 3).segments()
+    return bool((rows == np.isin(seg, [int(s) for s in sources])).all())
+
+
+class TestSegmentRows:
+    """Each segment's rows of a built mask, one (step, segment, layer) at a time."""
+
+    @pytest.mark.parametrize("step", STEPS_IN_ORDER)
+    @pytest.mark.parametrize("target", ALL_SEGMENTS)
+    @pytest.mark.parametrize("severed", [False, True])
+    def test_matches_rule_interpreter(self, step, target, severed):
+        # Layer 1 lies inside a split depth of 2, layer 5 past it; only step 3
+        # may tell the two apart.
+        layer = 1 if severed else 5
+        rows = rows_read(target, step, layer, split=2)
+        regime = severed and step is MaskStep.STEP3
+        assert reads_exactly(rows, oracle_allowed(step, regime)[target])
+
+    def test_step2_document_reads_itself_and_sink(self):
+        assert reads_exactly(rows_read(D, MaskStep.STEP2, 1, split=0), {D, SEP2})
+
+    def test_baseline_is_unrestricted(self):
+        assert reads_exactly(rows_read(Q, MaskStep.BASELINE, 1, split=0), ALL_SEGMENTS)
+
+    def test_step3_depends_on_layer(self):
+        assert reads_exactly(rows_read(Q, MaskStep.STEP3, 2, split=4), {Q, SEP1})
+        assert reads_exactly(rows_read(Q, MaskStep.STEP3, 5, split=4), {Q, SEP1, D})
+
+
 class TestBuildMask:
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (5, 7)])
     @pytest.mark.parametrize("step", STEPS_IN_ORDER)
