@@ -303,8 +303,9 @@ def _cmd_rerank(args) -> int:
         raise ValueError("mice-precomp mode needs --cache")
     else:
         # The cache holds every document's states, so the corpus only
-        # supplies the vocabulary. It is opened strictly whatever --strict
-        # says: the scorer refuses every state of another checkpoint.
+        # supplies the vocabulary. A cache of another checkpoint is refused
+        # on open whatever --strict says: the scorer would refuse its every
+        # state, and --no-strict skips only candidates the cache lacks.
         cache = doccache.read_cache(args.cache, expected_hash=weights.fingerprint())
         scorer = retrieval.MiceCacheScorer(weights, vocab, cache, **chunking)
     candidates_by_query = retrieval.read_trec_run(args.candidates)
@@ -316,7 +317,7 @@ def _cmd_rerank(args) -> int:
             continue
         ranking = retrieval.rerank(
             qid, text, candidates, scorer, k_out=args.k_out,
-            on_missing="raise" if args.strict else "skip",
+            strict=args.strict,
         )
         skipped_total += len(ranking.skipped)
         rankings.append(ranking)
@@ -490,14 +491,7 @@ def dispatch(argv) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (
-        ValueError,
-        KeyError,
-        IndexError,
-        OSError,
-        doccache.CacheMismatchError,
-        mice.ConsistencyError,
-    ) as exc:
+    except (ValueError, KeyError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

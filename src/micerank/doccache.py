@@ -12,35 +12,42 @@ File layout (integers little-endian):
   little-endian, row-major
 
 Payloads are always 32-bit regardless of compute precision (the cache is an
-inference artifact; tests that need 64 bits bypass it). Opening reads the
-header and index table through the checkpoint loader's bounded reader, so a
-short file is refused before anything is allocated for it, and checks the
-table: ids are unique, every document holds at least one token, and every
-payload lies after the index, inside the file, and apart from every other
-payload. Only then is the file mapped read-only for the payloads, so
-concurrent reads are safe; lookups are lazy and O(1) via the offset table.
-Writing is single-writer and atomic (temp file + rename).
+inference artifact; tests that need 64 bits bypass it). They lie end to end
+in index order: the first starts where the index table ends, each next one
+where the one before it ends, and the last ends at the end of the file. The
+writer and the reader derive these offsets with one helper.
+
+Opening reads the header and index table through the checkpoint loader's
+bounded reader, so a short file is refused before anything is allocated for
+it, and checks the table in linear time: ids are unique, every document holds
+at least one token, and every stored offset is where the layout puts it, so a
+misplaced, overlapping or truncated payload and trailing bytes are refused
+with :class:`CacheFormatError`. A cache of another checkpoint than the one
+expected raises :class:`.mice.ConsistencyError`, the one error for states
+and weights that do not belong together. Only then is the file mapped
+read-only for the payloads, so concurrent reads are safe; lookups are lazy
+and O(1) via the offset table. Writing is single-writer and atomic (temp file
++ rename).
 """
 
 from __future__ import annotations
 
-import logging
 import mmap
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .checkpoint import _Reader, atomic_output
-from .mice import DocState
+from .mice import ConsistencyError, DocState
 
 __all__ = [
     "MAGIC",
     "VERSION",
     "CacheFormatError",
-    "CacheMismatchError",
     "CacheHeader",
     "DocStateCache",
     "write_cache",
@@ -52,15 +59,9 @@ VERSION = 1
 
 _HEADER = struct.Struct("<8sIII32sI")
 
-log = logging.getLogger(__name__)
-
 
 class CacheFormatError(ValueError):
     """The file is not a valid document-state cache."""
-
-
-class CacheMismatchError(RuntimeError):
-    """The cache was produced by a different checkpoint than the consumer's."""
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,13 @@ class CacheHeader:
     doc_count: int
 
 
+def _payload_offsets(index_end: int, counts: Sequence[int], hidden: int) -> list[int]:
+    """Where each payload of ``counts`` token counts starts when the payloads
+    lie end to end in index order from ``index_end``, then where the last
+    one ends."""
+    return list(accumulate(((m + 1) * hidden * 4 for m in counts), initial=index_end))
+
+
 def write_cache(
     path,
     states: Sequence[DocState] | Iterable[DocState],
@@ -81,40 +89,28 @@ def write_cache(
 ) -> None:
     """Persist document states; replaces ``path`` atomically on success.
 
-    A state stamped with a checkpoint hash other than ``checkpoint_hash`` is
-    refused, since the cache would hand it out under the wrong checkpoint."""
+    Every state must fit ``checkpoint_hash`` and ``hidden``
+    (:meth:`.mice.DocState.check_fits`), since the cache hands each one out
+    stamped with ``checkpoint_hash``; an unstamped state takes that stamp."""
     states = list(states)
     if len(checkpoint_hash) != 32:
         raise ValueError("checkpoint_hash must be a 32-byte digest")
     seen: set[str] = set()
     for doc in states:
-        if doc.states.shape[1] != hidden:
-            raise ValueError(
-                f"document {doc.doc_id!r} has width {doc.states.shape[1]}, cache expects {hidden}"
-            )
-        if doc.checkpoint_hash is not None and doc.checkpoint_hash != checkpoint_hash:
-            raise ValueError(
-                f"document {doc.doc_id!r} was encoded by checkpoint "
-                f"{doc.checkpoint_hash.hex()[:12]}..., not the cache's "
-                f"{checkpoint_hash.hex()[:12]}..."
-            )
+        doc.check_fits(checkpoint_hash, hidden)
         if doc.doc_id in seen:
             raise ValueError(f"duplicate doc id {doc.doc_id!r}")
         seen.add(doc.doc_id)
     ids = [doc.doc_id.encode("utf-8") for doc in states]
-    index_size = sum(4 + len(raw) + 4 + 8 for raw in ids)
-    offset = _HEADER.size + index_size
-    entries = []
-    for doc, raw in zip(states, ids):
-        entries.append((raw, doc.m, offset))
-        offset += (doc.m + 1) * hidden * 4
+    index_end = _HEADER.size + sum(4 + len(raw) + 4 + 8 for raw in ids)
+    offsets = _payload_offsets(index_end, [doc.m for doc in states], hidden)
 
     with atomic_output(path) as out:
         out.write(_HEADER.pack(MAGIC, VERSION, hidden, split_depth, checkpoint_hash, len(states)))
-        for raw, m, off in entries:
+        for raw, doc, offset in zip(ids, states, offsets):
             out.write(struct.pack("<I", len(raw)))
             out.write(raw)
-            out.write(struct.pack("<IQ", m, off))
+            out.write(struct.pack("<IQ", doc.m, offset))
         for doc in states:
             out.write(np.ascontiguousarray(doc.states, dtype="<f4").tobytes())
 
@@ -159,28 +155,13 @@ class DocStateCache:
         return False
 
 
-def _check_payloads(path, index: dict, payload_start: int, hidden: int) -> None:
-    """Every payload lies after the index table and no two overlap."""
-    previous, previous_end = None, payload_start
-    for offset, end, doc_id in sorted(
-        (offset, offset + (m + 1) * hidden * 4, doc_id) for doc_id, (m, offset) in index.items()
-    ):
-        if offset < previous_end and previous is None:
-            raise CacheFormatError(
-                f"{path}: payload of {doc_id!r} starts inside the header or index table "
-                f"(offset {offset}, index ends at {payload_start})"
-            )
-        if offset < previous_end:
-            raise CacheFormatError(f"{path}: payloads of {previous!r} and {doc_id!r} overlap")
-        previous, previous_end = doc_id, end
-
-
-def read_cache(path, expected_hash: bytes | None = None, strict: bool = True) -> DocStateCache:
+def read_cache(path, expected_hash: bytes | None = None) -> DocStateCache:
     """Open a cache for lazy lookups.
 
-    When ``expected_hash`` is given it is compared against the stored
-    checkpoint hash: a mismatch raises :class:`CacheMismatchError` in strict
-    mode and logs a warning otherwise.
+    The header and index table are checked as the module docstring says; a
+    malformed file raises :class:`CacheFormatError`. When
+    ``expected_hash`` is given, a cache stamped with another checkpoint hash
+    raises :class:`.mice.ConsistencyError`, naming the path and both digests.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -193,26 +174,34 @@ def read_cache(path, expected_hash: bytes | None = None, strict: bool = True) ->
             raise CacheFormatError(
                 f"{path} has unsupported cache version {header.version} (expected {VERSION})"
             )
-        hidden, ckpt_hash = header.hidden, header.checkpoint_hash
+        stored = header.checkpoint_hash
+        if expected_hash is not None and expected_hash != stored:
+            raise ConsistencyError(
+                f"cache {path} was produced by a different checkpoint "
+                f"(stored {stored.hex()[:12]}..., expected {expected_hash.hex()[:12]}...)"
+            )
         index: dict[str, tuple[int, int]] = {}
         for _ in range(header.doc_count):
             doc_id = r.take(r.u32()).decode("utf-8")
             m, offset = struct.unpack("<IQ", r.take(12))
             if m == 0:
                 raise CacheFormatError(f"{path}: document {doc_id!r} holds no tokens")
-            if offset + (m + 1) * hidden * 4 > r.size:
-                raise CacheFormatError(f"{path}: payload of {doc_id!r} runs past end of file")
             if doc_id in index:
                 raise CacheFormatError(f"{path}: duplicate doc id {doc_id!r} in index table")
             index[doc_id] = (m, offset)
-        _check_payloads(path, index, r.off, hidden)
-        if expected_hash is not None and expected_hash != ckpt_hash:
-            message = (
-                f"cache {path} was produced by a different checkpoint "
-                f"(stored {ckpt_hash.hex()[:12]}..., expected {expected_hash.hex()[:12]}...)"
-            )
-            if strict:
-                raise CacheMismatchError(message)
-            log.warning("%s", message)
+        *starts, end = _payload_offsets(r.off, [m for m, _ in index.values()], header.hidden)
+        before = "the index table"
+        for (doc_id, (_, offset)), start in zip(index.items(), starts):
+            if offset != start:
+                raise CacheFormatError(
+                    f"{path}: payload of {doc_id!r} is stored at offset {offset}, "
+                    f"not at {start}, where {before} ends"
+                )
+            before = f"the payload of {doc_id!r}"
+        if end > r.size:
+            raise CacheFormatError(f"{path}: payload of {next(reversed(index))!r} runs past "
+                                   "end of file")
+        if end < r.size:
+            raise CacheFormatError(f"{path} has {r.size - end} trailing bytes")
         mm = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     return DocStateCache(path, header, index, mm)

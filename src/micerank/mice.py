@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 
-class ConsistencyError(RuntimeError):
+class ConsistencyError(ValueError):
     """Frozen document states and model weights come from different checkpoints."""
 
 
@@ -86,7 +86,9 @@ class DocState:
 
     ``states`` holds :attr:`m` document-token rows plus the trailing sink
     row, i.e. shape ``(m + 1, d)``. ``checkpoint_hash`` records which
-    checkpoint produced it; consumers refuse to mix states across checkpoints.
+    checkpoint produced it. :meth:`check_fits` is the one rule for whether the
+    state may meet a model or a cache; the scorer and the cache writer apply
+    it.
     """
 
     doc_id: str
@@ -100,6 +102,20 @@ class DocState:
     @property
     def m(self) -> int:
         return self.states.shape[0] - 1
+
+    def check_fits(self, digest: bytes, hidden: int) -> None:
+        """Refuse a state stamped by a checkpoint other than ``digest``, or of
+        a width other than ``hidden``, with :class:`ConsistencyError`. An
+        unstamped state (``checkpoint_hash=None``) fits every digest."""
+        if self.checkpoint_hash is not None and self.checkpoint_hash != digest:
+            raise ConsistencyError(
+                f"document {self.doc_id!r} was encoded by checkpoint "
+                f"{self.checkpoint_hash.hex()[:12]}..., not {digest.hex()[:12]}..."
+            )
+        if self.states.shape[1] != hidden:
+            raise ConsistencyError(
+                f"document {self.doc_id!r} has width {self.states.shape[1]}, expected {hidden}"
+            )
 
 
 @dataclass
@@ -261,13 +277,6 @@ def interaction_layer(q_states: Tensor, doc: DocState, lw: LayerWeights, heads: 
     return out.reshape(out.shape[1:])
 
 
-def _check_hash(doc: DocState, weights: MiceWeights) -> None:
-    if doc.checkpoint_hash is not None and doc.checkpoint_hash != weights.fingerprint():
-        raise ConsistencyError(
-            f"document state {doc.doc_id!r} was produced by a different checkpoint"
-        )
-
-
 def mice_forward(query_ids: Sequence[int], doc: DocState, weights: MiceWeights) -> float:
     """Relevance score of one (query, frozen document) pair."""
     return float(mice_score_batch([(query_ids, doc)], weights)[0])
@@ -276,14 +285,11 @@ def mice_forward(query_ids: Sequence[int], doc: DocState, weights: MiceWeights) 
 def mice_score_batch(
     items: Sequence[tuple[Sequence[int], DocState]], weights: MiceWeights
 ) -> np.ndarray:
-    """Scores [B] for (query ids, DocState) pairs, batched over items."""
-    d = weights.config.hidden
+    """Scores [B] for (query ids, DocState) pairs, batched over items; every
+    state must fit the weights (:meth:`DocState.check_fits`)."""
+    digest = weights.fingerprint()
     for _, doc in items:
-        _check_hash(doc, weights)
-        if doc.states.shape[1] != d:
-            raise ConsistencyError(
-                f"document state width {doc.states.shape[1]} does not match model hidden {d}"
-            )
+        doc.check_fits(digest, weights.config.hidden)
     q_states, q_lengths = _query_batch([q for q, _ in items], weights)
     docs = [doc.states for _, doc in items]
     doc_states = Tensor(stack_padded(docs, 0, q_states.dtype))

@@ -287,27 +287,22 @@ def rerank(
     candidates: Sequence[str],
     scorer,
     k_out: int | None = None,
-    on_missing: str = "raise",
+    strict: bool = True,
 ) -> RankedList:
     """Re-score ``candidates`` and put them in :func:`.evalbench.ranked` order.
 
     ``scorer`` offers ``score(query_text, candidates)`` and ``docs``, which
-    answers ``c in docs`` for the candidates it can score. ``on_missing``
-    controls what happens to the others (unknown document, no cached
-    state): ``raise`` (default) or ``skip``, which drops them and records
-    them on ``RankedList.skipped``.
+    answers ``c in docs`` for the candidates it can score. The others
+    (unknown document, no cached state) raise ``KeyError`` when ``strict``,
+    as ``rerank --strict`` does; otherwise they are dropped with a warning
+    and recorded on ``RankedList.skipped``.
     """
-    if on_missing not in ("raise", "skip"):
-        raise ValueError(f"on_missing must be 'raise' or 'skip', got {on_missing!r}")
     scoreable = [c for c in candidates if c in scorer.docs]
     missing = [c for c in candidates if c not in scorer.docs]
-    if missing:
-        if on_missing == "raise":
-            raise KeyError(
-                f"{len(missing)} candidate(s) cannot be scored, e.g. {missing[:3]}"
-            )
-        for doc_id in missing:
-            log.warning("query %s: skipping unscoreable candidate %s", query_id, doc_id)
+    if missing and strict:
+        raise KeyError(f"{len(missing)} candidate(s) cannot be scored, e.g. {missing[:3]}")
+    for doc_id in missing:
+        log.warning("query %s: skipping unscoreable candidate %s", query_id, doc_id)
     items = ranked(scorer.score(query_text, scoreable).items(), k_out)
     return RankedList(query_id=query_id, items=tuple(items), skipped=tuple(missing))
 

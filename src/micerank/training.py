@@ -519,10 +519,11 @@ def train_in_memory(cfg: TrainConfig, data: SynthData, weights=None):
 
 def train(cfg: TrainConfig, data: SynthData, out_dir, init_weights=None) -> TrainResult:
     """Train and persist: best checkpoint to ``model.bin``, one JSON line per
-    validation to ``metrics.jsonl``."""
+    validation to ``metrics.jsonl``. ``out_dir`` is created only once
+    training has succeeded, so a refused config leaves no directory."""
+    weights, metrics = train_in_memory(cfg, data, weights=init_weights)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    weights, metrics = train_in_memory(cfg, data, weights=init_weights)
     ckpt = out / "model.bin"
     step = cfg.mask_step() or MaskStep.BASELINE
     save_weights(ckpt, weights, step=step)

@@ -273,7 +273,7 @@ def test_c6_cache_fidelity(tmp_path):
         path, states, hidden=config.hidden, split_depth=config.split_depth,
         checkpoint_hash=mw.fingerprint(),
     )
-    cache = doccache.read_cache(path, expected_hash=mw.fingerprint(), strict=True)
+    cache = doccache.read_cache(path, expected_hash=mw.fingerprint())
     round_trip_ok = all(
         cache.get(doc.doc_id).states.tobytes() == doc.states.tobytes() for doc in states
     )

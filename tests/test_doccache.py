@@ -1,20 +1,22 @@
 """Document-state cache: round-trip fidelity, the exact byte layout, and the
 integrity guards."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micerank.doccache import (
     MAGIC,
     VERSION,
     CacheFormatError,
-    CacheMismatchError,
     read_cache,
     write_cache,
 )
-from micerank.mice import DocState
+from micerank.mice import ConsistencyError, DocState
 
 HASH = bytes(range(32))
 
@@ -120,24 +122,21 @@ class TestByteLayout:
 
 
 class TestGuards:
-    def test_wrong_hash_strict_raises(self, tmp_path):
+    def test_wrong_hash_raises(self, tmp_path):
+        """A cache of another checkpoint is the one consistency error, a
+        ``ValueError``, naming the path and both digests."""
         path = tmp_path / "cache.bin"
         write_cache(path, [make_state("a", 2)], hidden=8, split_depth=1, checkpoint_hash=HASH)
-        with pytest.raises(CacheMismatchError):
-            read_cache(path, expected_hash=bytes(32), strict=True)
-
-    def test_wrong_hash_lenient_warns(self, tmp_path, caplog):
-        path = tmp_path / "cache.bin"
-        write_cache(path, [make_state("a", 2)], hidden=8, split_depth=1, checkpoint_hash=HASH)
-        with caplog.at_level("WARNING"):
-            with read_cache(path, expected_hash=bytes(32), strict=False) as cache:
-                assert "different checkpoint" in caplog.text
-                assert cache.get("a").m == 2
+        message = (f"cache {path} was produced by a different checkpoint "
+                   f"(stored {HASH.hex()[:12]}..., expected {bytes(32).hex()[:12]}...)")
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            read_cache(path, expected_hash=bytes(32))
+        assert issubclass(ConsistencyError, ValueError)
 
     def test_matching_hash_accepted(self, tmp_path):
         path = tmp_path / "cache.bin"
         write_cache(path, [make_state("a", 2)], hidden=8, split_depth=1, checkpoint_hash=HASH)
-        with read_cache(path, expected_hash=HASH, strict=True) as cache:
+        with read_cache(path, expected_hash=HASH) as cache:
             assert "a" in cache
 
     def test_bad_magic(self, tmp_path):
@@ -160,7 +159,14 @@ class TestGuards:
         write_cache(path, [make_state("a", 4)], hidden=8, split_depth=1, checkpoint_hash=HASH)
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
-        with pytest.raises(CacheFormatError):
+        with pytest.raises(CacheFormatError, match="payload of 'a' runs past end of file"):
+            read_cache(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        write_cache(path, [make_state("a", 4)], hidden=8, split_depth=1, checkpoint_hash=HASH)
+        path.write_bytes(path.read_bytes() + bytes(3))
+        with pytest.raises(CacheFormatError, match="has 3 trailing bytes"):
             read_cache(path)
 
     # the 56-byte header, then two 17-byte index rows, ending at 90
@@ -185,7 +191,7 @@ class TestGuards:
             write_cache(tmp_path / "c.bin", docs, hidden=8, split_depth=1, checkpoint_hash=HASH)
 
     def test_width_mismatch_rejected_at_write(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConsistencyError, match="document 'a' has width 8, expected 16"):
             write_cache(
                 tmp_path / "c.bin", [make_state("a", 1)], hidden=16, split_depth=1,
                 checkpoint_hash=HASH,
@@ -206,7 +212,7 @@ class TestGuards:
         unstamped = make_state("c", 1)
         unstamped.checkpoint_hash = None
         path = tmp_path / "c.bin"
-        with pytest.raises(ValueError, match="document 'b' was encoded by checkpoint"):
+        with pytest.raises(ConsistencyError, match="document 'b' was encoded by checkpoint"):
             write_cache(path, [make_state("a", 1), other], hidden=8, split_depth=1,
                         checkpoint_hash=HASH)
         assert not path.exists()
@@ -245,29 +251,93 @@ class TestIndexTableGuards:
     def test_payload_inside_header_or_index(self, tmp_path, rel):
         path = tmp_path / "c.bin"
         hand_built_cache(path, [("a", 1, 0), ("b", 1, rel)], payload_bytes=128)
-        with pytest.raises(CacheFormatError, match="payload of 'b' starts inside"):
+        with pytest.raises(CacheFormatError, match=f"payload of 'b' is stored at offset {90 + rel}, "
+                                                   "not at 154, where the payload of 'a' ends"):
+            read_cache(path)
+
+    def test_first_payload_must_start_where_the_index_ends(self, tmp_path):
+        path = tmp_path / "c.bin"
+        hand_built_cache(path, [("a", 1, 8), ("b", 1, 72)])
+        with pytest.raises(CacheFormatError, match="payload of 'a' is stored at offset 98, "
+                                                   "not at 90, where the index table ends"):
             read_cache(path)
 
     def test_overlapping_payloads(self, tmp_path):
         path = tmp_path / "c.bin"
         hand_built_cache(path, [("a", 2, 0), ("b", 1, 64)])
-        with pytest.raises(CacheFormatError, match="payloads of 'a' and 'b' overlap"):
+        with pytest.raises(CacheFormatError, match="payload of 'b' is stored at offset 154, "
+                                                   "not at 186, where the payload of 'a' ends"):
             read_cache(path)
 
-    def test_overlap_found_whatever_the_index_order(self, tmp_path):
+    def test_overlap_out_of_index_order_refused(self, tmp_path):
         path = tmp_path / "c.bin"
         hand_built_cache(path, [("a", 1, 96), ("b", 1, 160), ("c", 3, 0)])
-        with pytest.raises(CacheFormatError, match="payloads of 'c' and 'a' overlap"):
+        with pytest.raises(CacheFormatError, match="payload of 'a' is stored at offset 203"):
             read_cache(path)
 
-    def test_adjacent_payloads_in_any_order_accepted(self, tmp_path):
+    def test_adjacent_payloads_out_of_index_order_refused(self, tmp_path):
+        """The writer lays payloads out in index order, so any other order is
+        a corrupt table even when no two payloads overlap."""
         path = tmp_path / "c.bin"
         hand_built_cache(path, [("a", 1, 64), ("b", 1, 0)])
-        with read_cache(path) as cache:
-            assert cache.get("a").m == cache.get("b").m == 1
+        with pytest.raises(CacheFormatError, match="payload of 'a' is stored at offset 154, "
+                                                   "not at 90, where the index table ends"):
+            read_cache(path)
+
+    def test_offset_past_end_of_file(self, tmp_path):
+        path = tmp_path / "c.bin"
+        hand_built_cache(path, [("a", 1, 1000), ("b", 1, 64)], payload_bytes=128)
+        with pytest.raises(CacheFormatError, match="payload of 'a' is stored at offset 1090"):
+            read_cache(path)
 
     def test_empty_entry_rejected_on_open(self, tmp_path):
         path = tmp_path / "c.bin"
         hand_built_cache(path, [("a", 1, 0), ("b", 0, 64)])
         with pytest.raises(CacheFormatError, match="'b' holds no tokens"):
+            read_cache(path)
+
+
+@st.composite
+def cache_contents(draw):
+    """Distinct ids, one token count each, and a width."""
+    ids = draw(st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=5, unique=True))
+    counts = draw(st.lists(st.integers(1, 5), min_size=len(ids), max_size=len(ids)))
+    return list(zip(ids, counts)), draw(st.integers(1, 6))
+
+
+def offset_position(ids, i):
+    """Byte position of the ``i``-th index row's stored offset."""
+    before = sum(4 + len(d.encode()) + 12 for d in ids[:i])
+    return struct.calcsize("<8sIII32sI") + before + 4 + len(ids[i].encode()) + 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(contents=cache_contents(), data=st.data())
+def test_written_cache_opens_and_any_change_to_its_layout_is_refused(
+    tmp_path_factory, contents, data
+):
+    """Every cache ``write_cache`` produces round-trips; moving any one stored
+    offset is refused naming that document, and so is one byte more or less."""
+    entries, hidden = contents
+    docs = [make_state(d, m, seed=i, d=hidden) for i, (d, m) in enumerate(entries)]
+    path = tmp_path_factory.mktemp("cache") / "c.bin"
+    write_cache(path, docs, hidden=hidden, split_depth=1, checkpoint_hash=HASH)
+    with read_cache(path, expected_hash=HASH) as cache:
+        assert cache.doc_ids() == [d for d, _ in entries]
+        for doc in docs:
+            assert cache.get(doc.doc_id).states.tobytes() == doc.states.tobytes()
+
+    blob = path.read_bytes()
+    i = data.draw(st.integers(0, len(entries) - 1), label="moved entry")
+    delta = data.draw(st.integers(-40, 40).filter(bool), label="delta")
+    pos = offset_position([d for d, _ in entries], i)
+    moved = bytearray(blob)
+    struct.pack_into("<Q", moved, pos, struct.unpack_from("<Q", blob, pos)[0] + delta)
+    path.write_bytes(bytes(moved))
+    with pytest.raises(CacheFormatError,
+                       match=re.escape(f"payload of {entries[i][0]!r} is stored at offset")):
+        read_cache(path)
+    for changed in (blob + b"\0", blob[:-1]):
+        path.write_bytes(changed)
+        with pytest.raises(CacheFormatError):
             read_cache(path)

@@ -487,14 +487,15 @@ class TestTrainLearningRate:
 ])
 def test_train_with_a_size_below_one_is_data_error(ws, tmp_path, capsys, flags, field):
     """A zero width used to train and then fail writing the checkpoint; a
-    negative one failed inside numpy, and a negative cap in the framing."""
+    negative one failed inside numpy, and a negative cap in the framing.
+    The refusal comes before ``--out-dir`` is created."""
     out = tmp_path / "out"
     assert dispatch(["train", *inputs(ws, "corpus", "queries", "qrels"),
                      "--out-dir", str(out), *ARCH, *SHORT, *flags]) == 2
     err = capsys.readouterr().err
     assert f"{field} must be at least 1, got {flags[1]}" in err
     assert "Traceback" not in err
-    assert not (out / "model.bin").exists()
+    assert not out.exists()
 
 
 class TestTrainConfigFile:

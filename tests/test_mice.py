@@ -321,6 +321,13 @@ class TestMiceForward:
         with pytest.raises(ConsistencyError):
             mice_forward(q, doc, mw)
 
+    def test_unstamped_state_fits_any_checkpoint(self, rng):
+        mw = from_cross_encoder(make_ce(), 3, 2)
+        q, d = random_pair(rng, mw.config)
+        stamped = encode_document(d, mw, doc_id="x")
+        unstamped = DocState(doc_id="x", states=stamped.states)
+        assert mice_forward(q, unstamped, mw) == mice_forward(q, stamped, mw)
+
     def test_hidden_width_mismatch_rejected(self, rng):
         mw = from_cross_encoder(make_ce(), 3, 2)
         doc = DocState(doc_id="x", states=np.zeros((4, 8)))

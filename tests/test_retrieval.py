@@ -170,14 +170,10 @@ class TestRerank:
     def test_missing_candidate_skippable(self, caplog):
         docs = [("d1", "a")]
         with caplog.at_level("WARNING"):
-            ranking = rerank("q", "a", ["d1", "ghost"], _OverlapScorer(docs), on_missing="skip")
+            ranking = rerank("q", "a", ["d1", "ghost"], _OverlapScorer(docs), strict=False)
         assert ranking.skipped == ("ghost",)
         assert ranking.doc_ids() == ["d1"]
         assert "ghost" in caplog.text
-
-    def test_bad_policy_rejected(self):
-        with pytest.raises(ValueError):
-            rerank("q", "a", [], _OverlapScorer([]), on_missing="ignore")
 
 
 class TestThreadedScoring:
