@@ -15,11 +15,12 @@ Tensor names follow ``named_parameters``: ``token_emb``, ``pos_emb``, then
 ``{stack}.{i}.{field}`` for each layer stack in the ``STACKS`` order of the
 parameter set (``layers`` for :class:`.transformer.Weights`; ``lower`` and
 ``interaction`` for :class:`.mice.MiceWeights`), then ``score_w`` and
-``score_b``. The header states the config once; the tensors' shapes must
-agree with it, which the parameter set checks as it is built, so a file
-whose header and tensors disagree does not load. The loader builds the
-parameter set with ``assemble``, which asks for each tensor by its name, so
-it takes each entry by name, not by position. It refuses another magic (a
+``score_b``. The header states the config once; the tensors' shapes, and
+the number of layers the file holds, must agree with it, which the
+parameter set checks as it is built, so a file whose header and tensors
+disagree does not load. The loader builds the parameter set with
+``assemble``, which asks for each tensor by its name, so it takes each
+entry by name, not by position. It refuses another magic (a
 ``MICEWTS1`` file too: that float-metadata format is no longer read), a kind
 or step code it does not know, a missing entry, a name that appears twice,
 and any entry the parameter set does not name.
@@ -215,8 +216,7 @@ def load_weights(path, dtype=np.float32):
     ``weights`` is a :class:`.transformer.Weights` or
     :class:`.mice.MiceWeights` depending on the stored kind; ``step`` is the
     masking step recorded at save time. A config the header gives that is
-    not valid, or that disagrees with a tensor's shape, is refused naming
-    the file.
+    not valid, or that disagrees with the tensors, is refused naming the file.
     """
     dtype = np.dtype(dtype)
     cls, step, config, entries = _read_checkpoint(path)

@@ -56,6 +56,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+# The flag that sets each ModelConfig field; the corpus gives ``vocab_size``.
+# ``train`` declares all eight. ``bench`` declares all but the length caps,
+# which its --n and --m set.
+_MODEL_FLAGS = {"layers": "--layers", "hidden": "--hidden", "heads": "--heads", "ff": "--ff",
+                "max_query": "--max-query", "max_doc": "--max-doc",
+                "split_depth": "--ell-star", "interaction_layers": "--k-inter"}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="micerank", description=__doc__)
     # None defaults tell a given flag from a defaulted one; dispatch fills in
@@ -85,14 +93,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--lr", type=float, dest="lr_peak")
     p.add_argument("--warmup", type=int, dest="warmup_steps")
     p.add_argument("--validate-every", type=positive_int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--ff", type=int)
-    p.add_argument("--max-query", type=int)
-    p.add_argument("--max-doc", type=int)
-    p.add_argument("--ell-star", type=int, dest="split_depth")
-    p.add_argument("--k-inter", type=int, dest="interaction_layers")
+    for name, flag in _MODEL_FLAGS.items():
+        p.add_argument(flag, type=int, dest=name)
 
     p = sub.add_parser("encode-docs", parents=[common], help="precompute document states")
     p.add_argument("--model", required=True)
@@ -134,17 +136,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", parents=[common], help="latency/memory benchmark")
     p.add_argument("--mode", choices=evalbench.MODES, required=True)
     p.add_argument("--batch", type=positive_int, default=8)
-    p.add_argument("--n", type=positive_int, default=16)
-    p.add_argument("--m", type=positive_int, default=128)
+    p.add_argument("--n", type=positive_int, default=16, dest="max_query")
+    p.add_argument("--m", type=positive_int, default=128, dest="max_doc")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--warmup", type=int, default=3)
-    p.add_argument("--layers", type=int, default=8)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--heads", type=int, default=8)
-    p.add_argument("--ff", type=int, default=256)
+    for name, default in (("layers", 8), ("hidden", 64), ("heads", 8), ("ff", 256),
+                          ("split_depth", 4), ("interaction_layers", 3)):
+        p.add_argument(_MODEL_FLAGS[name], type=int, default=default, dest=name)
     p.add_argument("--vocab-size", type=int, default=1024)
-    p.add_argument("--ell-star", type=int, default=4, dest="split_depth")
-    p.add_argument("--k-inter", type=int, default=3, dest="interaction_layers")
     p.add_argument("--out")
 
     p = sub.add_parser("sweep", parents=[common], help="interaction-layer-count sweep")
@@ -199,15 +198,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-# The checkpoint of ``train --init-from`` fixes the architecture, so these
-# flags are refused; the split flags are read only to cut a cross-encoder
-# into a mid-fusion model. Values from a ``--config`` file are defaults, not
-# given flags.
-_ARCH_FLAGS = {"layers": "--layers", "hidden": "--hidden", "heads": "--heads", "ff": "--ff",
-               "max_query": "--max-query", "max_doc": "--max-doc"}
-_CUT_FLAGS = {"split_depth": "--ell-star", "interaction_layers": "--k-inter"}
-
-
 def _cmd_train(args) -> int:
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(training.TrainConfig)
              if getattr(args, f.name) is not None}
@@ -216,9 +206,12 @@ def _cmd_train(args) -> int:
     init = None
     if args.init_from:
         init, _ = checkpoint.load_weights(args.init_from, dtype=cfg.dtype)
+        # The checkpoint fixes the architecture; the split flags are read only
+        # to cut a cross-encoder into a mid-fusion model. Values from a
+        # --config file are defaults, not given flags.
         cut = cfg.variant == "mice" and not isinstance(init, mice.MiceWeights)
-        for name, flag in (_ARCH_FLAGS if cut else {**_ARCH_FLAGS, **_CUT_FLAGS}).items():
-            if name in given:
+        for name, flag in _MODEL_FLAGS.items():
+            if name in given and not (cut and name in ("split_depth", "interaction_layers")):
                 raise ValueError(f"train --init-from does not read {flag}: the checkpoint "
                                  "fixes it")
         if cut:
@@ -228,11 +221,10 @@ def _cmd_train(args) -> int:
                          "a cross-encoder has no interaction layers")
     data = _load_data(args.corpus, args.queries, args.qrels)
     result = training.train(cfg, data, args.out_dir, init_weights=init)
-    last = result.metrics[-1]["rr10"] if result.metrics else float("nan")
-    print(
-        f"trained {cfg.variant} for {cfg.steps} steps: best RR@10 {result.best_rr10:.4f} "
-        f"(last {last:.4f}); checkpoint {result.checkpoint_path}"
-    )
+    rr10 = (f"best RR@10 {result.best_rr10:.4f} (last {result.metrics[-1]['rr10']:.4f})"
+            if result.metrics else "no validation ran")
+    print(f"trained {cfg.variant} for {cfg.steps} steps: {rr10}; "
+          f"checkpoint {result.checkpoint_path}")
     return 0
 
 
@@ -289,6 +281,10 @@ def _cmd_rerank(args) -> int:
         if args.split_depth is not None and step is not MaskStep.STEP3:
             raise ValueError(f"--ell-star applies to mask step 3, not {step.value}")
         config = weights.config
+        if args.split_depth is not None and args.split_depth >= config.layers - 1:
+            raise ValueError(f"--ell-star {args.split_depth} severs every layer below the top "
+                             f"of {config.layers} layers, so the query rows never read the "
+                             "document before CLS reads them")
         split = args.split_depth if args.split_depth is not None else config.split_depth
         spec = MaskSpec(step, split_depth=split, total_layers=config.layers)
         scorer = retrieval.CrossEncoderScorer(
@@ -339,22 +335,14 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = transformer.ModelConfig(
-        layers=args.layers,
-        hidden=args.hidden,
-        heads=args.heads,
-        ff=args.ff,
-        vocab_size=args.vocab_size,
-        max_query=args.n,
-        max_doc=args.m,
-        split_depth=args.split_depth,
-        interaction_layers=args.interaction_layers,
+        vocab_size=args.vocab_size, **{name: getattr(args, name) for name in _MODEL_FLAGS}
     )
     report = evalbench.bench_latency(
         config,
         args.mode,
         batch=args.batch,
-        n=args.n,
-        m=args.m,
+        n=config.max_query,
+        m=config.max_doc,
         trials=args.trials,
         warmup=args.warmup,
         seed=args.seed,

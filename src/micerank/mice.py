@@ -37,7 +37,7 @@ lower-layer backward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -138,7 +138,9 @@ class MiceWeights(_ParameterSet):
 
 
 def init_mice_weights(config: ModelConfig, seed: int = 0, dtype=np.float32) -> MiceWeights:
-    """Fresh randomly-initialized mid-fusion parameters."""
+    """Fresh randomly-initialized parameters of the mid-fusion model cut from
+    a model of ``config`` (:meth:`.ModelConfig.cut`)."""
+    config = config.cut(config.split_depth, config.interaction_layers)
     return MiceWeights.assemble(config, _initializer(config, np.random.default_rng(seed), dtype))
 
 
@@ -150,20 +152,11 @@ def from_cross_encoder(ce: Weights, split_depth: int, interaction_count: int) ->
     ``interaction.j`` <- ``layers.{split_depth + j}`` for
     ``j < interaction_count``, and embeddings and scoring head under their
     own names. The joint softmax is thus seeded by the original
-    self-attention, and any layers above are dropped.
+    self-attention, and any layers above are dropped. The config is
+    ``ce.config.cut(split_depth, interaction_count)``, which refuses a cut
+    that does not fit.
     """
-    total = ce.config.layers
-    if split_depth < 1 or interaction_count < 1 or split_depth + interaction_count > total:
-        raise ValueError(
-            f"invalid split: split_depth={split_depth}, "
-            f"interaction_count={interaction_count}, layers={total}"
-        )
-    config = replace(
-        ce.config,
-        layers=split_depth + interaction_count,
-        split_depth=split_depth,
-        interaction_layers=interaction_count,
-    )
+    config = ce.config.cut(split_depth, interaction_count)
     source = dict(ce.named_parameters())
     first = {"lower": 0, "interaction": split_depth}
 

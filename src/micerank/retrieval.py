@@ -313,8 +313,9 @@ def rerank(
 
 
 def read_jsonl(path) -> list[tuple[str, str]]:
-    """``(id, text)`` records of a corpus or query file; a malformed line or
-    a repeated id is refused, naming ``path:line``."""
+    """``(id, text)`` records of a corpus or query file; a malformed line, an
+    id or text that is not a string, or a repeated id is refused, naming
+    ``path:line``."""
     records = []
     first_line: dict[str, int] = {}
     with open(path) as f:
@@ -326,7 +327,10 @@ def read_jsonl(path) -> list[tuple[str, str]]:
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise TypeError(f"expected an object, got {type(obj).__name__}")
-                rec_id, text = str(obj["id"]), str(obj["text"])
+                for key in ("id", "text"):
+                    if not isinstance(obj[key], str):
+                        raise TypeError(f"{key} must be a string, got {json.dumps(obj[key])}")
+                rec_id, text = obj["id"], obj["text"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad JSONL record ({exc})") from None
             if rec_id in first_line:

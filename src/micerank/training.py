@@ -118,12 +118,14 @@ class TrainConfig:
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         """The config of a fresh model, from this config's architecture
-        fields; a model passed in to train keeps its own."""
+        fields; a model passed in to train keeps its own. A mid-fusion
+        model is the :meth:`.ModelConfig.cut` of the cross-encoder's."""
         arch = {f.name: getattr(self, f.name) for f in fields(ModelConfig)
-                if f.name != "vocab_size"}
-        if self.variant != "mice":
-            arch["interaction_layers"] = 0
-        return ModelConfig(vocab_size=vocab_size, **arch)
+                if f.name not in ("vocab_size", "interaction_layers")}
+        config = ModelConfig(vocab_size=vocab_size, **arch)
+        if self.variant == "mice":
+            return config.cut(self.split_depth, self.interaction_layers)
+        return config
 
 
 def parse_config_text(text: str, source: str = "<config>", given=None) -> TrainConfig:
@@ -457,11 +459,8 @@ def train_in_memory(cfg: TrainConfig, data: SynthData, weights=None):
     """
     task = _prepare_task(data, weights)
     if weights is None:
-        mconfig = cfg.model_config(task.vocab.size)
-        if cfg.variant == "mice":
-            weights = init_mice_weights(mconfig, seed=cfg.seed, dtype=cfg.dtype)
-        else:
-            weights = init_ce_weights(mconfig, seed=cfg.seed, dtype=cfg.dtype)
+        init = init_mice_weights if cfg.variant == "mice" else init_ce_weights
+        weights = init(cfg.model_config(task.vocab.size), seed=cfg.seed, dtype=cfg.dtype)
     is_mice = isinstance(weights, MiceWeights)
     if is_mice != (cfg.variant == "mice"):
         raise ValueError(f"variant {cfg.variant!r} does not match the given weights")
@@ -517,10 +516,20 @@ def train_in_memory(cfg: TrainConfig, data: SynthData, weights=None):
     return weights, metrics
 
 
+def _warn_if_document_unread(interaction_layers: int) -> None:
+    """Warn of a mid-fusion model whose score never reads the document."""
+    if interaction_layers == 1:
+        log.warning("k_inter=1: with one interaction layer the CLS row never reads the "
+                    "document, so every score ignores it")
+
+
 def train(cfg: TrainConfig, data: SynthData, out_dir, init_weights=None) -> TrainResult:
     """Train and persist: best checkpoint to ``model.bin``, one JSON line per
     validation to ``metrics.jsonl``. ``out_dir`` is created only once
     training has succeeded, so a refused config leaves no directory."""
+    if cfg.variant == "mice":
+        model = cfg if init_weights is None else init_weights.config
+        _warn_if_document_unread(model.interaction_layers)
     weights, metrics = train_in_memory(cfg, data, weights=init_weights)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -570,18 +579,16 @@ def layer_drop_sweep(
 ) -> list[tuple[int, float]]:
     """Evaluate mid-fusion models built from ``ce_weights`` for each kept
     interaction-layer count ``k``; returns (k, held-out RR@10) rows in
-    descending ``k``. Invalid ``k`` values are skipped with a warning.
+    descending ``k``. A ``k`` the cut refuses is skipped with a warning.
     """
-    total = ce_weights.config.layers
     rows: list[tuple[int, float]] = []
     for k in sorted(set(int(k) for k in k_values), reverse=True):
-        if k < 1 or split_depth + k > total:
-            log.warning(
-                "skipping k_inter=%d: outside 1..%d for split_depth=%d",
-                k, total - split_depth, split_depth,
-            )
+        try:
+            mw = from_cross_encoder(ce_weights, split_depth, k)
+        except ValueError as exc:
+            log.warning("skipping k_inter=%d: %s", k, exc)
             continue
-        mw = from_cross_encoder(ce_weights, split_depth, k)
+        _warn_if_document_unread(k)
         metric = finetune_mice(mw, data, steps=finetune_steps, seed=seed)
         rows.append((k, metric))
     return rows

@@ -29,7 +29,7 @@ the CLS row, which is never padding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -81,7 +81,8 @@ class ModelConfig:
     ``split_depth`` is the number of lower layers through which query and
     document are contextualized independently; ``interaction_layers`` is the
     number of joint upper layers kept by the mid-fusion variant (0 for a
-    plain cross-encoder config).
+    plain cross-encoder config). ``layers`` counts the layers a model holds;
+    a mid-fusion config is the :meth:`cut` of a cross-encoder config.
     """
 
     layers: int
@@ -95,29 +96,29 @@ class ModelConfig:
     interaction_layers: int = 0
 
     def __post_init__(self):
-        if self.layers < 1:
-            raise ValueError("need at least one layer")
-        for name in ("heads", "hidden", "ff", "max_query", "max_doc"):
+        for name in ("layers", "heads", "hidden", "ff", "max_query", "max_doc"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if not 1 <= self.split_depth <= self.layers:
-            raise ValueError(
-                f"split_depth {self.split_depth} outside 1..{self.layers}"
-            )
-        if self.interaction_layers and not (
-            1 <= self.interaction_layers <= self.layers - self.split_depth
-        ):
-            raise ValueError(
-                f"interaction_layers {self.interaction_layers} outside "
-                f"1..{self.layers - self.split_depth}"
-            )
+            raise ValueError(f"split_depth {self.split_depth} outside 1..{self.layers}")
+        if not 0 <= self.interaction_layers <= self.layers - self.split_depth:
+            raise ValueError(f"interaction_layers {self.interaction_layers} outside "
+                             f"1..{self.layers - self.split_depth}")
         if self.vocab_size <= FIRST_WORD_ID:
             raise ValueError(f"vocab_size must exceed {FIRST_WORD_ID}")
         for f in fields(self):  # a checkpoint stores each field as a u32
             if getattr(self, f.name) >= 2**32:
                 raise ValueError(f"{f.name} must be below 2**32, got {getattr(self, f.name)}")
+
+    def cut(self, split_depth: int, interaction_layers: int) -> ModelConfig:
+        """The config of the mid-fusion model that keeps this model's first
+        ``split_depth`` layers as its lower stack and the next
+        ``interaction_layers`` as its interaction stack, checked against this
+        depth, so it holds their sum. The parameter set refuses a count of 0."""
+        fitted = replace(self, split_depth=split_depth, interaction_layers=interaction_layers)
+        return replace(fitted, layers=split_depth + interaction_layers)
 
     @property
     def position_count(self) -> int:
@@ -147,10 +148,11 @@ class _ParameterSet:
     ``token_emb``, ``pos_emb``, ``score_w`` and ``score_b``. ``STACKS`` maps
     each list of encoder layers, in serialization order, to the
     :class:`ModelConfig` field that counts them. Construction checks every
-    stack's length against it, that no stack is empty, and every tensor's
-    shape against :func:`param_shape`, so a config cannot disagree with the
-    tensors it describes. Every parameter set is built by :meth:`assemble`,
-    one tensor per name that :meth:`named_parameters` yields."""
+    stack's length against it, that no stack is empty, that ``config.layers``
+    is the layers all stacks hold, and every tensor's shape against
+    :func:`param_shape`, so a config cannot disagree with the tensors it
+    describes. Every parameter set is built by :meth:`assemble`, one tensor
+    per name that :meth:`named_parameters` yields."""
 
     STACKS = {}
 
@@ -162,6 +164,9 @@ class _ParameterSet:
                 raise ValueError(f"{stack} holds {got} layers; config.{count} is {expected}")
             if not expected:
                 raise ValueError(f"{stack} needs at least one layer; config.{count} is 0")
+        held = sum(len(getattr(self, stack)) for stack in self.STACKS)
+        if held != self.config.layers:
+            raise ValueError(f"stacks hold {held} layers; config.layers is {self.config.layers}")
         for name, t in self.named_parameters():
             shape = param_shape(name, self.config)
             if t.shape != shape:

@@ -160,6 +160,22 @@ def test_config_disagreeing_with_a_tensor_is_refused(field, value, tensor, shape
         dataclasses.replace(weights, config=dataclasses.replace(CONFIG, **{field: value}))
 
 
+def test_depth_other_than_the_layers_held_is_refused(tmp_path):
+    """A mid-fusion config's ``layers`` counts its lower and interaction
+    layers, in a header and in a copy alike."""
+    weights = init_mice_weights(dataclasses.replace(CONFIG, interaction_layers=1), seed=0)
+    deeper = dataclasses.replace(weights.config, layers=3)
+    with pytest.raises(ValueError, match="^stacks hold 2 layers; config.layers is 3$"):
+        dataclasses.replace(weights, config=deeper)
+    blob = serialize_weights(weights)
+    values = dict(zip(FIELDS, HEADER.unpack(blob[:HEADER.size])[1:]))
+    path = tmp_path / "deep.bin"
+    path.write_bytes(HEADER.pack(MAGIC, *{**values, "layers": 3}.values()) + blob[HEADER.size:])
+    message = f"{path}: stacks hold 2 layers; config.layers is 3"
+    with pytest.raises(CheckpointFormatError, match=f"^{re.escape(message)}$"):
+        load_weights(path)
+
+
 # A CE checkpoint of about 8 MiB: big enough that the loader's own small
 # objects are noise beside the payloads.
 LARGE = ModelConfig(

@@ -190,7 +190,7 @@ class TestPipeline:
         """``ablate`` runs the rerank command; only the TREC tag differs."""
         data = workspace / "data"
         scoring = [
-            "--model", str(workspace / "ce" / "model.bin"), "--step", "3", "--ell-star", "2",
+            "--model", str(workspace / "ce" / "model.bin"), "--step", "3",
             "--queries", str(data / "queries.jsonl"), "--corpus", str(data / "corpus.jsonl"),
             "--candidates", str(workspace / "bm25.trec"),
         ]

@@ -7,6 +7,7 @@ tiny synthetic setup, so exit codes and messages are asserted directly.
 import dataclasses
 import hashlib
 import json
+import logging
 import struct
 
 import numpy as np
@@ -186,6 +187,87 @@ class TestInteractionLayerCounts:
         assert not out.exists()
 
 
+class TestModelDepth:
+    """A model's ``layers`` is the number of layers it holds. For a fresh
+    mid-fusion model, ``--layers`` is the depth of the cross-encoder it is
+    cut from."""
+
+    def test_fresh_mid_fusion_model_saves_the_depth_it_holds(self, ws, tmp_path):
+        out = tmp_path / "out"
+        assert dispatch(["train", *inputs(ws, "corpus", "queries", "qrels"), "--out-dir",
+                         str(out), "--variant", "mice", *ARCH, *SHORT, "--layers", "5",
+                         "--k-inter", "2"]) == 0
+        _, _, _, *values, _ = HEADER.unpack((out / "model.bin").read_bytes()[:HEADER.size])
+        config = ModelConfig(*values)
+        assert (config.layers, config.split_depth, config.interaction_layers) == (3, 1, 2)
+        mw, _ = checkpoint.load_weights(out / "model.bin")
+        assert mw.config.layers == len(mw.lower) + len(mw.interaction) == 3
+
+    def test_header_depth_other_than_the_layers_held_is_data_error(self, ws, tmp_path, capsys):
+        """A mid-fusion header that says 5 layers over stacks of 1 and 2."""
+        config, entries = checkpoint_entries(ws / "mice" / "model.bin")
+        model = tmp_path / "model.bin"
+        write_checkpoint(model, KIND_MICE, dataclasses.replace(config, layers=5), entries)
+        out = tmp_path / "run.trec"
+        assert dispatch(rerank_argv(ws, model, "--mode", "mice", out=out)) == 2
+        assert f"{model}: stacks hold 3 layers; config.layers is 5" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+
+class TestScoringWithoutTheDocument:
+    """Configurations whose CLS row never reads the document: one interaction
+    layer, and a step-3 split at the top layer or the one below it. The
+    library keeps the first, which equals the severed cross-encoder."""
+
+    BLIND = "with one interaction layer the CLS row never reads the document"
+
+    def blind_warnings(self, caplog) -> int:
+        return sum(self.BLIND in record.getMessage() for record in caplog.records)
+
+    @pytest.mark.parametrize("k,warnings", [("1", 1), ("2", 0)])
+    def test_train_with_one_interaction_layer_warns(self, ws, tmp_path, caplog, k, warnings):
+        with caplog.at_level(logging.WARNING):
+            assert dispatch(["train", *inputs(ws, "corpus", "queries", "qrels"), "--out-dir",
+                             str(tmp_path / "out"), "--variant", "mice", *ARCH, *SHORT,
+                             "--k-inter", k]) == 0
+        assert self.blind_warnings(caplog) == warnings
+
+    def test_sweep_warns_on_its_one_interaction_layer_row(self, ws, tmp_path, caplog):
+        out = tmp_path / "sweep.csv"
+        with caplog.at_level(logging.WARNING):
+            assert dispatch(["sweep", "--model", str(ws / "ce" / "model.bin"),
+                             *inputs(ws, "corpus", "queries", "qrels"), "--k-min", "1",
+                             "--k-max", "2", "--out", str(out)]) == 0
+        assert self.blind_warnings(caplog) == 1
+        assert "k_inter=1: " + self.BLIND in caplog.text
+
+    @pytest.mark.parametrize("command", ["rerank", "ablate"])
+    @pytest.mark.parametrize("split,code", [("1", 0), ("2", 2), ("3", 2), ("7", 2)])
+    def test_step3_split_at_the_top_layers_is_data_error(self, ws, tmp_path, capsys, command,
+                                                        split, code):
+        """The workspace's cross-encoder has 3 layers. From a split at 2 on,
+        every layer below the top is severed, so the query rows never read
+        the document before CLS reads them."""
+        out = tmp_path / "run.trec"
+        argv = rerank_argv(ws, ws / "ce" / "model.bin", "--step", "3", "--ell-star", split,
+                           out=out)
+        assert dispatch([command, *argv[1:]]) == code
+        refused = f"--ell-star {split} severs every layer below the top"
+        assert (refused in capsys.readouterr().err) == (code == 2)
+        assert out.exists() == (code == 0)
+
+
+def test_train_of_zero_steps_says_no_validation_ran(ws, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert dispatch(["train", *inputs(ws, "corpus", "queries", "qrels"), "--out-dir", str(out),
+                     *ARCH, *SHORT, "--steps", "0"]) == 0
+    printed = capsys.readouterr().out
+    assert "no validation ran" in printed
+    assert "RR@10" not in printed and "nan" not in printed
+    assert (out / "model.bin").exists()
+
+
 class TestCommandInputs:
     @pytest.mark.parametrize("argv,message", [
         (["encode-docs"], "encode-docs needs a mid-fusion checkpoint"),
@@ -349,6 +431,17 @@ class TestReaders:
         assert "empty corpus" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bm25_of_a_corpus_with_a_number_for_an_id_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "d0", "text": "a"}\n{"id": 7, "text": "b"}\n')
+        retrieval.write_jsonl(tmp_path / "queries.jsonl", [("q1", "a")])
+        out = tmp_path / "run.trec"
+        assert dispatch(["bm25", "--corpus", str(corpus), "--queries",
+                         str(tmp_path / "queries.jsonl"), "--out", str(out)]) == 2
+        assert f"{corpus}:2: bad JSONL record (id must be a string, got 7)" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_bm25_ignores_a_query_term_no_document_holds(self, tmp_path):
         retrieval.write_jsonl(tmp_path / "corpus.jsonl",
                               [("d0", "alpha beta"), ("d1", "beta gamma"), ("d2", "delta")])
@@ -478,6 +571,7 @@ class TestTrainLearningRate:
 
 
 @pytest.mark.parametrize("flags,field", [
+    (["--layers", "0"], "layers"),
     (["--hidden", "0"], "hidden"),
     (["--ff", "0"], "ff"),
     (["--hidden", "-4"], "hidden"),

@@ -1,6 +1,7 @@
 """Mid-fusion model: stream equivalences, interaction-layer semantics,
 weight surgery, freezing, and gradient flow."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -384,6 +385,25 @@ class TestWeightSurgery:
         mw = from_cross_encoder(ce, 2, 1)
         mw.lower[0].wq.data[0, 0] += 1.0
         assert ce.layers[0].wq.data[0, 0] != mw.lower[0].wq.data[0, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(layers=st.integers(1, 5), split=st.integers(-1, 6), k=st.integers(-1, 6))
+    def test_one_cut_rule_and_a_depth_that_counts_the_layers_held(self, layers, split, k):
+        """Cutting a cross-encoder and initializing a mid-fusion model of the
+        same config both succeed exactly when 1 <= split, 1 <= k and
+        split + k <= layers, and the model then holds split + k layers."""
+        ce = make_ce(layers=layers, split=1, hidden=4, heads=2, dtype=np.float32)
+        cuts = (lambda: from_cross_encoder(ce, split, k), lambda: init_mice_weights(
+            dataclasses.replace(ce.config, split_depth=split, interaction_layers=k)))
+        if not (1 <= split and 1 <= k and split + k <= layers):
+            for cut in cuts:
+                with pytest.raises(ValueError):
+                    cut()
+            return
+        for cut in cuts:
+            mw = cut()
+            assert (mw.config.split_depth, mw.config.interaction_layers) == (split, k)
+            assert mw.config.layers == split + k == len(mw.lower) + len(mw.interaction)
 
     def test_invalid_split_rejected(self):
         ce = make_ce(layers=4, split=2)

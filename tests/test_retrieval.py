@@ -1,5 +1,6 @@
 """Tokenizer, BM25, the rerank pipeline, and the exchange file formats."""
 
+import json
 import math
 import re
 
@@ -292,6 +293,21 @@ class TestFileFormats:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "text": "x"}\n' + line + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
+            read_jsonl(path)
+
+    @pytest.mark.parametrize("record,key,value", [
+        ({"id": "b", "text": None}, "text", "null"),
+        ({"id": 7, "text": "x"}, "id", "7"),
+        ({"id": "b", "text": ["x"]}, "text", '["x"]'),
+        ({"id": None, "text": "x"}, "id", "null"),
+    ])
+    def test_jsonl_id_or_text_not_a_string_names_the_line(self, tmp_path, record, key, value):
+        """Neither is converted: a null text is not the text "None", and the
+        number 7 is not the id "7"."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n' + json.dumps(record) + "\n")
+        message = f"{path}:2: bad JSONL record ({key} must be a string, got {value})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_jsonl(path)
 
     def test_trec_run_round_trip(self, tmp_path):

@@ -100,7 +100,7 @@ def reference_unmasked_forward(q_ids, d_ids, weights):
 
 
 class TestModelConfig:
-    @pytest.mark.parametrize("field", ["hidden", "ff", "max_query", "max_doc"])
+    @pytest.mark.parametrize("field", ["layers", "hidden", "ff", "max_query", "max_doc"])
     @pytest.mark.parametrize("value", [0, -4])
     def test_size_below_one_is_refused(self, config, field, value):
         """A zero width builds empty tensors and a negative one fails in
@@ -110,8 +110,8 @@ class TestModelConfig:
 
     @pytest.mark.parametrize("field", ["layers", "vocab_size"])
     def test_value_past_the_checkpoint_header_is_refused(self, field):
-        """Every field is stored as a u32. A mid-fusion model holds no
-        tensor per layer of ``layers``, so a huge value costs nothing to build."""
+        """Every field is stored as a u32. A config holds no tensors, so a
+        huge value costs nothing to build."""
         config = ModelConfig(layers=3, hidden=8, heads=2, ff=8, vocab_size=20, max_query=3,
                              max_doc=4, split_depth=1, interaction_layers=1)
         dataclasses.replace(config, **{field: 2**32 - 1})
