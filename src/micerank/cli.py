@@ -281,7 +281,9 @@ def _cmd_rerank(args) -> int:
         if args.split_depth is not None and step is not MaskStep.STEP3:
             raise ValueError(f"--ell-star applies to mask step 3, not {step.value}")
         config = weights.config
-        if args.split_depth is not None and args.split_depth >= config.layers - 1:
+        if args.split_depth is None:
+            training.warn_if_document_unread(step, config)
+        elif not MaskSpec(step, args.split_depth).reads_document(config.layers):
             raise ValueError(f"--ell-star {args.split_depth} severs every layer below the top "
                              f"of {config.layers} layers, so the query rows never read the "
                              "document before CLS reads them")
@@ -358,9 +360,8 @@ def _cmd_sweep(args) -> int:
     if not isinstance(weights, transformer.Weights):
         raise ValueError("sweep starts from a cross-encoder checkpoint")
     data = _load_data(args.corpus, args.queries, args.qrels)
-    layers = weights.config.layers
     split = args.split_depth if args.split_depth is not None else weights.config.split_depth
-    k_max = args.k_max if args.k_max is not None else layers - split
+    k_max = args.k_max if args.k_max is not None else weights.config.layers - split
     rows = training.layer_drop_sweep(
         weights,
         split,
@@ -370,9 +371,13 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
     )
     if not rows:
+        try:
+            mice.from_cross_encoder(weights, split, args.k_min)
+            refusal = "the range is empty"
+        except ValueError as exc:
+            refusal = f"--k-min {args.k_min}: {exc}"
         raise ValueError(f"sweep: no interaction-layer count in k_inter {args.k_min}..{k_max} "
-                         f"can be cut; split_depth {split} of a {layers}-layer cross-encoder "
-                         f"allows k_inter 1..{layers - split}")
+                         f"can be cut: {refusal}")
     training.write_sweep_csv(args.out, rows)
     for k, metric in rows:
         print(f"k_inter={k:<3d} rr10={metric:.4f}")

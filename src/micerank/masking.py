@@ -173,6 +173,14 @@ class MaskSpec:
         """True when this layer fully separates the query and document streams."""
         return self.step is _STEP3 and layer_index <= self.split_depth
 
+    def reads_document(self, layers: int) -> bool:
+        """Whether a ``layers``-deep CLS score under this spec reads the
+        document: from step 1 on, only through query rows that read it in
+        layer ``layers - 1``. A mid-fusion model of split S and k interaction
+        layers is the step-3 spec at depth S + k."""
+        direct = self.step in (MaskStep.BASELINE, MaskStep.STEP0)
+        return direct or (layers >= 2 and not self.severed(layers - 1))
+
 
 @dataclass(frozen=True)
 class AttentionMask:

@@ -8,8 +8,10 @@ relevant, and the teacher scores weighted term overlap plus a relevance
 bonus — so teacher margins are fully predictable from the tokens and a
 capable student can fit them.
 
-A triple's positive is a document its query judges relevant (rel > 0) and
-its negative any other document of the corpus. Scheduling is linear warmup to
+A :class:`SynthData` derives its task once, on construction; validation,
+triple sampling and the training loop read that one object. A triple's
+positive is a document its query judges relevant (rel > 0) and its negative
+any other document of the corpus. Scheduling is linear warmup to
 ``lr_peak`` followed by linear decay to zero (the decay shape is a recorded
 choice; linear decay is the conventional companion to linear warmup).
 Validation computes RR@10 on held-out queries against the whole corpus,
@@ -59,6 +61,7 @@ __all__ = [
     "teacher_margin_score",
     "train",
     "train_in_memory",
+    "warn_if_document_unread",
     "finetune_mice",
     "layer_drop_sweep",
     "write_sweep_csv",
@@ -68,6 +71,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 VARIANTS = (*(step.value for step in MaskStep), "mice")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -190,15 +194,15 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
     return cfg.lr_peak * (cfg.steps - step) / (cfg.steps - cfg.warmup_steps)
 
 
-def adam_step(data, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+def adam_step(data, grad, m, v, t, lr) -> None:
     """One in-place Adam update with bias correction."""
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    mhat = m / (1.0 - beta1**t)
-    vhat = v / (1.0 - beta2**t)
-    data -= lr * mhat / (np.sqrt(vhat) + eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    mhat = m / (1.0 - ADAM_BETA1**t)
+    vhat = v / (1.0 - ADAM_BETA2**t)
+    data -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 class Adam:
@@ -234,15 +238,27 @@ class Adam:
 
 @dataclass
 class SynthData:
-    """Corpus, queries and graded relevance, plus the oracle teacher. What is
-    derived from them is built on first use, so a ``replace`` copy builds its own."""
+    """Corpus, queries and graded relevance, the task construction derives
+    from them, and the oracle teacher. ``vocab`` is the corpus's; every
+    forward cuts ``doc_tokens`` and ``query_tokens`` to its model's length
+    caps. Of :func:`split_queries`' training queries, ``train_q`` keeps those
+    with a relevant document (rel > 0) and another one, whose sorted ids
+    ``positives`` gives; ``val_q`` validates. The teacher's term sets are
+    built on first use. A ``replace`` copy derives its own."""
 
     corpus: list
     queries: list
     qrels: dict
 
     def __post_init__(self):
-        self._doc_terms = self._query_text = self._task = None
+        self._doc_terms = self._query_text = None
+        self.vocab = build_vocab(text for _, text in self.corpus)
+        self.doc_tokens = token_map(self.corpus, self.vocab)
+        self.query_tokens = token_map(self.queries, self.vocab)
+        train_q, self.val_q = split_queries(self)
+        self.positives = {q: sorted(d for d, rel in self.qrels.get(q, {}).items()
+                                    if rel > 0 and d in self.doc_tokens) for q in train_q}
+        self.train_q = [q for q in train_q if 0 < len(self.positives[q]) < len(self.doc_tokens)]
 
     def doc_terms(self, doc_id: str) -> frozenset:
         if self._doc_terms is None:
@@ -365,43 +381,9 @@ def split_queries(data: SynthData) -> tuple[list, list]:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class _Task:
-    vocab: object
-    doc_tokens: dict
-    query_tokens: dict
-    doc_ids: list
-    train_q: list
-    val_q: list
-    positives: dict  # training query -> sorted ids of its relevant documents
-
-
-def _prepare_task(data: SynthData, weights=None) -> _Task:
-    """Tokenize ``data`` whole, once per ``data``; ``weights``, if given, must
-    fit its vocabulary. Every forward cuts the ids to its own model's length
-    caps. A training query needs a relevant document (rel > 0) and another
-    document to contrast it with; queries that lack either are left out, and
-    drawing triples with none left is an error."""
-    if data._task is None:
-        vocab = build_vocab(text for _, text in data.corpus)
-        doc_tokens = token_map(data.corpus, vocab)
-        query_tokens = token_map(data.queries, vocab)
-        train_q, val_q = split_queries(data)
-        positives = {
-            q: sorted(d for d, rel in data.qrels.get(q, {}).items() if rel > 0 and d in doc_tokens)
-            for q in train_q
-        }
-        train_q = [q for q in train_q if 0 < len(positives[q]) < len(doc_tokens)]
-        data._task = _Task(vocab, doc_tokens, query_tokens, data.doc_ids(), train_q, val_q,
-                           positives)
-    if weights is not None:
-        check_vocab_size(data._task.vocab, weights.config)
-    return data._task
-
-
-def evaluate_rr10(weights, data: SynthData, task: _Task, spec=None) -> float:
-    """Mean RR@10 over held-out queries, ranking the whole corpus with the
-    rerank scorers.
+def evaluate_rr10(weights, data: SynthData, spec=None) -> float:
+    """Mean RR@10 over ``data``'s held-out queries, ranking its whole corpus
+    with the rerank scorers.
 
     A cross-encoder is evaluated under the mask it trains with (``spec``).
     A mid-fusion model takes no ``spec``: the corpus is encoded once, as
@@ -412,27 +394,28 @@ def evaluate_rr10(weights, data: SynthData, task: _Task, spec=None) -> float:
     if isinstance(weights, MiceWeights):
         weights.invalidate_fingerprint()
         with no_grad():
-            states = encode_documents(list(task.doc_tokens.items()), weights)
-        scorer = MiceCacheScorer(weights, task.vocab, {s.doc_id: s for s in states})
+            states = encode_documents(list(data.doc_tokens.items()), weights)
+        scorer = MiceCacheScorer(weights, data.vocab, {s.doc_id: s for s in states})
     else:
-        scorer = CrossEncoderScorer(weights, spec, task.vocab, task.doc_tokens)
-    doc_ids = sorted(task.doc_ids)
-    run = {q: ranked(scorer.score_ids(task.query_tokens[q], doc_ids).items(), 10)
-           for q in task.val_q}
+        scorer = CrossEncoderScorer(weights, spec, data.vocab, data.doc_tokens)
+    doc_ids = sorted(data.doc_ids())
+    run = {q: ranked(scorer.score_ids(data.query_tokens[q], doc_ids).items(), 10)
+           for q in data.val_q}
     return evaluate_run(run, data.qrels, "rr@10")
 
 
-def _sample_triples(rng, cfg, data: SynthData, task: _Task):
+def _sample_triples(rng, cfg, data: SynthData):
     """One batch of (query, relevant document, other document) triples."""
-    if not task.train_q:
+    if not data.train_q:
         raise ValueError("no training query has a relevant document and a non-relevant one")
+    doc_ids = data.doc_ids()
     triples = []
     for _ in range(cfg.batch_size):
-        qid = task.train_q[int(rng.integers(len(task.train_q)))]
-        positives = task.positives[qid]
+        qid = data.train_q[int(rng.integers(len(data.train_q)))]
+        positives = data.positives[qid]
         pos = positives[int(rng.integers(len(positives)))]
         while True:
-            neg = task.doc_ids[int(rng.integers(len(task.doc_ids)))]
+            neg = doc_ids[int(rng.integers(len(doc_ids)))]
             if data.qrels[qid].get(neg, 0) <= 0:
                 break
         triples.append((qid, pos, neg))
@@ -445,22 +428,22 @@ class TrainResult:
     metrics_path: Path | None
     metrics: list
     best_rr10: float
-    weights: object
 
 
 def train_in_memory(cfg: TrainConfig, data: SynthData, weights=None):
-    """Run the training loop without touching disk.
+    """Run the training loop on ``data``'s task without touching disk.
 
     Returns ``(best_weights, metrics)`` where metrics is a list of
-    ``{"step", "loss", "lr", "rr10"}`` dicts, one per validation. The mask of
-    a masked variant is applied at every training forward; mid-fusion models
+    ``{"step", "loss", "lr", "rr10"}`` dicts, one per validation; the
+    parameters are copied whenever RR@10 improves. The mask of a masked
+    variant is applied at every training forward; mid-fusion models
     re-encode documents online so every retained parameter receives
-    gradients.
+    gradients. A given model must fit ``data``'s vocabulary.
     """
-    task = _prepare_task(data, weights)
     if weights is None:
         init = init_mice_weights if cfg.variant == "mice" else init_ce_weights
-        weights = init(cfg.model_config(task.vocab.size), seed=cfg.seed, dtype=cfg.dtype)
+        weights = init(cfg.model_config(data.vocab.size), seed=cfg.seed, dtype=cfg.dtype)
+    check_vocab_size(data.vocab, weights.config)
     is_mice = isinstance(weights, MiceWeights)
     if is_mice != (cfg.variant == "mice"):
         raise ValueError(f"variant {cfg.variant!r} does not match the given weights")
@@ -470,25 +453,11 @@ def train_in_memory(cfg: TrainConfig, data: SynthData, weights=None):
     adam = Adam(params)
     rng = np.random.default_rng(cfg.seed + 1)
     metrics: list = []
-    best_rr = -1.0
-    best_snapshot = None
-
-    def snapshot():
-        return {name: p.data.copy() for name, p in params}
-
-    def validate(step: int, loss_value: float, lr: float):
-        nonlocal best_rr, best_snapshot
-        rr = evaluate_rr10(weights, data, task, spec=spec)
-        metrics.append({"step": step, "loss": loss_value, "lr": lr, "rr10": rr})
-        if rr > best_rr:
-            best_rr = rr
-            best_snapshot = snapshot()
-        log.info("step %d loss %.5f lr %.2e rr10 %.4f", step, loss_value, lr, rr)
-
+    best_rr, best_params = -1.0, None
     for step in range(1, cfg.steps + 1):
-        triples = _sample_triples(rng, cfg, data, task)
-        pairs = [(task.query_tokens[q], task.doc_tokens[p]) for q, p, _ in triples]
-        pairs += [(task.query_tokens[q], task.doc_tokens[n]) for q, _, n in triples]
+        triples = _sample_triples(rng, cfg, data)
+        pairs = [(data.query_tokens[q], data.doc_tokens[p]) for q, p, _ in triples]
+        pairs += [(data.query_tokens[q], data.doc_tokens[n]) for q, _, n in triples]
         if is_mice:
             scores = mice_train_scores(pairs, weights)
         else:
@@ -507,29 +476,40 @@ def train_in_memory(cfg: TrainConfig, data: SynthData, weights=None):
         adam.step(lr)
         adam.zero_grad()
         if step % cfg.validate_every == 0 or step == cfg.steps:
-            validate(step, loss_value, lr)
+            rr = evaluate_rr10(weights, data, spec=spec)
+            metrics.append({"step": step, "loss": loss_value, "lr": lr, "rr10": rr})
+            log.info("step %d loss %.5f lr %.2e rr10 %.4f", step, loss_value, lr, rr)
+            if rr > best_rr:
+                best_rr, best_params = rr, {name: p.data.copy() for name, p in params}
 
-    if best_snapshot is not None:
+    if best_params is not None:
         for name, p in params:
-            p.data[...] = best_snapshot[name]
+            p.data[...] = best_params[name]
     weights.invalidate_fingerprint()
     return weights, metrics
 
 
-def _warn_if_document_unread(interaction_layers: int) -> None:
-    """Warn of a mid-fusion model whose score never reads the document."""
-    if interaction_layers == 1:
-        log.warning("k_inter=1: with one interaction layer the CLS row never reads the "
-                    "document, so every score ignores it")
+def warn_if_document_unread(step: MaskStep | None, config: ModelConfig) -> None:
+    """Warn of a model whose score never reads the document
+    (:meth:`.MaskSpec.reads_document`): a cross-encoder under ``step``, or a
+    mid-fusion model (``step`` None), which is the step-3 spec at its depth."""
+    if spec_for(step or MaskStep.STEP3, config).reads_document(config.layers):
+        return
+    if step is None:
+        log.warning("k_inter=%d: with one interaction layer the CLS row never reads the "
+                    "document, so every score ignores it", config.interaction_layers)
+    else:
+        log.warning("%s at split_depth %d of a %d-layer cross-encoder: the CLS row never "
+                    "reads the document, so every score ignores it", step.value,
+                    config.split_depth, config.layers)
 
 
 def train(cfg: TrainConfig, data: SynthData, out_dir, init_weights=None) -> TrainResult:
     """Train and persist: best checkpoint to ``model.bin``, one JSON line per
     validation to ``metrics.jsonl``. ``out_dir`` is created only once
     training has succeeded, so a refused config leaves no directory."""
-    if cfg.variant == "mice":
-        model = cfg if init_weights is None else init_weights.config
-        _warn_if_document_unread(model.interaction_layers)
+    model = cfg.model_config(data.vocab.size) if init_weights is None else init_weights.config
+    warn_if_document_unread(cfg.mask_step(), model)
     weights, metrics = train_in_memory(cfg, data, weights=init_weights)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -541,7 +521,7 @@ def train(cfg: TrainConfig, data: SynthData, out_dir, init_weights=None) -> Trai
         for record in metrics:
             f.write(json.dumps(record) + "\n")
     best = max((m["rr10"] for m in metrics), default=0.0)
-    return TrainResult(ckpt, metrics_path, metrics, best, weights)
+    return TrainResult(ckpt, metrics_path, metrics, best)
 
 
 def finetune_mice(mw: MiceWeights, data: SynthData, steps: int = 0, seed: int = 0) -> float:
@@ -550,7 +530,8 @@ def finetune_mice(mw: MiceWeights, data: SynthData, steps: int = 0, seed: int = 
     The model's own config decides its vocabulary size, architecture and
     length caps; ``steps`` and ``seed`` set only the training run."""
     if steps == 0:
-        return evaluate_rr10(mw, data, _prepare_task(data, mw))
+        check_vocab_size(data.vocab, mw.config)
+        return evaluate_rr10(mw, data)
     cfg = TrainConfig(
         steps=steps,
         batch_size=16,
@@ -588,7 +569,7 @@ def layer_drop_sweep(
         except ValueError as exc:
             log.warning("skipping k_inter=%d: %s", k, exc)
             continue
-        _warn_if_document_unread(k)
+        warn_if_document_unread(None, mw.config)
         metric = finetune_mice(mw, data, steps=finetune_steps, seed=seed)
         rows.append((k, metric))
     return rows

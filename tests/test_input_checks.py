@@ -133,23 +133,27 @@ class TestInteractionLayerCounts:
         ce, _ = checkpoint.load_weights(tmp_path / "out" / "model.bin")
         assert ce.config.interaction_layers == 0
 
-    @pytest.mark.parametrize("flags,requested,valid", [
-        (["--ell-star", "3"], "1..0", "1..0"),
-        (["--ell-star", "5"], "1..-2", "1..-2"),
-        (["--k-min", "3", "--k-max", "2"], "3..2", "1..2"),
-        (["--k-min", "0", "--k-max", "0"], "0..0", "1..2"),
+    @pytest.mark.parametrize("flags,requested,refusal", [
+        (["--ell-star", "3"], "1..0", "interaction_layers 1 outside 1..0"),
+        (["--ell-star", "5"], "1..-2", "split_depth 5 outside 1..3"),
+        (["--k-min", "3", "--k-max", "2"], "3..2", "interaction_layers 3 outside 1..2"),
+        (["--k-min", "0", "--k-max", "0"], "0..0",
+         "interaction needs at least one layer; config.interaction_layers is 0"),
+        (["--k-min", "2", "--k-max", "1"], "2..1", "the range is empty"),
     ])
     def test_sweep_with_no_count_to_cut_is_data_error(
-        self, ws, tmp_path, capsys, flags, requested, valid
+        self, ws, tmp_path, capsys, flags, requested, refusal
     ):
-        """The workspace's cross-encoder has 3 layers, split after the first."""
+        """The workspace's cross-encoder has 3 layers, split after the first.
+        The error gives the cut's refusal of --k-min, or says that --k-min
+        can be cut and the range holds no count."""
         out = tmp_path / "sweep.csv"
         assert dispatch(["sweep", "--model", str(ws / "ce" / "model.bin"),
                          *inputs(ws, "corpus", "queries", "qrels"), *flags,
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"k_inter {requested}" in err
-        assert f"allows k_inter {valid}" in err
+        assert refusal in err
         assert not out.exists()
 
     @pytest.fixture
@@ -256,6 +260,33 @@ class TestScoringWithoutTheDocument:
         refused = f"--ell-star {split} severs every layer below the top"
         assert (refused in capsys.readouterr().err) == (code == 2)
         assert out.exists() == (code == 0)
+
+    UNREAD = "the CLS row never reads the document"
+
+    def train_step3(self, ws, out, split):
+        assert dispatch(["train", *inputs(ws, "corpus", "queries", "qrels"), "--out-dir",
+                         str(out), "--variant", "step3", *ARCH, *SHORT, "--ell-star", split]) == 0
+
+    @pytest.mark.parametrize("split,warnings", [("1", 0), ("2", 1)])
+    def test_train_of_a_cross_encoder_split_at_the_top_layers_warns(self, ws, tmp_path, caplog,
+                                                                   split, warnings):
+        with caplog.at_level(logging.WARNING):
+            self.train_step3(ws, tmp_path / "out", split)
+        assert sum(self.UNREAD in record.getMessage() for record in caplog.records) == warnings
+
+    def test_checkpoint_split_at_the_top_layers_warns_and_scores(self, ws, tmp_path, caplog):
+        """Only a given --ell-star is refused; a 3-layer checkpoint's own
+        split at 2 scores under step 3 with one warning."""
+        self.train_step3(ws, tmp_path / "ce", "2")
+        out = tmp_path / "run.trec"
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            argv = rerank_argv(ws, tmp_path / "ce" / "model.bin", "--step", "3", out=out)
+            assert dispatch(["ablate", *argv[1:]]) == 0
+        warned = [r.getMessage() for r in caplog.records if self.UNREAD in r.getMessage()]
+        assert len(warned) == 1
+        assert "step3 at split_depth 2 of a 3-layer cross-encoder" in warned[0]
+        assert out.exists()
 
 
 def test_train_of_zero_steps_says_no_validation_ran(ws, tmp_path, capsys):
@@ -492,7 +523,7 @@ def test_finetune_mice_trains_the_model_in_process():
     mw = from_cross_encoder(ce, 1, 2)
     rr10 = training.finetune_mice(mw, data, steps=3, seed=0)
     assert 0.0 <= rr10 <= 1.0
-    assert rr10 == training.evaluate_rr10(mw, data, training._prepare_task(data, mw))
+    assert rr10 == training.evaluate_rr10(mw, data)
     untrained = dict(from_cross_encoder(ce, 1, 2).named_parameters())
     assert any(not np.array_equal(p.data, untrained[name].data)
                for name, p in mw.named_parameters())

@@ -2,6 +2,7 @@
 weight surgery, freezing, and gradient flow."""
 
 import dataclasses
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -413,6 +414,34 @@ class TestWeightSurgery:
             from_cross_encoder(ce, 0, 1)
         with pytest.raises(ValueError):
             from_cross_encoder(ce, 2, 0)
+
+
+class TestReadsDocument:
+    """``MaskSpec.reads_document`` against the forwards: one query scored
+    against two documents of one length gets one score exactly when the
+    predicate says the score does not read the document."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_equal_scores_exactly_where_the_document_is_unread(self, seed):
+        """Every step, split and depth up to 4 layers. A cross-encoder run to
+        ``depth`` layers is the spec at that depth; a mid-fusion model with
+        ``depth - split`` interaction layers is the step-3 spec at ``depth``
+        (C3)."""
+        rng = np.random.default_rng(seed)
+        ce = make_ce(layers=4, split=1, hidden=8, heads=2, seed=seed)
+        query, doc = random_pair(rng, ce.config)
+        other = [5 if doc[0] == 4 else 4, *doc[1:]]  # another first word
+        for split, depth, step in itertools.product(range(1, 5), range(1, 5), MaskStep):
+            spec = MaskSpec(step, split_depth=split, total_layers=4)
+            unread = not spec.reads_document(depth)
+            scores = [cross_encoder_forward(query, d, spec, ce, depth=depth)
+                      for d in (doc, other)]
+            assert (scores[0] == scores[1]) == unread, (split, depth, step)
+            if step is MaskStep.STEP3 and depth > split:
+                mw = from_cross_encoder(ce, split, depth - split)
+                scores = [mice_forward(query, encode_document(d, mw), mw) for d in (doc, other)]
+                assert (scores[0] == scores[1]) == unread, (split, depth)
 
 
 class TestGradients:

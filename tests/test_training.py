@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micerank import mice, retrieval, training
 from micerank.checkpoint import load_weights, weights_fingerprint
@@ -114,7 +116,7 @@ class TestAdam:
         m = np.zeros(1)
         v = np.zeros(1)
         for t in range(1, 11):
-            adam_step(data, np.array([g]), m, v, t=t, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+            adam_step(data, np.array([g]), m, v, t=t, lr=lr)
         assert data[0] == pytest.approx(x_ref, rel=1e-12)
 
     def test_moments_start_at_zero(self):
@@ -220,14 +222,40 @@ class TestSynthCorpus:
         assert teacher_margin_score(["a"], set(), False) == 0.0
 
     def test_a_copy_builds_the_task_of_its_own_corpus(self):
-        """The tokenized task is not a field: ``dataclasses.replace`` with
-        another corpus does not keep the first corpus's task."""
+        """The tokenized task is derived on construction: ``dataclasses.replace``
+        with another corpus does not keep the first corpus's task."""
         data = synth_corpus(seed=1, n_docs=20, n_queries=10, vocab_size=48)
-        assert training._prepare_task(data).doc_ids == data.doc_ids()
+        assert list(data.doc_tokens) == data.doc_ids()
         smaller = dataclasses.replace(data, corpus=data.corpus[:12])
-        task = training._prepare_task(smaller)
-        assert task.doc_ids == smaller.doc_ids() != data.doc_ids()
-        assert set(task.doc_tokens) == set(smaller.doc_ids())
+        assert list(smaller.doc_tokens) == smaller.doc_ids() != data.doc_ids()
+        assert smaller.vocab == retrieval.build_vocab(text for _, text in smaller.corpus)
+
+    @settings(max_examples=60, deadline=None)
+    @given(draw=st.data())
+    def test_task_of_drawn_corpus_and_qrels(self, draw):
+        """Construction refuses nothing. ``train_q`` holds exactly the
+        training queries of the split with a relevant corpus document and
+        another document, ``positives`` their sorted relevant corpus ids and
+        ``val_q`` the split's held-out queries."""
+        words = st.lists(st.sampled_from(["alpha", "beta", "gamma", "7"]), max_size=3)
+        doc_ids = [f"d{i}" for i in range(draw.draw(st.integers(0, 5)))]
+        qids = [f"q{i}" for i in range(draw.draw(st.integers(0, 9)))]
+        corpus = [(d, " ".join(draw.draw(words))) for d in doc_ids]
+        queries = [(q, " ".join(draw.draw(words))) for q in qids]
+        qrels = draw.draw(st.dictionaries(
+            st.sampled_from([*qids, "q-unknown"]),
+            st.dictionaries(st.sampled_from([*doc_ids, "d-unknown"]), st.integers(0, 2))))
+        data = SynthData(corpus=corpus, queries=queries, qrels=qrels)
+        train_q, val_q = split_queries(data)
+        relevant = {q: sorted(d for d in doc_ids if qrels.get(q, {}).get(d, 0) > 0)
+                    for q in train_q}
+        assert data.val_q == val_q
+        assert data.train_q == [q for q in train_q if 0 < len(relevant[q]) < len(doc_ids)]
+        assert all(data.positives[q] == relevant[q] for q in data.train_q)
+        vocab = retrieval.build_vocab(text for _, text in corpus)
+        assert data.vocab == vocab
+        assert data.doc_tokens == retrieval.token_map(corpus, vocab)
+        assert data.query_tokens == retrieval.token_map(queries, vocab)
 
     def test_split_is_deterministic_and_disjoint(self):
         data = synth_corpus(seed=1, n_docs=20, n_queries=10, vocab_size=48)
@@ -367,15 +395,14 @@ class TestValidation:
 
     @staticmethod
     def mice_model(data, seed, dtype=np.float64):
-        task = training._prepare_task(data)
         config = tiny_cfg(variant="mice", layers=3, interaction_layers=2,
-                          max_doc=12).model_config(task.vocab.size)
-        return mice.init_mice_weights(config, seed=seed, dtype=dtype), task
+                          max_doc=12).model_config(data.vocab.size)
+        return mice.init_mice_weights(config, seed=seed, dtype=dtype)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equals_ranking_scored_online(self, tiny_data, seed, monkeypatch):
         """Two interaction layers, so the score reads the document."""
-        mw, task = self.mice_model(tiny_data, seed)
+        mw = self.mice_model(tiny_data, seed)
         cached = {}
 
         class RecordingScorer(retrieval.MiceCacheScorer):
@@ -384,14 +411,14 @@ class TestValidation:
                 return scores
 
         monkeypatch.setattr(training, "MiceCacheScorer", RecordingScorer)
-        rr = training.evaluate_rr10(mw, tiny_data, task)
+        rr = training.evaluate_rr10(mw, tiny_data)
 
-        online = retrieval.MiceScorer(mw, task.vocab, task.doc_tokens)
-        doc_ids = sorted(task.doc_ids)
+        online = retrieval.MiceScorer(mw, tiny_data.vocab, tiny_data.doc_tokens)
+        doc_ids = sorted(tiny_data.doc_ids())
         run = {}
-        for q in task.val_q:
-            scores = online.score_ids(task.query_tokens[q], doc_ids)
-            validated = cached[tuple(task.query_tokens[q])]
+        for q in tiny_data.val_q:
+            scores = online.score_ids(tiny_data.query_tokens[q], doc_ids)
+            validated = cached[tuple(tiny_data.query_tokens[q])]
             assert validated.keys() == scores.keys()
             np.testing.assert_allclose([validated[d] for d in doc_ids],
                                        [scores[d] for d in doc_ids], rtol=0, atol=1e-12)
@@ -402,7 +429,7 @@ class TestValidation:
                                                                    monkeypatch):
         """Guards the saving: documents never go through the online forward,
         and the lower layers see one batch of documents per framed length."""
-        mw, task = self.mice_model(tiny_data, 0)
+        mw = self.mice_model(tiny_data, 0)
         calls = {"train": 0, "doc_batches": []}
 
         def train_scores(*args, **kwargs):
@@ -419,12 +446,12 @@ class TestValidation:
         monkeypatch.setattr(mice, "mice_train_scores", train_scores)
         monkeypatch.setattr(training, "mice_train_scores", train_scores)
         monkeypatch.setattr(mice, "_stream_batch", recording_stream_batch)
-        training.evaluate_rr10(mw, tiny_data, task)
-        lengths = {min(len(t), mw.config.max_doc) for t in task.doc_tokens.values()}
+        training.evaluate_rr10(mw, tiny_data)
+        lengths = {min(len(t), mw.config.max_doc) for t in tiny_data.doc_tokens.values()}
         assert calls["train"] == 0
         assert len(lengths) > 1
         assert len(calls["doc_batches"]) == len(lengths)
-        assert sum(calls["doc_batches"]) == len(task.doc_tokens)
+        assert sum(calls["doc_batches"]) == len(tiny_data.doc_tokens)
 
     def test_states_carry_the_digest_of_the_weights_they_were_encoded_with(
         self, tiny_data, monkeypatch
@@ -467,10 +494,9 @@ class TestSampler:
                 "q4": {"d2": 2, "d9": 1},  # d9 is not in the corpus
             },
         )
-        task = training._prepare_task(data)
-        assert task.train_q == ["q0", "q4"]
+        assert data.train_q == ["q0", "q4"]
         triples = training._sample_triples(np.random.default_rng(0), tiny_cfg(batch_size=64),
-                                           data, task)
+                                           data)
         assert {q for q, _, _ in triples} == {"q0", "q4"}
         for qid, pos, neg in triples:
             assert data.qrels[qid][pos] > 0
