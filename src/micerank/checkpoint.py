@@ -167,6 +167,14 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def name(self, what: str) -> str:
+        """The next u32 length and that many bytes of UTF-8, the ``what`` of an entry."""
+        start = self.off + 4
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise self.error(f"{self.path}: {what} at byte {start} is not UTF-8") from None
+
     def floats(self, dims) -> np.ndarray:
         """The next payload of shape ``dims``, read straight into a fresh array."""
         self._claim(4 * math.prod(dims))
@@ -190,7 +198,7 @@ def _read_checkpoint(path):
             raise CheckpointFormatError(f"{path}: step code {code} is not a masking step")
         entries: dict[str, np.ndarray] = {}
         for _ in range(count):
-            name = r.take(r.u32()).decode("utf-8")
+            name = r.name("tensor name")
             if name in entries:
                 raise CheckpointFormatError(f"{path}: tensor {name!r} appears twice")
             rank = r.u32()

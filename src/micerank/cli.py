@@ -3,18 +3,17 @@ operations.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric failure.
 Machine-readable output goes to ``--out`` paths; a short human summary is
-printed to stdout. Commands take the common flags ``--seed``,
-``--precision`` and ``--threads`` (at least 1; default from the MICE_THREADS
-environment variable); a command refuses those it does not read, bar
-``--threads 1``. ``train`` defaults ``--seed`` and ``--precision`` from its
-``--config`` file.
+printed to stdout. A command declares those of the common flags ``--seed``,
+``--precision`` and ``--threads`` it reads; one that runs on one thread
+accepts ``--threads 1``. ``rerank`` defaults ``--threads`` from the
+MICE_THREADS environment variable, ``train`` ``--seed`` and ``--precision``
+from its ``--config`` file.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import functools
 import os
 import sys
@@ -29,30 +28,29 @@ from .tensor import PRECISIONS, NumericError, no_grad
 __all__ = ["main", "dispatch"]
 
 
-class _UsageExit(Exception):
-    def __init__(self, code: int):
-        self.code = code
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 (not 2) on usage errors, without killing the host."""
+    """argparse that exits 1 (not 2) on usage errors."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise _UsageExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
-    def exit(self, status=0, message=None):
-        if message:
-            print(message, file=sys.stderr, end="")
-        raise _UsageExit(status)
+
+class _MiceThreads(str):
+    """The text of MICE_THREADS as rerank's --threads default: argparse
+    converts it with the flag's type only when the flag is not given."""
 
 
 def positive_int(text: str) -> int:
     """argparse type of a count flag: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    try:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        if isinstance(text, _MiceThreads):
+            raise argparse.ArgumentTypeError(f"MICE_THREADS={str(text)!r}: {exc}") from None
+        raise
     return value
 
 
@@ -63,45 +61,48 @@ _MODEL_FLAGS = {"layers": "--layers", "hidden": "--hidden", "heads": "--heads", 
                 "max_query": "--max-query", "max_doc": "--max-doc",
                 "split_depth": "--ell-star", "interaction_layers": "--k-inter"}
 
+# The flag that sets each TrainConfig field. An omitted flag keeps the
+# --config file's value, and a refusal of a given value names its flag.
+_TRAIN_FLAGS = {"variant": "--variant", "steps": "--steps", "batch_size": "--batch-size",
+                "lr_peak": "--lr", "warmup_steps": "--warmup",
+                "validate_every": "--validate-every", "seed": "--seed",
+                "precision": "--precision", **_MODEL_FLAGS}
+
 
 def _build_parser() -> _Parser:
+    # Each command declares, with its default, each common flag it reads, so
+    # argparse refuses the others as usage errors.
     parser = _Parser(prog="micerank", description=__doc__)
-    # None defaults tell a given flag from a defaulted one; dispatch fills in
-    # the defaults of the flags a command reads and refuses the others.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--precision", choices=tuple(PRECISIONS))
-    common.add_argument("--threads", type=positive_int)
+    one_thread = argparse.ArgumentParser(add_help=False)
+    one_thread.add_argument("--threads", type=int, choices=(1,), help="runs on one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common], help="generate the synthetic corpus")
+    p = sub.add_parser("synth", parents=[one_thread], help="generate the synthetic corpus")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--docs", type=int, default=120)
-    p.add_argument("--queries", type=int, default=64)
-    p.add_argument("--vocab-size", type=int, default=256)
+    p.add_argument("--docs", type=positive_int, default=120)
+    p.add_argument("--queries", type=positive_int, default=64)
+    p.add_argument("--vocab-size", type=positive_int, default=256)
 
-    p = sub.add_parser("train", parents=[common], help="distillation training")
+    p = sub.add_parser("train", parents=[one_thread], help="distillation training")
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="key = value config file (flags override it)")
     p.add_argument("--init-from", help="checkpoint to start from (e.g. CE for mid-fusion)")
-    p.add_argument("--variant", choices=training.VARIANTS)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", type=positive_int)
-    p.add_argument("--lr", type=float, dest="lr_peak")
-    p.add_argument("--warmup", type=int, dest="warmup_steps")
-    p.add_argument("--validate-every", type=positive_int)
-    for name, flag in _MODEL_FLAGS.items():
-        p.add_argument(flag, type=int, dest=name)
+    kinds = {"variant": dict(choices=training.VARIANTS), "lr_peak": dict(type=float),
+             "precision": dict(choices=tuple(PRECISIONS)),
+             "batch_size": dict(type=positive_int), "validate_every": dict(type=positive_int)}
+    for name, flag in _TRAIN_FLAGS.items():  # no defaults: see _TRAIN_FLAGS
+        p.add_argument(flag, dest=name, **kinds.get(name, dict(type=int)))
 
-    p = sub.add_parser("encode-docs", parents=[common], help="precompute document states")
+    p = sub.add_parser("encode-docs", parents=[one_thread], help="precompute document states")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("bm25", parents=[common], help="first-stage retrieval")
+    p = sub.add_parser("bm25", parents=[one_thread], help="first-stage retrieval")
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--k", type=positive_int, default=1000)
@@ -110,8 +111,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     # ``ablate`` is the same command; the TREC tag records the name typed.
-    p = sub.add_parser("rerank", aliases=["ablate"], parents=[common],
+    p = sub.add_parser("rerank", aliases=["ablate"],
                        help="neural re-ranking of candidates (ablate: under a masking step)")
+    p.add_argument("--precision", choices=tuple(PRECISIONS), default="f32")
+    p.add_argument("--threads", type=positive_int, help="default: MICE_THREADS, else 1",
+                   default=_MiceThreads(os.environ.get("MICE_THREADS", "1")))
+    # Read by nothing: perfbench/workloads.py passes it.
+    p.add_argument("--seed", type=int)
     p.add_argument("--model", required=True)
     p.add_argument("--mode", choices=evalbench.MODES, default="ce")
     p.add_argument("--queries", required=True)
@@ -128,12 +134,13 @@ def _build_parser() -> _Parser:
                    help="fail on candidates that cannot be scored (--no-strict skips "
                    "them); a cache from another checkpoint always fails")
 
-    p = sub.add_parser("eval", parents=[common], help="score a run against qrels")
+    p = sub.add_parser("eval", parents=[one_thread], help="score a run against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--metric", default="ndcg@10", help="ndcg@K or rr@K")
 
-    p = sub.add_parser("bench", parents=[common], help="latency/memory benchmark")
+    p = sub.add_parser("bench", parents=[one_thread], help="latency/memory benchmark")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=evalbench.MODES, required=True)
     p.add_argument("--batch", type=positive_int, default=8)
     p.add_argument("--n", type=positive_int, default=16, dest="max_query")
@@ -146,7 +153,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--vocab-size", type=int, default=1024)
     p.add_argument("--out")
 
-    p = sub.add_parser("sweep", parents=[common], help="interaction-layer-count sweep")
+    p = sub.add_parser("sweep", parents=[one_thread], help="interaction-layer-count sweep")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--precision", choices=tuple(PRECISIONS), default="f32")
     p.add_argument("--model", required=True, help="trained cross-encoder checkpoint")
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
@@ -199,28 +208,34 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(training.TrainConfig)
-             if getattr(args, f.name) is not None}
-    text = Path(args.config).read_text() if args.config else ""
-    cfg = training.parse_config_text(text, args.config, given)
-    init = None
-    if args.init_from:
-        init, _ = checkpoint.load_weights(args.init_from, dtype=cfg.dtype)
-        # The checkpoint fixes the architecture; the split flags are read only
-        # to cut a cross-encoder into a mid-fusion model. Values from a
-        # --config file are defaults, not given flags.
-        cut = cfg.variant == "mice" and not isinstance(init, mice.MiceWeights)
-        for name, flag in _MODEL_FLAGS.items():
-            if name in given and not (cut and name in ("split_depth", "interaction_layers")):
-                raise ValueError(f"train --init-from does not read {flag}: the checkpoint "
-                                 "fixes it")
-        if cut:
-            init = mice.from_cross_encoder(init, cfg.split_depth, cfg.interaction_layers)
-    elif cfg.variant != "mice" and "interaction_layers" in given:
-        raise ValueError(f"train --variant {cfg.variant} does not read --k-inter: "
-                         "a cross-encoder has no interaction layers")
-    data = _load_data(args.corpus, args.queries, args.qrels)
-    result = training.train(cfg, data, args.out_dir, init_weights=init)
+    given = {name: getattr(args, name) for name in _TRAIN_FLAGS if getattr(args, name) is not None}
+    try:
+        with retrieval.open_text(args.config or os.devnull) as f:
+            text = f.read()
+        cfg = training.parse_config_text(text, args.config, given)
+        init = None
+        if args.init_from:
+            init, _ = checkpoint.load_weights(args.init_from, dtype=cfg.dtype)
+            # The checkpoint fixes the architecture; the split flags are read only
+            # to cut a cross-encoder into a mid-fusion model. Values from a
+            # --config file are defaults, not given flags.
+            cut = cfg.variant == "mice" and not isinstance(init, mice.MiceWeights)
+            for name, flag in _MODEL_FLAGS.items():
+                if name in given and not (cut and name in ("split_depth", "interaction_layers")):
+                    raise ValueError(f"train --init-from does not read {flag}: the checkpoint "
+                                     "fixes it")
+            if cut:
+                init = mice.from_cross_encoder(init, cfg.split_depth, cfg.interaction_layers)
+        elif cfg.variant != "mice" and "interaction_layers" in given:
+            raise ValueError(f"train --variant {cfg.variant} does not read --k-inter: "
+                             "a cross-encoder has no interaction layers")
+        data = _load_data(args.corpus, args.queries, args.qrels)
+        result = training.train(cfg, data, args.out_dir, init_weights=init)
+    except ValueError as exc:  # each refusal of a value starts with its field's name
+        name = str(exc).partition(" ")[0]
+        if name not in given:
+            raise
+        raise ValueError(f"{_TRAIN_FLAGS[name]}: {exc}") from None
     rr10 = (f"best RR@10 {result.best_rr10:.4f} (last {result.metrics[-1]['rr10']:.4f})"
             if result.metrics else "no validation ran")
     print(f"trained {cfg.variant} for {cfg.steps} steps: {rr10}; "
@@ -229,9 +244,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_encode_docs(args) -> int:
-    if args.precision != "f32":
-        raise ValueError(f"encode-docs writes float32 states; --precision {args.precision} "
-                         "is not supported")
     weights, _, corpus, vocab = _load_model(args, np.float32)
     if not isinstance(weights, mice.MiceWeights):
         raise ValueError("encode-docs needs a mid-fusion checkpoint (kind mice)")
@@ -329,6 +341,8 @@ def _cmd_rerank(args) -> int:
 
 def _cmd_eval(args) -> int:
     run = retrieval.read_trec_run(args.run)
+    if not run:
+        raise ValueError(f"{args.run}: empty run")
     qrels = retrieval.read_qrels(args.qrels)
     value = evalbench.evaluate_run(run, qrels, args.metric)
     print(f"{value:.4f}")
@@ -398,46 +412,6 @@ _COMMANDS = {
 }
 
 
-# The common flags a command does not read. Giving one is a data error, as
-# a mode flag is to a rerank mode that does not read it. These commands run
-# on one thread, so ``--threads 1`` describes them and is accepted. ``rerank``
-# reads no seed but accepts ``--seed``: perfbench/workloads.py passes it.
-_UNREAD_COMMON = {
-    "synth": ("precision", "threads"),
-    "train": ("threads",),
-    "encode-docs": ("seed", "threads"),
-    "bm25": ("seed", "precision", "threads"),
-    "eval": ("seed", "precision", "threads"),
-    "bench": ("precision", "threads"),
-    "sweep": ("threads",),
-}
-
-
-def _refuse_unread(args) -> None:
-    for name in _UNREAD_COMMON.get(args.command, ()):
-        value = getattr(args, name)
-        if value is not None and not (name == "threads" and value == 1):
-            raise ValueError(f"{args.command} does not read --{name}")
-
-
-def _default_common(parser: _Parser, args) -> None:
-    """Fill in the defaults of the common flags ``args.command`` reads and
-    does not default itself; a bad MICE_THREADS is a usage error, as a bad
-    ``--threads`` is."""
-    skip = _UNREAD_COMMON.get(args.command, ())
-    if args.command == "train":  # so an omitted flag keeps the --config file's value
-        skip += ("seed", "precision")
-    for name, value in (("seed", 0), ("precision", "f32")):
-        if getattr(args, name) is None and name not in skip:
-            setattr(args, name, value)
-    if args.threads is None and "threads" not in skip:
-        env = os.environ.get("MICE_THREADS", "1")
-        try:
-            args.threads = positive_int(env)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            parser.error(f"argument --threads: MICE_THREADS={env!r}: {exc}")
-
-
 # glibc serves every allocation above its mmap threshold (128 KiB at start,
 # raised only as large blocks are freed) with a fresh mmap, and gives the top
 # of its heap back to the kernel once twice that much is free: either way a
@@ -472,14 +446,11 @@ def _keep_freed_pages() -> None:
 def dispatch(argv) -> int:
     """Run one command; returns the process exit code instead of raising."""
     _keep_freed_pages()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        _default_common(parser, args)
-    except _UsageExit as exc:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits after --help and on a usage error
         return exc.code
     try:
-        _refuse_unread(args)
         return _COMMANDS[args.command](args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

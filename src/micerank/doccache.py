@@ -182,7 +182,7 @@ def read_cache(path, expected_hash: bytes | None = None) -> DocStateCache:
             )
         index: dict[str, tuple[int, int]] = {}
         for _ in range(header.doc_count):
-            doc_id = r.take(r.u32()).decode("utf-8")
+            doc_id = r.name("doc id")
             m, offset = struct.unpack("<IQ", r.take(12))
             if m == 0:
                 raise CacheFormatError(f"{path}: document {doc_id!r} holds no tokens")

@@ -99,7 +99,7 @@ def ndcg_at_k(ranking, rels: Mapping[str, int], k: int) -> float:
     documents scores 0.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValueError(f"ndcg@{k}: the depth must be at least 1")
     ids = _ranking_ids(ranking)
     gains = sorted((r for r in rels.values() if r > 0), reverse=True)
     if not gains:
@@ -115,7 +115,7 @@ def ndcg_at_k(ranking, rels: Mapping[str, int], k: int) -> float:
 def rr_at_k(ranking, rels: Mapping[str, int], k: int) -> float:
     """Reciprocal rank of the first relevant document within the top ``k``."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValueError(f"rr@{k}: the depth must be at least 1")
     ids = _ranking_ids(ranking)
     for i, doc in enumerate(ids[:k]):
         if rels.get(doc, 0) > 0:

@@ -9,12 +9,14 @@ File formats handled here:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -312,13 +314,29 @@ def rerank(
 # --------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def open_text(path):
+    """``path`` opened to read as UTF-8 text with universal newlines; a file
+    that is not UTF-8 is refused naming ``path:line``."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            # bytes.splitlines ends lines where universal newlines do, and a
+            # line of valid UTF-8 survives decoding that drops bad bytes.
+            lines = enumerate(Path(path).read_bytes().splitlines(), start=1)
+            lineno = next((n for n, line in lines
+                           if line.decode("utf-8", "ignore").encode() != line), "?")
+            raise ValueError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
+
+
 def read_jsonl(path) -> list[tuple[str, str]]:
     """``(id, text)`` records of a corpus or query file; a malformed line, an
     id or text that is not a string, or a repeated id is refused, naming
     ``path:line``."""
     records = []
     first_line: dict[str, int] = {}
-    with open(path) as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
@@ -343,13 +361,13 @@ def read_jsonl(path) -> list[tuple[str, str]]:
 
 
 def write_jsonl(path, records: Iterable[tuple[str, str]]) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for rec_id, text in records:
             f.write(json.dumps({"id": rec_id, "text": text}) + "\n")
 
 
 def write_trec_run(path, rankings: Iterable[RankedList], tag: str = "micerank") -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for ranking in rankings:
             for rank, (doc_id, score) in enumerate(ranking.items, start=1):
                 f.write(f"{ranking.query_id} Q0 {doc_id} {rank} {score:.6f} {tag}\n")
@@ -359,7 +377,7 @@ def read_trec_run(path) -> dict:
     """Run file -> {qid: [(doc_id, score), ...]} ordered by stored rank; a
     query that lists a document twice is refused."""
     by_query: dict = {}
-    with open(path) as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.split()
             if not parts:
@@ -391,7 +409,7 @@ def read_qrels(path) -> dict:
     judgment of one (query, document) pair is refused, naming ``path:line``."""
     qrels: dict = {}
     first_line: dict[tuple[str, str], int] = {}
-    with open(path) as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.split()
             if not parts:
@@ -416,7 +434,7 @@ def read_qrels(path) -> dict:
 
 
 def write_qrels(path, qrels: Mapping[str, Mapping[str, int]]) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for qid in sorted(qrels):
             for doc_id in sorted(qrels[qid]):
                 f.write(f"{qid} 0 {doc_id} {qrels[qid][doc_id]}\n")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import micerank
-from micerank import checkpoint, mice, retrieval, training
+from micerank import checkpoint, cli, mice, retrieval, training
 from micerank.cli import dispatch
 from micerank.evalbench import BenchReport
 from micerank.masking import MaskStep
@@ -377,6 +377,11 @@ class TestExitCodes:
     def test_unknown_flag_rejected(self):
         assert dispatch(["synth", "--out-dir", "/tmp/x", "--bogus", "1"]) == 1
 
+    @pytest.mark.parametrize("argv", [["--help"], ["rerank", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert dispatch(argv) == 0
+        assert "usage: micerank" in capsys.readouterr().out
+
     def test_unknown_command_rejected(self):
         assert dispatch(["frobnicate"]) == 1
 
@@ -404,6 +409,9 @@ class TestExitCodes:
         ("bench", "--m", "0"),
         ("train", "--batch-size", "0"),
         ("train", "--validate-every", "0"),
+        ("synth", "--docs", "0"),
+        ("synth", "--queries", "0"),
+        ("synth", "--vocab-size", "0"),
     ])
     def test_count_below_one_is_usage_error(
         self, workspace, tmp_path, capsys, command, flag, value
@@ -422,10 +430,13 @@ class TestExitCodes:
                       "--n", "2", "--m", "3", "--ell-star", "1", "--k-inter", "1"],
             "train": [*inputs, "--qrels", str(data / "qrels.tsv"),
                       "--out-dir", str(tmp_path / "model"), *TINY_TRAIN],
+            "synth": ["--out-dir", str(tmp_path / "synth")],
         }[command]
-        out = [] if command in ("bench", "train") else ["--out", str(tmp_path / "run.trec")]
+        out = ([] if command in ("bench", "train", "synth")
+               else ["--out", str(tmp_path / "run.trec")])
         assert dispatch([command, *argv, *out, flag, value]) == 1
         assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command,mode,extra", [
         ("rerank", "mice", ["--step", "3"]),
@@ -491,13 +502,13 @@ class TestExitCodes:
         ("bench", "--threads", "2"),
         ("sweep", "--threads", "2"),
     ])
-    def test_common_flag_the_command_does_not_read_is_data_error(
+    def test_common_flag_the_command_does_not_read_is_usage_error(
         self, workspace, tmp_path, capsys, command, flag, value
     ):
         out = tmp_path / "out"
         argv = self.one_thread_command(workspace, command, out)
-        assert dispatch([*argv, flag, value]) == 2
-        assert f"does not read {flag}" in capsys.readouterr().err
+        assert dispatch([*argv, flag, value]) == 1
+        assert flag in capsys.readouterr().err.splitlines()[-1]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -558,8 +569,25 @@ class TestExitCodes:
             "--candidates", str(workspace / "bm25.trec"), "--out", str(tmp_path / "r.trec"),
         ])
         assert code == 1
-        assert "argument --threads" in capsys.readouterr().err
+        assert f"argument --threads: MICE_THREADS={value!r}" in capsys.readouterr().err
         assert not (tmp_path / "r.trec").exists()
+
+    @pytest.mark.parametrize("command", ["rerank", "ablate"])
+    def test_threads_default_from_mice_threads(self, monkeypatch, command):
+        """MICE_THREADS gives --threads when the flag is not given, else
+        it is not read, even when it is not a count."""
+        argv = [command, "--model", "m", "--queries", "q", "--corpus", "c",
+                "--candidates", "r", "--out", "o"]
+
+        def threads(*flags):
+            return cli._build_parser().parse_args([*argv, *flags]).threads
+
+        monkeypatch.delenv("MICE_THREADS", raising=False)
+        assert threads() == 1
+        monkeypatch.setenv("MICE_THREADS", "3")
+        assert threads() == 3
+        monkeypatch.setenv("MICE_THREADS", "abc")
+        assert threads("--threads", "2") == 2
 
     @pytest.mark.parametrize("flag,value", [("--steps", "-5"), ("--warmup", "-3")])
     def test_negative_schedule_is_data_error(self, workspace, tmp_path, capsys, flag, value):
@@ -588,14 +616,15 @@ class TestExitCodes:
         assert f"{key} must be at least 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "model").exists()
 
-    def test_encode_docs_in_float64_is_data_error(self, workspace, tmp_path, capsys):
+    def test_encode_docs_in_float64_is_usage_error(self, workspace, tmp_path, capsys):
+        """encode-docs writes float32 states and declares no --precision."""
         code = dispatch([
             "encode-docs", "--model", str(workspace / "mice" / "model.bin"),
             "--corpus", str(workspace / "data" / "corpus.jsonl"),
             "--out", str(tmp_path / "cache.bin"), "--precision", "f64",
         ])
-        assert code == 2
-        assert "--precision f64" in capsys.readouterr().err
+        assert code == 1
+        assert "unrecognized arguments: --precision f64" in capsys.readouterr().err
         assert not (tmp_path / "cache.bin").exists()
 
     @pytest.mark.parametrize("command,bad_line", [

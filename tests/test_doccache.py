@@ -246,6 +246,16 @@ class TestIndexTableGuards:
         with pytest.raises(CacheFormatError, match="duplicate doc id 'a'"):
             read_cache(path)
 
+    def test_doc_id_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "c.bin"
+        hand_built_cache(path, [("a", 1, 0), ("b", 2, 64)])
+        blob = bytearray(path.read_bytes())
+        blob[56 + 4] = 0xFF  # the id of the first row, after the header and its length
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CacheFormatError,
+                           match=re.escape(f"{path}: doc id at byte 60 is not UTF-8")):
+            read_cache(path)
+
     # two 17-byte index rows follow the 56-byte header, so the index ends at 90
     @pytest.mark.parametrize("rel", [-90, -50, -30, -1])
     def test_payload_inside_header_or_index(self, tmp_path, rel):

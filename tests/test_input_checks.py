@@ -503,6 +503,57 @@ class TestReaders:
         assert capsys.readouterr().out.strip() == "1.0000"
 
 
+class TestInputThatIsNotUtf8:
+    """Every input is read as UTF-8; a file that is not is refused naming the
+    file and, for text, the line, counted as universal newlines count it."""
+
+    TEXT = {  # reader: (good line, bad line)
+        "corpus": (b'{"id": "d0", "text": "a b"}', b'{"id": "d1", "text": "caf\xe9"}'),
+        "queries": (b'{"id": "q1", "text": "a"}', b'{"id": "q\xff", "text": "b"}'),
+        "run": (b"q1 Q0 d0 1 2.0 t", b"q1 Q0 d\xff 2 1.0 t"),
+        "qrels": (b"q1 0 d0 1", b"q\xff 0 d0 1"),
+        "config": (b"steps = 2", b"# r\xe9glage"),
+    }
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("reader", sorted(TEXT))
+    def test_text_file_names_path_and_line(self, ws, tmp_path, capsys, reader, newline):
+        good, bad = self.TEXT[reader]
+        path = tmp_path / "input"
+        path.write_bytes(good + newline + bad + newline)
+        files = {"corpus": tmp_path / "corpus.jsonl", "queries": tmp_path / "queries.jsonl",
+                 "run": tmp_path / "run.trec", "qrels": tmp_path / "qrels.tsv"}
+        retrieval.write_jsonl(files["corpus"], [("d0", "a b")])
+        retrieval.write_jsonl(files["queries"], [("q1", "a")])
+        files["run"].write_text("q1 Q0 d0 1 2.0 t\n")
+        files["qrels"].write_text("q1 0 d0 1\n")
+        files[reader] = path
+        out = tmp_path / "out"
+        argv = {
+            "corpus": ["bm25", "--corpus", path, "--queries", files["queries"], "--out", out],
+            "queries": ["bm25", "--corpus", files["corpus"], "--queries", path, "--out", out],
+            "run": ["eval", "--run", path, "--qrels", files["qrels"]],
+            "qrels": ["eval", "--run", files["run"], "--qrels", path],
+            "config": ["train", *inputs(ws, "corpus", "queries", "qrels"), "--out-dir", out,
+                       "--config", path, *ARCH, *SHORT],
+        }[reader]
+        assert dispatch([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}:2: not UTF-8" in err
+        assert not out.exists()
+
+    def test_checkpoint_tensor_name_names_the_file(self, ws, tmp_path, capsys):
+        blob = bytearray((ws / "ce" / "model.bin").read_bytes())
+        blob[HEADER.size + 4] = 0xFF  # the first byte of the first tensor's name
+        model = tmp_path / "model.bin"
+        model.write_bytes(bytes(blob))
+        out = tmp_path / "run.trec"
+        assert dispatch(rerank_argv(ws, model, out=out)) == 2
+        assert f"error: {model}: tensor name at byte {HEADER.size + 4} is not UTF-8" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("count,train,val", [
     (1, ["q0"], ["q0"]),
     (3, ["q0", "q1"], ["q2"]),
@@ -620,6 +671,35 @@ def test_train_with_a_size_below_one_is_data_error(ws, tmp_path, capsys, flags, 
     err = capsys.readouterr().err
     assert f"{field} must be at least 1, got {flags[1]}" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (["train", "--variant", "mice", "--ell-star", "0"], "--ell-star: split_depth 0 outside 1..3"),
+    (["train", "--variant", "mice", "--k-inter", "9"],
+     "--k-inter: interaction_layers 9 outside 1..2"),
+    (["train", "--hidden", "30", "--heads", "4"], "--hidden: hidden 30 not divisible by heads 4"),
+    (["train", "--steps", "-5"], "--steps: steps must not be negative, got -5"),
+    (["train", "--lr", "nan"], "--lr: lr_peak must be positive and finite, got nan"),
+    (["train", "--init-from", "{ws}/ce/model.bin", "--variant", "mice", "--ell-star", "5"],
+     "--ell-star: split_depth 5 outside 1..3"),
+    (["eval", "--metric", "rr@0"], "rr@0: the depth must be at least 1"),
+    (["eval", "--metric", "ndcg@0"], "ndcg@0: the depth must be at least 1"),
+    (["eval", "--run", "{tmp_path}/empty.trec"], "{tmp_path}/empty.trec: empty run"),
+])
+def test_refusal_names_what_was_typed(ws, tmp_path, capsys, argv, cause):
+    """A value refused as a data error is named as it was typed: by the
+    flag that gave it, or by the metric or path given."""
+    command, *flags = (arg.format(ws=ws, tmp_path=tmp_path) for arg in argv)
+    (tmp_path / "empty.trec").write_text("")
+    out = tmp_path / "out"
+    fixed = {
+        "train": [*inputs(ws, "corpus", "queries", "qrels"), "--out-dir", str(out),
+                  *([] if "--init-from" in flags else ARCH), *SHORT],
+        "eval": ["--run", str(ws / "bm25.trec"), *inputs(ws, "qrels")],
+    }[command]
+    assert dispatch([command, *fixed, *flags]) == 2
+    assert f"error: {cause.format(tmp_path=tmp_path)}" in capsys.readouterr().err
     assert not out.exists()
 
 
