@@ -8,6 +8,11 @@ printed to stdout. A command declares those of the common flags ``--seed``,
 accepts ``--threads 1``. ``rerank`` defaults ``--threads`` from the
 MICE_THREADS environment variable, ``train`` ``--seed`` and ``--precision``
 from its ``--config`` file.
+
+``rerank --mode ce`` (and ``ablate``) scores a step-3 cross-encoder whose
+depth is its split plus 2 through its cut (``retrieval.CutScorer``), which
+encodes each candidate document once per command; every other mask and
+depth runs the joint forward (``retrieval.CrossEncoderScorer``).
 """
 
 from __future__ import annotations
@@ -209,10 +214,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     given = {name: getattr(args, name) for name in _TRAIN_FLAGS if getattr(args, name) is not None}
+    sources = {}  # field -> what gave its value: the --config file, or a flag over it
     try:
         with retrieval.open_text(args.config or os.devnull) as f:
-            text = f.read()
-        cfg = training.parse_config_text(text, args.config, given)
+            values = training.read_config_text(f.read(), args.config)
+        sources = {**dict.fromkeys(values, args.config), **{n: _TRAIN_FLAGS[n] for n in given}}
+        cfg = training.TrainConfig(**{**values, **given})
         init = None
         if args.init_from:
             init, _ = checkpoint.load_weights(args.init_from, dtype=cfg.dtype)
@@ -232,10 +239,10 @@ def _cmd_train(args) -> int:
         data = _load_data(args.corpus, args.queries, args.qrels)
         result = training.train(cfg, data, args.out_dir, init_weights=init)
     except ValueError as exc:  # each refusal of a value starts with its field's name
-        name = str(exc).partition(" ")[0]
-        if name not in given:
+        source = sources.get(str(exc).partition(" ")[0])
+        if source is None:
             raise
-        raise ValueError(f"{_TRAIN_FLAGS[name]}: {exc}") from None
+        raise ValueError(f"{source}: {exc}") from None
     rr10 = (f"best RR@10 {result.best_rr10:.4f} (last {result.metrics[-1]['rr10']:.4f})"
             if result.metrics else "no validation ran")
     print(f"trained {cfg.variant} for {cfg.steps} steps: {rr10}; "
@@ -300,10 +307,13 @@ def _cmd_rerank(args) -> int:
                              f"of {config.layers} layers, so the query rows never read the "
                              "document before CLS reads them")
         split = args.split_depth if args.split_depth is not None else config.split_depth
-        spec = MaskSpec(step, split_depth=split, total_layers=config.layers)
-        scorer = retrieval.CrossEncoderScorer(
-            weights, spec, vocab, retrieval.token_map(corpus, vocab), **chunking
-        )
+        if step is MaskStep.STEP3 and config.layers - split == 2:
+            scorer = retrieval.CutScorer(weights, split, vocab, corpus, **chunking)
+        else:
+            spec = MaskSpec(step, split_depth=split, total_layers=config.layers)
+            scorer = retrieval.CrossEncoderScorer(
+                weights, spec, vocab, retrieval.token_map(corpus, vocab), **chunking
+            )
     elif not isinstance(weights, mice.MiceWeights):
         raise ValueError(f"{args.mode} mode needs a mid-fusion checkpoint")
     elif args.mode == "mice":
@@ -319,6 +329,8 @@ def _cmd_rerank(args) -> int:
         cache = doccache.read_cache(args.cache, expected_hash=weights.fingerprint())
         scorer = retrieval.MiceCacheScorer(weights, vocab, cache, **chunking)
     candidates_by_query = retrieval.read_trec_run(args.candidates)
+    if not candidates_by_query:
+        raise ValueError(f"{args.candidates}: empty run")
     rankings = []
     skipped_total = 0
     for qid, text in retrieval.read_jsonl(args.queries):
@@ -374,6 +386,9 @@ def _cmd_sweep(args) -> int:
     if not isinstance(weights, transformer.Weights):
         raise ValueError("sweep starts from a cross-encoder checkpoint")
     data = _load_data(args.corpus, args.queries, args.qrels)
+    if not data.val_q:
+        raise ValueError(f"{args.queries}: holds no query, so no held-out query is left to "
+                         "validate on")
     split = args.split_depth if args.split_depth is not None else weights.config.split_depth
     k_max = args.k_max if args.k_max is not None else weights.config.layers - split
     rows = training.layer_drop_sweep(

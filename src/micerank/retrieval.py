@@ -1,5 +1,12 @@
 """Deterministic tokenizer, Okapi BM25 first stage, and the rerank pipeline.
 
+The rerank scorers: :class:`CrossEncoderScorer` runs the joint forward of
+each (query, candidate) pair under a mask step. :class:`CutScorer` scores a
+step-3 cross-encoder of depth split + 2 through its cut, encoding each
+candidate document once per scorer. :class:`MiceScorer` encodes each
+chunk's documents online, and :class:`MiceCacheScorer` reads precomputed
+document states.
+
 File formats handled here:
 
 * corpus / queries: JSON-lines, one ``{"id": ..., "text": ...}`` per line
@@ -40,6 +47,7 @@ __all__ = [
     "bm25_retrieve",
     "rerank",
     "CrossEncoderScorer",
+    "CutScorer",
     "MiceScorer",
     "MiceCacheScorer",
     "read_jsonl",
@@ -213,8 +221,8 @@ class _NeuralScorer:
     """Shared chunking/threading machinery for model-backed scorers.
 
     ``docs`` answers ``c in docs`` for the candidates this scorer can score:
-    a map from doc id to non-empty token ids (:func:`token_map`), or the
-    document states of :class:`MiceCacheScorer`.
+    a map from doc id to non-empty token ids (:func:`token_map`) or to text
+    (:class:`CutScorer`), or the document states of :class:`MiceCacheScorer`.
     """
 
     def __init__(self, weights, vocab: Vocab, docs, batch_size: int = 64, threads: int = 1):
@@ -263,6 +271,38 @@ class CrossEncoderScorer(_NeuralScorer):
     def _score_chunk(self, q_ids, chunk) -> np.ndarray:
         pairs = [(q_ids, self.docs[c]) for c in chunk]
         return transformer.score_pairs(pairs, self.spec, self.weights).data
+
+
+class CutScorer(_NeuralScorer):
+    """A step-3 cross-encoder of depth ``split_depth + 2``, scored through
+    its cut ``mice.from_cross_encoder(weights, split_depth, 2)``.
+
+    From step 2 on, document rows read only the document, and from step 1 on
+    the top layer's CLS row reads no document row. So the only document rows
+    that reach the score are the split-layer states, which do not depend on
+    the query and which the cut freezes. ``docs`` maps doc id to text; a
+    document is tokenized and encoded when it is first a candidate, and its
+    state is kept in ``states`` for the rest of the command.
+    """
+
+    def __init__(self, weights, split_depth: int, vocab, corpus, **kw):
+        cut = mice_mod.from_cross_encoder(weights, split_depth, 2)
+        super().__init__(cut, vocab, dict(corpus), **kw)
+        self.states: dict = {}
+
+    def score_ids(self, q_ids: Sequence[int], candidates: Sequence[str]) -> dict:
+        # Encoded before chunking, so only this thread writes ``states``.
+        new = token_map(((c, self.docs[c]) for c in candidates if c not in self.states),
+                        self.vocab)
+        if new:
+            with no_grad():
+                encoded = mice_mod.encode_documents(list(new.items()), self.weights)
+            self.states.update((state.doc_id, state) for state in encoded)
+        return super().score_ids(q_ids, candidates)
+
+    def _score_chunk(self, q_ids, chunk) -> np.ndarray:
+        items = [(q_ids, self.states[c]) for c in chunk]
+        return mice_mod.mice_score_batch(items, self.weights)
 
 
 class MiceScorer(_NeuralScorer):

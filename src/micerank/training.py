@@ -65,7 +65,7 @@ __all__ = [
     "finetune_mice",
     "layer_drop_sweep",
     "write_sweep_csv",
-    "parse_config_text",
+    "read_config_text",
 ]
 
 log = logging.getLogger(__name__)
@@ -97,7 +97,8 @@ class TrainConfig:
     precision: str = "f32"
 
     def __post_init__(self):
-        # Each refusal starts with its field's name, which parse_config_text reads.
+        # Each refusal starts with its field's name: ``train`` reads it to name
+        # the file or the flag that gave the value, as ModelConfig's refusals do.
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.precision not in PRECISIONS:
@@ -132,11 +133,10 @@ class TrainConfig:
         return config
 
 
-def parse_config_text(text: str, source: str = "<config>", given=None) -> TrainConfig:
-    """The :class:`TrainConfig` of a flat ``key = value`` config file (#
-    starts a comment; each key appears once) under the ``given`` field values,
-    checked once. A line error names ``source:line`` and the key; a refused
-    value names ``source`` only when the file gave it."""
+def read_config_text(text: str, source: str = "<config>") -> dict:
+    """The ``{TrainConfig field: value}`` a flat ``key = value`` config file
+    gives (# starts a comment; each key appears once). A line error names
+    ``source:line`` and the key; ``train`` merges the values and checks them."""
     types = {f.name: f.type for f in fields(TrainConfig)}
     casts = {"int": int, "float": float, "str": str}
     values, first_line = {}, {}
@@ -158,13 +158,7 @@ def parse_config_text(text: str, source: str = "<config>", given=None) -> TrainC
         except ValueError:
             raise ValueError(f"{where}: {key} expects {types[key]}, got {value!r}") from None
         first_line[key] = lineno
-    given = given or {}
-    try:
-        return TrainConfig(**{**values, **given})
-    except ValueError as exc:
-        if str(exc).partition(" ")[0] in values.keys() - given.keys():
-            raise ValueError(f"{source}: {exc}") from None
-        raise
+    return values
 
 
 # --------------------------------------------------------------------------

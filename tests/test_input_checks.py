@@ -686,17 +686,24 @@ def test_train_with_a_size_below_one_is_data_error(ws, tmp_path, capsys, flags, 
     (["eval", "--metric", "rr@0"], "rr@0: the depth must be at least 1"),
     (["eval", "--metric", "ndcg@0"], "ndcg@0: the depth must be at least 1"),
     (["eval", "--run", "{tmp_path}/empty.trec"], "{tmp_path}/empty.trec: empty run"),
+    (["rerank", "--candidates", "{tmp_path}/empty.trec"], "{tmp_path}/empty.trec: empty run"),
+    (["sweep", "--queries", "{tmp_path}/empty.jsonl"],
+     "{tmp_path}/empty.jsonl: holds no query, so no held-out query is left to validate on"),
 ])
 def test_refusal_names_what_was_typed(ws, tmp_path, capsys, argv, cause):
     """A value refused as a data error is named as it was typed: by the
     flag that gave it, or by the metric or path given."""
     command, *flags = (arg.format(ws=ws, tmp_path=tmp_path) for arg in argv)
     (tmp_path / "empty.trec").write_text("")
+    (tmp_path / "empty.jsonl").write_text("")
     out = tmp_path / "out"
+    model = ["--model", str(ws / "ce" / "model.bin")]
     fixed = {
         "train": [*inputs(ws, "corpus", "queries", "qrels"), "--out-dir", str(out),
                   *([] if "--init-from" in flags else ARCH), *SHORT],
         "eval": ["--run", str(ws / "bm25.trec"), *inputs(ws, "qrels")],
+        "rerank": [*model, *inputs(ws, "corpus", "queries"), "--out", str(out)],
+        "sweep": [*model, *inputs(ws, "corpus", "qrels"), "--out", str(out)],
     }[command]
     assert dispatch([command, *fixed, *flags]) == 2
     assert f"error: {cause.format(tmp_path=tmp_path)}" in capsys.readouterr().err
@@ -738,6 +745,26 @@ class TestTrainConfigFile:
         expected = training.TrainConfig(steps=10, warmup_steps=1)
         assert [(m["step"], m["lr"]) for m in map(json.loads, lines)] == [
             (step, training.lr_schedule(step, expected)) for step in (5, 10)]
+
+    @pytest.mark.parametrize("text,flags,cause", [
+        ("hidden = 30\nheads = 4\n", [], "{config}: hidden 30 not divisible by heads 4"),
+        ("hidden = 30\n", ["--heads", "4"], "{config}: hidden 30 not divisible by heads 4"),
+        ("heads = 4\n", ["--hidden", "30"], "--hidden: hidden 30 not divisible by heads 4"),
+        ("layers = 0\n", [], "{config}: layers must be at least 1, got 0"),
+        ("split_depth = 5\n", ["--variant", "mice", "--init-from", "{ws}/ce/model.bin"],
+         "{config}: split_depth 5 outside 1..3"),
+    ])
+    def test_model_value_names_its_source(self, ws, tmp_path, capsys, text, flags, cause):
+        """The architecture is checked after the file and the flags are
+        merged, and a refusal names the file when the file gave the value it
+        starts with, as a refusal of a schedule value does."""
+        config = tmp_path / "train.cfg"
+        config.write_text(text)
+        flags = [flag.format(ws=ws) for flag in flags]
+        assert dispatch(["train", *inputs(ws, "corpus", "queries", "qrels"), "--out-dir",
+                         str(tmp_path / "out"), "--config", str(config), *SHORT, *flags]) == 2
+        assert f"error: {cause.format(config=config)}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_names_file_and_line(self, ws, tmp_path, capsys):
         code, config = self.train(ws, tmp_path, "steps = 5\nlearning_rate = 0.1\n")

@@ -10,12 +10,14 @@ of a mid-fusion model initialised from it (``--init-from``) and of a fresh
 mid-fusion model; ``encode-docs``; ``rerank`` in ``ce``, ``mice`` and
 ``mice-precomp`` modes in f32, in f64 and with ``--batch-size 7 --threads
 2``; ``ablate --step 2``; and a ``sweep --finetune-steps 5`` from the
-cross-encoder, which cuts it into mid-fusion models. A second, wide segment
-(hidden 256, ff 1024, under ``wide/``) trains a mid-fusion model for a few
-steps, encodes the corpus and reranks in ``mice`` and ``mice-precomp`` modes
-with the same three flag sets: its weights are wide enough for
-``tensor.matmul`` to store them column-major. Each line of output is
-``sha256 name``.
+cross-encoder, which cuts it into mid-fusion models. The cross-encoder has
+3 layers and split 1, so its ``ce`` lines score through its cut
+(``retrieval.CutScorer``); ``ablate --step 2`` is the line of the joint
+forward. A second, wide segment (hidden 256, ff 1024, under ``wide/``)
+trains a mid-fusion model for a few steps, encodes the corpus and reranks
+in ``mice`` and ``mice-precomp`` modes with the same three flag sets: its
+weights are wide enough for ``tensor.matmul`` to store them column-major.
+Each line of output is ``sha256 name``.
 
 A refactor that must leave outputs byte-identical runs this once against
 each tree (``--src`` names the ``src`` directory to import micerank from;
