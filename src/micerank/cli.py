@@ -292,6 +292,13 @@ def _cmd_rerank(args) -> int:
     if args.mode != "mice-precomp" and args.cache:
         raise ValueError(f"--cache applies to mice-precomp mode, not {args.mode}")
     weights, trained_step, corpus, vocab = _load_model(args, PRECISIONS[args.precision])
+    candidates_by_query = retrieval.read_trec_run(args.candidates)
+    if not candidates_by_query:
+        raise ValueError(f"{args.candidates}: empty run")
+    # (query id, text, candidates) of each query that has candidates
+    work = [(qid, text, [d for d, _ in candidates_by_query.get(qid, [])])
+            for qid, text in retrieval.read_jsonl(args.queries)]
+    work = [item for item in work if item[2]]
     chunking = dict(batch_size=args.batch_size, threads=args.threads)
     if args.mode == "ce":
         if not isinstance(weights, transformer.Weights):
@@ -308,7 +315,8 @@ def _cmd_rerank(args) -> int:
                              "document before CLS reads them")
         split = args.split_depth if args.split_depth is not None else config.split_depth
         if step is MaskStep.STEP3 and config.layers - split == 2:
-            scorer = retrieval.CutScorer(weights, split, vocab, corpus, **chunking)
+            uses = (c for _, _, candidates in work for c in candidates)
+            scorer = retrieval.CutScorer(weights, split, vocab, corpus, uses, **chunking)
         else:
             spec = MaskSpec(step, split_depth=split, total_layers=config.layers)
             scorer = retrieval.CrossEncoderScorer(
@@ -328,15 +336,9 @@ def _cmd_rerank(args) -> int:
         # state, and --no-strict skips only candidates the cache lacks.
         cache = doccache.read_cache(args.cache, expected_hash=weights.fingerprint())
         scorer = retrieval.MiceCacheScorer(weights, vocab, cache, **chunking)
-    candidates_by_query = retrieval.read_trec_run(args.candidates)
-    if not candidates_by_query:
-        raise ValueError(f"{args.candidates}: empty run")
     rankings = []
     skipped_total = 0
-    for qid, text in retrieval.read_jsonl(args.queries):
-        candidates = [d for d, _ in candidates_by_query.get(qid, [])]
-        if not candidates:
-            continue
+    for qid, text, candidates in work:
         ranking = retrieval.rerank(
             qid, text, candidates, scorer, k_out=args.k_out,
             strict=args.strict,

@@ -273,38 +273,6 @@ class CrossEncoderScorer(_NeuralScorer):
         return transformer.score_pairs(pairs, self.spec, self.weights).data
 
 
-class CutScorer(_NeuralScorer):
-    """A step-3 cross-encoder of depth ``split_depth + 2``, scored through
-    its cut ``mice.from_cross_encoder(weights, split_depth, 2)``.
-
-    From step 2 on, document rows read only the document, and from step 1 on
-    the top layer's CLS row reads no document row. So the only document rows
-    that reach the score are the split-layer states, which do not depend on
-    the query and which the cut freezes. ``docs`` maps doc id to text; a
-    document is tokenized and encoded when it is first a candidate, and its
-    state is kept in ``states`` for the rest of the command.
-    """
-
-    def __init__(self, weights, split_depth: int, vocab, corpus, **kw):
-        cut = mice_mod.from_cross_encoder(weights, split_depth, 2)
-        super().__init__(cut, vocab, dict(corpus), **kw)
-        self.states: dict = {}
-
-    def score_ids(self, q_ids: Sequence[int], candidates: Sequence[str]) -> dict:
-        # Encoded before chunking, so only this thread writes ``states``.
-        new = token_map(((c, self.docs[c]) for c in candidates if c not in self.states),
-                        self.vocab)
-        if new:
-            with no_grad():
-                encoded = mice_mod.encode_documents(list(new.items()), self.weights)
-            self.states.update((state.doc_id, state) for state in encoded)
-        return super().score_ids(q_ids, candidates)
-
-    def _score_chunk(self, q_ids, chunk) -> np.ndarray:
-        items = [(q_ids, self.states[c]) for c in chunk]
-        return mice_mod.mice_score_batch(items, self.weights)
-
-
 class MiceScorer(_NeuralScorer):
     """Mid-fusion scoring with each chunk's documents encoded on the fly as
     one padded batch, through the forward that training steps use."""
@@ -319,8 +287,52 @@ class MiceCacheScorer(_NeuralScorer):
     the document-state cache or a ``{doc_id: DocState}`` map."""
 
     def _score_chunk(self, q_ids, chunk) -> np.ndarray:
-        items = [(q_ids, self.docs.get(c)) for c in chunk]
+        items = [(q_ids, self._state(c)) for c in chunk]
         return mice_mod.mice_score_batch(items, self.weights)
+
+    def _state(self, doc_id: str):
+        return self.docs.get(doc_id)
+
+
+class CutScorer(MiceCacheScorer):
+    """A step-3 cross-encoder of depth ``split_depth + 2``, scored through
+    its cut ``mice.from_cross_encoder(weights, split_depth, 2)``.
+
+    From step 2 on, document rows read only the document, and from step 1 on
+    the top layer's CLS row reads no document row. So the only document rows
+    that reach the score are the split-layer states, which do not depend on
+    the query and which the cut freezes. ``docs`` maps doc id to text; a
+    document is tokenized and encoded when it is first a candidate, and its
+    state is kept in ``states`` until its last use. ``uses`` holds the doc
+    ids of the candidate lists the scorer will be given, one per listing: a
+    state is dropped once the listings ``uses`` counts for its document are
+    scored, so a document listed more often is encoded again, and one it
+    does not count is kept.
+    """
+
+    def __init__(self, weights, split_depth: int, vocab, corpus, uses: Iterable[str], **kw):
+        cut = mice_mod.from_cross_encoder(weights, split_depth, 2)
+        super().__init__(cut, vocab, dict(corpus), **kw)
+        self.states: dict = {}
+        self.uses = Counter(uses)
+
+    def score_ids(self, q_ids: Sequence[int], candidates: Sequence[str]) -> dict:
+        # Encoded before chunking, so only this thread writes ``states``.
+        new = token_map(((c, self.docs[c]) for c in candidates if c not in self.states),
+                        self.vocab)
+        if new:
+            with no_grad():
+                encoded = mice_mod.encode_documents(list(new.items()), self.weights, pad=True)
+            self.states.update((state.doc_id, state) for state in encoded)
+        scores = super().score_ids(q_ids, candidates)
+        for c in candidates:
+            self.uses[c] -= 1
+            if self.uses[c] == 0:
+                del self.states[c]
+        return scores
+
+    def _state(self, doc_id: str):
+        return self.states[doc_id]
 
 
 def rerank(

@@ -109,10 +109,10 @@ def test_each_candidate_is_encoded_once_per_command(ws, tmp_path, monkeypatch):
     encoded, calls = [], []
     encode = mice.encode_documents
 
-    def counting(docs, weights):
+    def counting(docs, weights, **kw):
         calls.append(len(docs))
         encoded.extend(doc_id for doc_id, _ in docs)
-        return encode(docs, weights)
+        return encode(docs, weights, **kw)
 
     monkeypatch.setattr(mice, "encode_documents", counting)
     monkeypatch.setattr(transformer, "score_pairs", None)  # called: TypeError
@@ -121,6 +121,31 @@ def test_each_candidate_is_encoded_once_per_command(ws, tmp_path, monkeypatch):
     assert sorted(encoded) == sorted({d for rows in run.values() for d, _ in rows})
     assert len(encoded) == POOL
     assert 1 < len(calls) < len(run)
+
+
+def test_each_state_is_dropped_after_its_last_use(ws, tmp_path, monkeypatch):
+    """The command counts each document's listings in the candidates run, so
+    after each query the memo holds exactly the documents that a query
+    before it and a query after it both list, and it is empty at the end."""
+    model = tmp_path / "ce.bin"
+    write_ce(ws, model, layers=3, split=1)
+    live = []
+    score_ids = retrieval.CutScorer.score_ids
+
+    def recording(scorer, q_ids, candidates):
+        scores = score_ids(scorer, q_ids, candidates)
+        live.append(set(scorer.states))
+        return scores
+
+    monkeypatch.setattr(retrieval.CutScorer, "score_ids", recording)
+    rerank(ws, model, tmp_path / "run.trec")
+    run = retrieval.read_trec_run(ws / "candidates.trec")
+    lists = [{d for d, _ in run[qid]} for qid, _ in retrieval.read_jsonl(ws / "queries.jsonl")]
+    expected = [set().union(*lists[: i + 1]) & set().union(*lists[i + 1 :])
+                for i in range(len(lists))]
+    assert live == expected
+    assert live[-1] == set()
+    assert any(before - after for before, after in zip(live, live[1:-1]))  # mid-command
 
 
 def test_documents_are_tokenized_when_first_encoded(ws, tmp_path, monkeypatch):

@@ -125,27 +125,34 @@ class TestEncodeDocuments:
                       min_size=1, max_size=6),
         picks=st.lists(st.integers(0, 5), min_size=1, max_size=12),
         batch=st.sampled_from([1, 2, 64]),
+        pad=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     def test_each_state_is_the_document_encoded_alone(
-        self, hidden, dtype, seed, pool, picks, batch
+        self, hidden, dtype, seed, pool, picks, batch, pad
     ):
         """Documents of mixed lengths, some over ``max_doc`` (9) and some
         repeated, encoded together: each state is byte-identical to a
         one-document lower-layer forward, sits at its input position under
         its own id, is read-only and carries the weights' current digest,
-        however many documents of one length a batch takes."""
+        however many documents of one length a batch takes. Padded batches
+        keep each state's rows and agree with the forward alone within
+        rounding (states are layer-normed, so the ulp is that of 1)."""
         mw = from_cross_encoder(make_ce(layers=4, split=2, hidden=hidden, seed=seed,
                                         dtype=dtype), 2, 2)
         docs = [(f"d{i}", pool[p % len(pool)]) for i, p in enumerate(picks)]
-        with mock.patch.object(mice, "_ENCODE_BATCH", batch):
-            states = encode_documents(docs, mw)
+        with mock.patch.multiple(mice, _ENCODE_BATCH=batch, _PAD_BATCH=batch):
+            states = encode_documents(docs, mw, pad=pad)
         assert [s.doc_id for s in states] == [doc_id for doc_id, _ in docs]
         digest = weights_fingerprint(mw)
         for (_, ids), state in zip(docs, states):
             alone, lengths = mice._stream_batch([ids], Segment.D, mw)
             assert state.states.dtype == dtype
-            assert state.states.tobytes() == alone.data[0].tobytes()
+            if pad:
+                np.testing.assert_allclose(state.states, alone.data[0], rtol=0,
+                                           atol=64 * np.finfo(dtype).eps)
+            else:
+                assert state.states.tobytes() == alone.data[0].tobytes()
             assert state.m == lengths[0] - 1 == min(len(ids), mw.config.max_doc)
             assert not state.states.flags.writeable
             assert state.checkpoint_hash == digest
