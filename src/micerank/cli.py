@@ -9,15 +9,16 @@ accepts ``--threads 1``. ``rerank`` defaults ``--threads`` from the
 MICE_THREADS environment variable, ``train`` ``--seed`` and ``--precision``
 from its ``--config`` file.
 
-``rerank --mode ce`` (and ``ablate``) scores a step-3 cross-encoder whose
-depth is its split plus 2 through its cut (``retrieval.CutScorer``), which
-encodes each candidate document once per command; every other mask and
-depth runs the joint forward (``retrieval.CrossEncoderScorer``).
+``rerank --mode mice`` encodes each candidate document once per command
+(``retrieval.MiceScorer``), as ``rerank --mode ce`` (and ``ablate``) does
+through the cut of a step-3 cross-encoder of depth split + 2
+(``retrieval.CutScorer``); every other mask and depth runs the joint forward.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import os
@@ -72,6 +73,18 @@ _TRAIN_FLAGS = {"variant": "--variant", "steps": "--steps", "batch_size": "--bat
                 "lr_peak": "--lr", "warmup_steps": "--warmup",
                 "validate_every": "--validate-every", "seed": "--seed",
                 "precision": "--precision", **_MODEL_FLAGS}
+
+
+@contextlib.contextmanager
+def _naming(sources: dict):
+    """Prefix a refusal that starts with a field's name with its ``sources`` entry."""
+    try:
+        yield
+    except ValueError as exc:
+        source = sources.get(str(exc).partition(" ")[0])
+        if source is None:
+            raise
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _build_parser() -> _Parser:
@@ -214,11 +227,10 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     given = {name: getattr(args, name) for name in _TRAIN_FLAGS if getattr(args, name) is not None}
-    sources = {}  # field -> what gave its value: the --config file, or a flag over it
-    try:
-        with retrieval.open_text(args.config or os.devnull) as f:
-            values = training.read_config_text(f.read(), args.config)
-        sources = {**dict.fromkeys(values, args.config), **{n: _TRAIN_FLAGS[n] for n in given}}
+    with retrieval.open_text(args.config or os.devnull) as f:
+        values = training.read_config_text(f.read(), args.config)
+    # field -> what gave its value: the --config file, or a flag over it
+    with _naming({**dict.fromkeys(values, args.config), **{n: _TRAIN_FLAGS[n] for n in given}}):
         cfg = training.TrainConfig(**{**values, **given})
         init = None
         if args.init_from:
@@ -238,11 +250,6 @@ def _cmd_train(args) -> int:
                              "a cross-encoder has no interaction layers")
         data = _load_data(args.corpus, args.queries, args.qrels)
         result = training.train(cfg, data, args.out_dir, init_weights=init)
-    except ValueError as exc:  # each refusal of a value starts with its field's name
-        source = sources.get(str(exc).partition(" ")[0])
-        if source is None:
-            raise
-        raise ValueError(f"{source}: {exc}") from None
     rr10 = (f"best RR@10 {result.best_rr10:.4f} (last {result.metrics[-1]['rr10']:.4f})"
             if result.metrics else "no validation ran")
     print(f"trained {cfg.variant} for {cfg.steps} steps: {rr10}; "
@@ -256,8 +263,8 @@ def _cmd_encode_docs(args) -> int:
         raise ValueError("encode-docs needs a mid-fusion checkpoint (kind mice)")
     states = []
     # One encode_document call per document, not one encode_documents call:
-    # the states are the same bytes either way, and per-document calls let a
-    # caller time each document as one item (perfbench's minilm-index does).
+    # each state is the document encoded alone, without padding, and a caller
+    # can time each document as one item (perfbench's minilm-index does).
     with no_grad():
         for doc_id, text in corpus:
             ids = retrieval.ensure_nonempty(vocab.encode(text))
@@ -300,6 +307,7 @@ def _cmd_rerank(args) -> int:
             for qid, text in retrieval.read_jsonl(args.queries)]
     work = [item for item in work if item[2]]
     chunking = dict(batch_size=args.batch_size, threads=args.threads)
+    uses = [c for _, _, candidates in work for c in candidates]  # one per listing
     if args.mode == "ce":
         if not isinstance(weights, transformer.Weights):
             raise ValueError("ce mode needs a cross-encoder checkpoint")
@@ -309,13 +317,15 @@ def _cmd_rerank(args) -> int:
         config = weights.config
         if args.split_depth is None:
             training.warn_if_document_unread(step, config)
+        elif args.split_depth < 1:
+            raise ValueError(f"--ell-star: split_depth {args.split_depth} outside "
+                             f"1..{config.layers}")
         elif not MaskSpec(step, args.split_depth).reads_document(config.layers):
             raise ValueError(f"--ell-star {args.split_depth} severs every layer below the top "
                              f"of {config.layers} layers, so the query rows never read the "
                              "document before CLS reads them")
         split = args.split_depth if args.split_depth is not None else config.split_depth
         if step is MaskStep.STEP3 and config.layers - split == 2:
-            uses = (c for _, _, candidates in work for c in candidates)
             scorer = retrieval.CutScorer(weights, split, vocab, corpus, uses, **chunking)
         else:
             spec = MaskSpec(step, split_depth=split, total_layers=config.layers)
@@ -325,7 +335,7 @@ def _cmd_rerank(args) -> int:
     elif not isinstance(weights, mice.MiceWeights):
         raise ValueError(f"{args.mode} mode needs a mid-fusion checkpoint")
     elif args.mode == "mice":
-        scorer = retrieval.MiceScorer(weights, vocab, retrieval.token_map(corpus, vocab),
+        scorer = retrieval.MiceScorer(weights, vocab, retrieval.token_map(corpus, vocab), uses,
                                       **chunking)
     elif not args.cache:
         raise ValueError("mice-precomp mode needs --cache")
@@ -364,9 +374,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = transformer.ModelConfig(
-        vocab_size=args.vocab_size, **{name: getattr(args, name) for name in _MODEL_FLAGS}
-    )
+    flags = {**_MODEL_FLAGS, "max_query": "--n", "max_doc": "--m"}
+    if args.mode == "ce":  # a cross-encoder has no cut: --ell-star and --k-inter go unread
+        del flags["split_depth"], flags["interaction_layers"]
+    with _naming(flags):
+        config = transformer.ModelConfig(vocab_size=args.vocab_size,
+                                         **{name: getattr(args, name) for name in flags})
     report = evalbench.bench_latency(
         config,
         args.mode,
@@ -384,6 +397,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.finetune_steps < 0:
+        raise ValueError(f"--finetune-steps must not be negative, got {args.finetune_steps}")
     weights, _ = checkpoint.load_weights(args.model, dtype=PRECISIONS[args.precision])
     if not isinstance(weights, transformer.Weights):
         raise ValueError("sweep starts from a cross-encoder checkpoint")
@@ -406,7 +421,9 @@ def _cmd_sweep(args) -> int:
             mice.from_cross_encoder(weights, split, args.k_min)
             refusal = "the range is empty"
         except ValueError as exc:
-            refusal = f"--k-min {args.k_min}: {exc}"
+            # The checkpoint's own split always fits: a refused one is --ell-star's.
+            flag = "--ell-star" if str(exc).startswith("split_depth") else f"--k-min {args.k_min}"
+            refusal = f"{flag}: {exc}"
         raise ValueError(f"sweep: no interaction-layer count in k_inter {args.k_min}..{k_max} "
                          f"can be cut: {refusal}")
     training.write_sweep_csv(args.out, rows)

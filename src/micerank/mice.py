@@ -205,9 +205,6 @@ def encode_query(query_ids: Sequence[int], weights: MiceWeights) -> Tensor:
     return states.reshape(states.shape[1:])
 
 
-# Documents per lower-layer batch of :func:`encode_documents`; bounds the
-# attention buffers of a corpus whose documents share one length.
-_ENCODE_BATCH = 64
 # Documents per padded batch of :func:`encode_documents`. A rerank encodes
 # these between the states it keeps alive: on perfbench's desk-ce workload,
 # padded batches of 64 raised the peak RSS by 1.7 MB over batches of 32.
@@ -215,33 +212,23 @@ _PAD_BATCH = 32
 
 
 def encode_documents(
-    docs: Sequence[tuple[str, Sequence[int]]], weights: MiceWeights, pad: bool = False
+    docs: Sequence[tuple[str, Sequence[int]]], weights: MiceWeights
 ) -> list[DocState]:
     """Frozen document-stream states of ``(doc_id, token ids)`` pairs, in
-    input order.
-
-    Documents of one framed length (``min(len, max_doc)``) run the lower
-    layers together, up to ``_ENCODE_BATCH`` at a time, as one batch without
-    padding, so each state is byte-identical to the document encoded alone
-    and to what a cache round-trip in the same precision returns. With
-    ``pad``, the documents run ``_PAD_BATCH`` at a time in input order as
-    padded batches: one forward per batch however many lengths it holds,
-    with each state equal to the document encoded alone within rounding.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, (_, ids) in enumerate(docs):
-        groups.setdefault(0 if pad else min(len(ids), weights.config.max_doc), []).append(i)
+    input order. The lower layers run them sorted by framed length
+    (``min(len, max_doc)``), ``_PAD_BATCH`` at a time as padded batches, so
+    each state equals the document encoded alone within rounding; a lone
+    document (:func:`encode_document`) is not padded, so byte for byte."""
+    order = sorted(range(len(docs)), key=lambda i: min(len(docs[i][1]), weights.config.max_doc))
     digest = weights.fingerprint()
     out: list[DocState] = [None] * len(docs)
-    size = _PAD_BATCH if pad else _ENCODE_BATCH
-    for group in groups.values():
-        for start in range(0, len(group), size):
-            batch = group[start : start + size]
-            states, lengths = _stream_batch([docs[i][1] for i in batch], Segment.D, weights)
-            for row, i in enumerate(batch):
-                frozen = np.array(states.data[row, : lengths[row]], copy=True)
-                frozen.setflags(write=False)
-                out[i] = DocState(docs[i][0], frozen, checkpoint_hash=digest)
+    for start in range(0, len(order), _PAD_BATCH):
+        batch = order[start : start + _PAD_BATCH]
+        states, lengths = _stream_batch([docs[i][1] for i in batch], Segment.D, weights)
+        for row, i in enumerate(batch):
+            frozen = np.array(states.data[row, : lengths[row]], copy=True)
+            frozen.setflags(write=False)
+            out[i] = DocState(docs[i][0], frozen, checkpoint_hash=digest)
     return out
 
 

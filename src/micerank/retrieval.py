@@ -1,11 +1,11 @@
 """Deterministic tokenizer, Okapi BM25 first stage, and the rerank pipeline.
 
 The rerank scorers: :class:`CrossEncoderScorer` runs the joint forward of
-each (query, candidate) pair under a mask step. :class:`CutScorer` scores a
-step-3 cross-encoder of depth split + 2 through its cut, encoding each
-candidate document once per scorer. :class:`MiceScorer` encodes each
-chunk's documents online, and :class:`MiceCacheScorer` reads precomputed
-document states.
+each (query, candidate) pair under a mask step. The mid-fusion scorers score
+frozen document states: :class:`MiceCacheScorer` reads precomputed ones, and
+:class:`MiceScorer` encodes each candidate document once, when it is first
+listed, and keeps its state until its last listing. :class:`CutScorer` is a
+:class:`MiceScorer` over the cut of a step-3 cross-encoder of depth split + 2.
 
 File formats handled here:
 
@@ -273,56 +273,34 @@ class CrossEncoderScorer(_NeuralScorer):
         return transformer.score_pairs(pairs, self.spec, self.weights).data
 
 
-class MiceScorer(_NeuralScorer):
-    """Mid-fusion scoring with each chunk's documents encoded on the fly as
-    one padded batch, through the forward that training steps use."""
-
-    def _score_chunk(self, q_ids, chunk) -> np.ndarray:
-        pairs = [(q_ids, self.docs[c]) for c in chunk]
-        return mice_mod.mice_train_scores(pairs, self.weights).data
-
-
 class MiceCacheScorer(_NeuralScorer):
     """Mid-fusion scoring against precomputed document states; ``docs`` is
     the document-state cache or a ``{doc_id: DocState}`` map."""
 
     def _score_chunk(self, q_ids, chunk) -> np.ndarray:
-        items = [(q_ids, self._state(c)) for c in chunk]
+        items = [(q_ids, self.docs.get(c)) for c in chunk]
         return mice_mod.mice_score_batch(items, self.weights)
 
-    def _state(self, doc_id: str):
-        return self.docs.get(doc_id)
 
+class MiceScorer(_NeuralScorer):
+    """Mid-fusion scoring of documents given as token ids (``docs``), each
+    encoded once into ``states``: one :func:`.mice.encode_documents` call per
+    query encodes its candidates without a state, before chunking, so only
+    this thread writes ``states``. ``uses`` holds one doc id per listing the
+    scorer will be given; a state is dropped after the last listing ``uses``
+    counts for it (a document listed again is encoded again), and kept when
+    it counts none, as with the default."""
 
-class CutScorer(MiceCacheScorer):
-    """A step-3 cross-encoder of depth ``split_depth + 2``, scored through
-    its cut ``mice.from_cross_encoder(weights, split_depth, 2)``.
-
-    From step 2 on, document rows read only the document, and from step 1 on
-    the top layer's CLS row reads no document row. So the only document rows
-    that reach the score are the split-layer states, which do not depend on
-    the query and which the cut freezes. ``docs`` maps doc id to text; a
-    document is tokenized and encoded when it is first a candidate, and its
-    state is kept in ``states`` until its last use. ``uses`` holds the doc
-    ids of the candidate lists the scorer will be given, one per listing: a
-    state is dropped once the listings ``uses`` counts for its document are
-    scored, so a document listed more often is encoded again, and one it
-    does not count is kept.
-    """
-
-    def __init__(self, weights, split_depth: int, vocab, corpus, uses: Iterable[str], **kw):
-        cut = mice_mod.from_cross_encoder(weights, split_depth, 2)
-        super().__init__(cut, vocab, dict(corpus), **kw)
+    def __init__(self, weights, vocab, docs, uses: Iterable[str] = (), **kw):
+        super().__init__(weights, vocab, docs, **kw)
         self.states: dict = {}
         self.uses = Counter(uses)
 
     def score_ids(self, q_ids: Sequence[int], candidates: Sequence[str]) -> dict:
-        # Encoded before chunking, so only this thread writes ``states``.
-        new = token_map(((c, self.docs[c]) for c in candidates if c not in self.states),
-                        self.vocab)
+        new = [(c, self._tokens(c)) for c in dict.fromkeys(candidates) if c not in self.states]
         if new:
             with no_grad():
-                encoded = mice_mod.encode_documents(list(new.items()), self.weights, pad=True)
+                encoded = mice_mod.encode_documents(new, self.weights)
             self.states.update((state.doc_id, state) for state in encoded)
         scores = super().score_ids(q_ids, candidates)
         for c in candidates:
@@ -331,8 +309,28 @@ class CutScorer(MiceCacheScorer):
                 del self.states[c]
         return scores
 
-    def _state(self, doc_id: str):
-        return self.states[doc_id]
+    def _score_chunk(self, q_ids, chunk) -> np.ndarray:
+        items = [(q_ids, self.states[c]) for c in chunk]
+        return mice_mod.mice_score_batch(items, self.weights)
+
+    def _tokens(self, doc_id: str) -> list[int]:
+        return self.docs[doc_id]
+
+
+class CutScorer(MiceScorer):
+    """A step-3 cross-encoder of depth ``split_depth + 2``, scored through
+    its cut ``mice.from_cross_encoder(weights, split_depth, 2)``: from step 2
+    on, document rows read only the document, and from step 1 on the top
+    layer's CLS row reads none, so only the split-layer states, which the
+    cut freezes, reach the score. ``corpus`` gives ``(doc id, text)``; a
+    text is tokenized when first encoded, so set-up tokenizes no document."""
+
+    def __init__(self, weights, split_depth: int, vocab, corpus, uses: Iterable[str], **kw):
+        cut = mice_mod.from_cross_encoder(weights, split_depth, 2)
+        super().__init__(cut, vocab, dict(corpus), uses, **kw)
+
+    def _tokens(self, doc_id: str) -> list[int]:
+        return ensure_nonempty(self.vocab.encode(self.docs[doc_id]))
 
 
 def rerank(

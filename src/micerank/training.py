@@ -18,11 +18,11 @@ Validation computes RR@10 on held-out queries against the whole corpus,
 ranking through the rerank scorers, and the best checkpoint is kept. A
 cross-encoder is scored by ``retrieval.CrossEncoderScorer`` under the
 training mask. A mid-fusion model's document states do not depend on the
-query, so each validation encodes the corpus once, in same-length batches,
-and scores it through ``retrieval.MiceCacheScorer``, as ``rerank --mode
-mice-precomp`` would. Training is deterministic under a fixed seed: data order,
-initialization and update order are all driven by seeded generators, and
-batch gradients are reduced in a fixed order.
+query, so ``retrieval.MiceScorer`` encodes the corpus once per validation
+and scores every query against those states, equal to ``rerank --mode
+mice-precomp``'s within rounding. Training is deterministic under a fixed
+seed: data order, initialization and update order are all driven by seeded
+generators, and batch gradients are reduced in a fixed order.
 
 The layer-drop sweep cuts one cross-encoder into mid-fusion models, one per
 interaction-layer count, and scores each after a brief ``finetune_mice``.
@@ -42,11 +42,10 @@ import numpy as np
 from .checkpoint import save_weights
 from .evalbench import evaluate_run, ranked
 from .masking import MaskStep
-from .mice import (MiceWeights, encode_documents, from_cross_encoder, init_mice_weights,
-                   mice_train_scores)
-from .retrieval import (CrossEncoderScorer, MiceCacheScorer, build_vocab, check_vocab_size,
+from .mice import MiceWeights, from_cross_encoder, init_mice_weights, mice_train_scores
+from .retrieval import (CrossEncoderScorer, MiceScorer, build_vocab, check_vocab_size,
                         split_terms, token_map)
-from .tensor import PRECISIONS, NumericError, Tensor, no_grad, select
+from .tensor import PRECISIONS, NumericError, Tensor, select
 from .transformer import ModelConfig, Weights, init_ce_weights, score_pairs, spec_for
 
 __all__ = [
@@ -380,16 +379,14 @@ def evaluate_rr10(weights, data: SynthData, spec=None) -> float:
     with the rerank scorers.
 
     A cross-encoder is evaluated under the mask it trains with (``spec``).
-    A mid-fusion model takes no ``spec``: the corpus is encoded once, as
-    frozen states under the current weights' digest, and scored as
-    ``rerank --mode mice-precomp`` scores it. Training updates the weights
-    in place, so the digest is recomputed first.
+    A mid-fusion model takes no ``spec``: a ``MiceScorer`` encodes the
+    corpus once, as frozen states under the current weights' digest, and
+    scores every query against them. Training updates the weights in place,
+    so the digest is recomputed first.
     """
     if isinstance(weights, MiceWeights):
         weights.invalidate_fingerprint()
-        with no_grad():
-            states = encode_documents(list(data.doc_tokens.items()), weights)
-        scorer = MiceCacheScorer(weights, data.vocab, {s.doc_id: s for s in states})
+        scorer = MiceScorer(weights, data.vocab, data.doc_tokens)
     else:
         scorer = CrossEncoderScorer(weights, spec, data.vocab, data.doc_tokens)
     doc_ids = sorted(data.doc_ids())

@@ -164,6 +164,25 @@ class TestPipeline:
         assert report.mode == "mice-precomp"
         assert "docs/s" in capsys.readouterr().out
 
+    def test_bench_ce_reads_no_cut_flags(self, capsys):
+        """A cross-encoder has no cut, so ce mode ignores the --ell-star 4
+        and --k-inter 3 defaults that a 3-layer model could not be cut at."""
+        assert dispatch(["bench", "--mode", "ce", "--layers", "3", "--hidden", "16",
+                         "--heads", "2", "--ff", "16", "--n", "4", "--m", "8",
+                         "--batch", "2"]) == 0
+        assert "docs/s" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["mice", "mice-precomp"])
+    @pytest.mark.parametrize("flags,cause", [
+        ([], "--ell-star: split_depth 4 outside 1..3"),
+        (["--ell-star", "1"], "--k-inter: interaction_layers 3 outside 1..2"),
+    ])
+    def test_bench_refusal_of_the_cut_names_its_flag(self, capsys, mode, flags, cause):
+        assert dispatch(["bench", "--mode", mode, "--layers", "3", "--hidden", "16",
+                         "--heads", "2", "--ff", "16", "--n", "4", "--m", "8",
+                         "--batch", "2", *flags]) == 2
+        assert f"error: {cause}" in capsys.readouterr().err
+
     def test_sweep_writes_csv(self, workspace, tmp_path):
         data = workspace / "data"
         out = tmp_path / "sweep.csv"

@@ -3,6 +3,8 @@ plus 2 scores through the cut (``retrieval.CutScorer``): the split-layer
 document states are the only document rows that reach the score, so each
 candidate document is encoded once per command. Every other spec keeps the
 joint forward (``retrieval.CrossEncoderScorer``) and never calls ``mice``.
+``rerank --mode mice`` (``retrieval.MiceScorer``, which ``CutScorer``
+extends) encodes each candidate once per command in the same way.
 """
 
 import tempfile
@@ -18,6 +20,8 @@ from micerank import checkpoint, mice, retrieval, transformer
 from micerank.cli import dispatch
 from micerank.masking import MaskSpec, MaskStep
 from micerank.transformer import ModelConfig, init_ce_weights
+
+MODES = ["ce", "mice"]
 
 POOL = 10  # documents the queries draw their candidates from
 
@@ -38,17 +42,32 @@ def ws(tmp_path_factory):
     return root
 
 
+def model_config(ws, layers, split, interaction_layers=0):
+    vocab = retrieval.build_vocab(t for _, t in retrieval.read_jsonl(ws / "corpus.jsonl"))
+    return ModelConfig(vocab_size=vocab.size, layers=layers, hidden=16, heads=2, ff=24,
+                       max_query=6, max_doc=12, split_depth=split,
+                       interaction_layers=interaction_layers)
+
+
 def write_ce(ws, path, layers, split, seed=0, dtype=np.float32):
     """A random-init step-3 cross-encoder checkpoint over ``ws``'s corpus."""
-    vocab = retrieval.build_vocab(t for _, t in retrieval.read_jsonl(ws / "corpus.jsonl"))
-    config = ModelConfig(vocab_size=vocab.size, layers=layers, hidden=16, heads=2, ff=24,
-                         max_query=6, max_doc=12, split_depth=split)
-    checkpoint.save_weights(path, init_ce_weights(config, seed=seed, dtype=dtype),
-                            step=MaskStep.STEP3)
+    checkpoint.save_weights(path, init_ce_weights(model_config(ws, layers, split), seed=seed,
+                                                  dtype=dtype), step=MaskStep.STEP3)
 
 
-def rerank(ws, model, out, *flags):
-    """``rerank --mode ce`` of ``ws``'s candidates; returns the rankings
+def write_model(ws, path, mode, dtype=np.float32):
+    """A random-init checkpoint that ``rerank --mode {mode}`` scores by
+    encoding documents: a 3-layer step-3 cross-encoder of split 1, or a
+    mid-fusion model of split 1 and two interaction layers."""
+    if mode == "ce":
+        write_ce(ws, path, layers=3, split=1, dtype=dtype)
+    else:
+        config = model_config(ws, layers=3, split=1, interaction_layers=2)
+        checkpoint.save_weights(path, mice.init_mice_weights(config, seed=0, dtype=dtype))
+
+
+def rerank(ws, model, out, *flags, mode="ce"):
+    """``rerank --mode {mode}`` of ``ws``'s candidates; returns the rankings
     written, with their exact scores."""
     written = {}
     write = retrieval.write_trec_run
@@ -59,7 +78,7 @@ def rerank(ws, model, out, *flags):
         write(path, rankings, tag=tag)
 
     with mock.patch.object(retrieval, "write_trec_run", record):
-        assert dispatch(["rerank", "--model", str(model), "--mode", "ce",
+        assert dispatch(["rerank", "--model", str(model), "--mode", mode,
                          "--queries", str(ws / "queries.jsonl"),
                          "--corpus", str(ws / "corpus.jsonl"),
                          "--candidates", str(ws / "candidates.trec"),
@@ -100,45 +119,52 @@ def test_cut_ranks_as_the_joint_forward_in_f64(ws, split, seed, given_split):
                                    rtol=0, atol=8 * np.finfo(np.float64).eps)
 
 
-def test_each_candidate_is_encoded_once_per_command(ws, tmp_path, monkeypatch):
+@pytest.mark.parametrize("mode", MODES)
+def test_each_candidate_is_encoded_once_per_command(ws, tmp_path, monkeypatch, mode):
     """Queries share their candidates, yet each distinct one runs the lower
     layers once, in as many ``encode_documents`` calls as there are queries
-    with a document not seen before; the joint forward never runs."""
-    model = tmp_path / "ce.bin"
-    write_ce(ws, model, layers=3, split=1)
+    with a document not seen before; neither the joint forward nor the
+    training forward runs."""
+    model = tmp_path / "model.bin"
+    write_model(ws, model, mode)
     encoded, calls = [], []
     encode = mice.encode_documents
 
-    def counting(docs, weights, **kw):
+    def counting(docs, weights):
         calls.append(len(docs))
         encoded.extend(doc_id for doc_id, _ in docs)
-        return encode(docs, weights, **kw)
+        return encode(docs, weights)
 
     monkeypatch.setattr(mice, "encode_documents", counting)
     monkeypatch.setattr(transformer, "score_pairs", None)  # called: TypeError
-    rerank(ws, model, tmp_path / "run.trec")
+    monkeypatch.setattr(mice, "mice_train_scores", None)
+    rerank(ws, model, tmp_path / "run.trec", mode=mode)
     run = retrieval.read_trec_run(ws / "candidates.trec")
     assert sorted(encoded) == sorted({d for rows in run.values() for d, _ in rows})
     assert len(encoded) == POOL
     assert 1 < len(calls) < len(run)
 
 
-def test_each_state_is_dropped_after_its_last_use(ws, tmp_path, monkeypatch):
+@pytest.mark.parametrize("mode,scorer_class", zip(MODES, ["CutScorer", "MiceScorer"]))
+def test_each_state_is_dropped_after_its_last_use(ws, tmp_path, monkeypatch, mode,
+                                                   scorer_class):
     """The command counts each document's listings in the candidates run, so
     after each query the memo holds exactly the documents that a query
     before it and a query after it both list, and it is empty at the end."""
-    model = tmp_path / "ce.bin"
-    write_ce(ws, model, layers=3, split=1)
-    live = []
-    score_ids = retrieval.CutScorer.score_ids
+    model = tmp_path / "model.bin"
+    write_model(ws, model, mode)
+    live, classes = [], set()
+    score_ids = retrieval.MiceScorer.score_ids
 
     def recording(scorer, q_ids, candidates):
         scores = score_ids(scorer, q_ids, candidates)
         live.append(set(scorer.states))
+        classes.add(type(scorer).__name__)
         return scores
 
-    monkeypatch.setattr(retrieval.CutScorer, "score_ids", recording)
-    rerank(ws, model, tmp_path / "run.trec")
+    monkeypatch.setattr(retrieval.MiceScorer, "score_ids", recording)
+    rerank(ws, model, tmp_path / "run.trec", mode=mode)
+    assert classes == {scorer_class}
     run = retrieval.read_trec_run(ws / "candidates.trec")
     lists = [{d for d, _ in run[qid]} for qid, _ in retrieval.read_jsonl(ws / "queries.jsonl")]
     expected = [set().union(*lists[: i + 1]) & set().union(*lists[i + 1 :])
@@ -169,17 +195,18 @@ def test_documents_are_tokenized_when_first_encoded(ws, tmp_path, monkeypatch):
     assert sorted(texts) == sorted([corpus[d] for d in pool] + [t for _, t in queries])
 
 
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("precision", ["f32", "f64"])
-def test_threads_and_batch_size_write_the_same_bytes(ws, tmp_path, precision):
+def test_threads_and_batch_size_write_the_same_bytes(ws, tmp_path, precision, mode):
     """Chunks of 7 scored on two threads read the states that the command's
     one thread encoded, so threads change no byte. In f64 the run of chunks
     of 7 is byte-identical to the default batch's too. In f32 a pair's score
     depends on the chunk it is padded in (ROADMAP item 2), so there the
     scores agree within 1e-6."""
-    model = tmp_path / "ce.bin"
-    write_ce(ws, model, layers=3, split=1, dtype=np.float32)
+    model = tmp_path / "model.bin"
+    write_model(ws, model, mode)
     flags = ["--precision", precision]
-    runs = {name: (rerank(ws, model, tmp_path / f"{name}.trec", *flags, *extra),
+    runs = {name: (rerank(ws, model, tmp_path / f"{name}.trec", *flags, *extra, mode=mode),
                    (tmp_path / f"{name}.trec").read_bytes())
             for name, extra in (("default", []), ("b7", ["--batch-size", "7"]),
                                 ("b7t2", ["--batch-size", "7", "--threads", "2"]))}

@@ -689,6 +689,15 @@ def test_train_with_a_size_below_one_is_data_error(ws, tmp_path, capsys, flags, 
     (["rerank", "--candidates", "{tmp_path}/empty.trec"], "{tmp_path}/empty.trec: empty run"),
     (["sweep", "--queries", "{tmp_path}/empty.jsonl"],
      "{tmp_path}/empty.jsonl: holds no query, so no held-out query is left to validate on"),
+    (["ablate", "--candidates", "{ws}/bm25.trec", "--step", "3", "--ell-star", "0"],
+     "--ell-star: split_depth 0 outside 1..3"),
+    (["ablate", "--candidates", "{ws}/bm25.trec", "--step", "3", "--ell-star", "-2"],
+     "--ell-star: split_depth -2 outside 1..3"),
+    (["sweep", "--queries", "{ws}/data/queries.jsonl", "--ell-star", "0"],
+     "sweep: no interaction-layer count in k_inter 1..3 can be cut: "
+     "--ell-star: split_depth 0 outside 1..3"),
+    (["sweep", "--queries", "{ws}/data/queries.jsonl", "--finetune-steps", "-1"],
+     "--finetune-steps must not be negative, got -1"),
 ])
 def test_refusal_names_what_was_typed(ws, tmp_path, capsys, argv, cause):
     """A value refused as a data error is named as it was typed: by the
@@ -703,6 +712,7 @@ def test_refusal_names_what_was_typed(ws, tmp_path, capsys, argv, cause):
                   *([] if "--init-from" in flags else ARCH), *SHORT],
         "eval": ["--run", str(ws / "bm25.trec"), *inputs(ws, "qrels")],
         "rerank": [*model, *inputs(ws, "corpus", "queries"), "--out", str(out)],
+        "ablate": [*model, *inputs(ws, "corpus", "queries"), "--out", str(out)],
         "sweep": [*model, *inputs(ws, "corpus", "qrels"), "--out", str(out)],
     }[command]
     assert dispatch([command, *fixed, *flags]) == 2

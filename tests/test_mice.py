@@ -125,37 +125,56 @@ class TestEncodeDocuments:
                       min_size=1, max_size=6),
         picks=st.lists(st.integers(0, 5), min_size=1, max_size=12),
         batch=st.sampled_from([1, 2, 64]),
-        pad=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     def test_each_state_is_the_document_encoded_alone(
-        self, hidden, dtype, seed, pool, picks, batch, pad
+        self, hidden, dtype, seed, pool, picks, batch
     ):
         """Documents of mixed lengths, some over ``max_doc`` (9) and some
-        repeated, encoded together: each state is byte-identical to a
-        one-document lower-layer forward, sits at its input position under
-        its own id, is read-only and carries the weights' current digest,
-        however many documents of one length a batch takes. Padded batches
-        keep each state's rows and agree with the forward alone within
-        rounding (states are layer-normed, so the ulp is that of 1)."""
+        repeated, encoded together in padded batches of ``batch``: each state
+        agrees with a one-document lower-layer forward within rounding
+        (states are layer-normed, so the ulp is that of 1), and is
+        byte-identical to it when a batch holds one document. It sits at its
+        input position under its own id, is read-only and carries the
+        weights' current digest."""
         mw = from_cross_encoder(make_ce(layers=4, split=2, hidden=hidden, seed=seed,
                                         dtype=dtype), 2, 2)
         docs = [(f"d{i}", pool[p % len(pool)]) for i, p in enumerate(picks)]
-        with mock.patch.multiple(mice, _ENCODE_BATCH=batch, _PAD_BATCH=batch):
-            states = encode_documents(docs, mw, pad=pad)
+        with mock.patch.object(mice, "_PAD_BATCH", batch):
+            states = encode_documents(docs, mw)
         assert [s.doc_id for s in states] == [doc_id for doc_id, _ in docs]
         digest = weights_fingerprint(mw)
         for (_, ids), state in zip(docs, states):
             alone, lengths = mice._stream_batch([ids], Segment.D, mw)
             assert state.states.dtype == dtype
-            if pad:
+            if batch == 1:
+                assert state.states.tobytes() == alone.data[0].tobytes()
+            else:
                 np.testing.assert_allclose(state.states, alone.data[0], rtol=0,
                                            atol=64 * np.finfo(dtype).eps)
-            else:
-                assert state.states.tobytes() == alone.data[0].tobytes()
             assert state.m == lengths[0] - 1 == min(len(ids), mw.config.max_doc)
             assert not state.states.flags.writeable
             assert state.checkpoint_hash == digest
+
+    def test_batches_take_the_documents_in_order_of_framed_length(self, monkeypatch):
+        """One rule: the lower layers see ``_PAD_BATCH`` documents at a time,
+        sorted by framed length (``min(len, max_doc)``), ties in input order."""
+        mw = from_cross_encoder(make_ce(layers=4, split=2), 2, 2)
+        lengths = [5, 1, 12, 3, 9, 3, 30, 2, 7]  # max_doc is 9
+        docs = [(f"d{i}", [4 + i] * n) for i, n in enumerate(lengths)]  # token 4 + position
+        batches = []
+        stream_batch = mice._stream_batch
+
+        def recording(streams, kind, weights):
+            batches.append([s[0] - 4 for s in streams])
+            return stream_batch(streams, kind, weights)
+
+        monkeypatch.setattr(mice, "_stream_batch", recording)
+        monkeypatch.setattr(mice, "_PAD_BATCH", 4)
+        states = encode_documents(docs, mw)
+        # framed lengths 5 1 9 3 9 3 9 2 7
+        assert batches == [[1, 7, 3, 5], [0, 8, 2, 4], [6]]
+        assert [s.doc_id for s in states] == [d for d, _ in docs]
 
 
 class TestInteractionLayer:

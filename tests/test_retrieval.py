@@ -232,14 +232,16 @@ class TestThreadedScoring:
         )
         assert grad_modes == [False, False, False]
 
-    def test_online_mice_scores_are_the_training_forward(self, monkeypatch):
-        """Online mid-fusion scores each chunk through ``mice_train_scores``,
-        bit for bit, and never encodes a document on its own."""
+    def test_online_mice_encodes_each_document_once_and_scores_its_state(self, monkeypatch):
+        """Online mid-fusion encodes a query's candidates without a state in
+        one ``encode_documents`` call, so queries that share candidates
+        encode each once, and never runs the training forward. With no
+        ``uses`` every state is kept, and the scores are those of the
+        precomputed-state scorer over the same states, bit for bit."""
         import numpy as np
 
         from micerank import mice
-        from micerank.retrieval import MiceScorer, build_vocab, ensure_nonempty
-        from micerank.tensor import no_grad
+        from micerank.retrieval import MiceCacheScorer, MiceScorer, build_vocab, ensure_nonempty
         from micerank.transformer import ModelConfig
 
         corpus = [(f"d{i}", " ".join(f"w{j}" for j in range(i % 6 + 1))) for i in range(10)]
@@ -250,23 +252,23 @@ class TestThreadedScoring:
         )
         mw = mice.init_mice_weights(config, seed=2, dtype=np.float32)
         doc_tokens = {d: ensure_nonempty(vocab.encode(t)) for d, t in corpus}
-        candidates = sorted(doc_tokens)
-        q_ids = vocab.encode("w0 w3")
+        ids = sorted(doc_tokens)
+        queries = [("w0 w3", ids[:6]), ("w1", ids[3:]), ("w2 w5", ids[::2])]
+        encoded = []
+        encode = mice.encode_documents
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("online scoring encoded a single document")
+        def recording(docs, weights):
+            encoded.append([d for d, _ in docs])
+            return encode(docs, weights)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(mice, "encode_document", refuse)
-            got = MiceScorer(mw, vocab, doc_tokens, batch_size=4).score("w0 w3", candidates)
-        with no_grad():
-            want = np.concatenate([
-                mice.mice_train_scores(
-                    [(q_ids, doc_tokens[c]) for c in candidates[i : i + 4]], mw
-                ).data
-                for i in range(0, len(candidates), 4)
-            ])
-        assert [got[c] for c in candidates] == list(want)
+        monkeypatch.setattr(mice, "encode_documents", recording)
+        monkeypatch.setattr(mice, "mice_train_scores", None)  # called: TypeError
+        scorer = MiceScorer(mw, vocab, doc_tokens, batch_size=4)
+        got = [scorer.score(text, candidates) for text, candidates in queries]
+        assert encoded == [ids[:6], ids[6:]]
+        assert scorer.states.keys() == set(ids)
+        precomp = MiceCacheScorer(mw, vocab, dict(scorer.states), batch_size=4)
+        assert got == [precomp.score(text, candidates) for text, candidates in queries]
 
 
 class TestFileFormats:

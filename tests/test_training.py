@@ -23,7 +23,7 @@ from micerank import mice, retrieval, training
 from micerank.checkpoint import load_weights, weights_fingerprint
 from micerank.evalbench import evaluate_run, ranked
 from micerank.masking import Segment
-from micerank.tensor import NumericError, Tensor, matmul
+from micerank.tensor import NumericError, Tensor, matmul, no_grad
 from micerank.training import (
     Adam,
     SynthData,
@@ -390,7 +390,7 @@ class TestTrainLoop:
 
 class TestValidation:
     """A mid-fusion validation encodes the corpus once and ranks it through
-    the precomputed-state scorer."""
+    ``retrieval.MiceScorer``, as ``rerank --mode mice-precomp`` ranks it."""
 
     @staticmethod
     def mice_model(data, seed, dtype=np.float64):
@@ -399,58 +399,60 @@ class TestValidation:
         return mice.init_mice_weights(config, seed=seed, dtype=dtype)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_equals_ranking_scored_online(self, tiny_data, seed, monkeypatch):
-        """Two interaction layers, so the score reads the document."""
+    def test_equals_the_mice_precomp_ranking(self, tiny_data, seed, monkeypatch):
+        """Two interaction layers, so the score reads the document. Against
+        states encoded one document at a time, as ``encode-docs`` caches
+        them, the f64 scores agree within rounding and RR@10 is equal."""
         mw = self.mice_model(tiny_data, seed)
-        cached = {}
+        validated = {}
 
-        class RecordingScorer(retrieval.MiceCacheScorer):
+        class RecordingScorer(retrieval.MiceScorer):
             def score_ids(self, q_ids, candidates):
-                cached[tuple(q_ids)] = scores = super().score_ids(q_ids, candidates)
+                validated[tuple(q_ids)] = scores = super().score_ids(q_ids, candidates)
                 return scores
 
-        monkeypatch.setattr(training, "MiceCacheScorer", RecordingScorer)
+        monkeypatch.setattr(training, "MiceScorer", RecordingScorer)
         rr = training.evaluate_rr10(mw, tiny_data)
 
-        online = retrieval.MiceScorer(mw, tiny_data.vocab, tiny_data.doc_tokens)
+        with no_grad():
+            states = {d: mice.encode_document(ids, mw, doc_id=d)
+                      for d, ids in tiny_data.doc_tokens.items()}
+        precomp = retrieval.MiceCacheScorer(mw, tiny_data.vocab, states)
         doc_ids = sorted(tiny_data.doc_ids())
         run = {}
         for q in tiny_data.val_q:
-            scores = online.score_ids(tiny_data.query_tokens[q], doc_ids)
-            validated = cached[tuple(tiny_data.query_tokens[q])]
-            assert validated.keys() == scores.keys()
-            np.testing.assert_allclose([validated[d] for d in doc_ids],
+            scores = precomp.score_ids(tiny_data.query_tokens[q], doc_ids)
+            got = validated[tuple(tiny_data.query_tokens[q])]
+            assert got.keys() == scores.keys()
+            np.testing.assert_allclose([got[d] for d in doc_ids],
                                        [scores[d] for d in doc_ids], rtol=0, atol=1e-12)
             run[q] = ranked(scores.items(), 10)
         assert rr == evaluate_run(run, tiny_data.qrels, "rr@10")
 
-    def test_encodes_each_length_once_and_runs_no_training_forward(self, tiny_data,
-                                                                   monkeypatch):
+    def test_encodes_each_document_once_and_runs_no_training_forward(self, monkeypatch):
         """Guards the saving: documents never go through the online forward,
-        and the lower layers see one batch of documents per framed length."""
-        mw = self.mice_model(tiny_data, 0)
-        calls = {"train": 0, "doc_batches": []}
+        and the lower layers see each document once, in padded batches of
+        32, for all the held-out queries."""
+        data = synth_corpus(seed=0, n_docs=70, n_queries=12, vocab_size=64)
+        mw = self.mice_model(data, 0)
+        doc_batches = []
 
         def train_scores(*args, **kwargs):
-            calls["train"] += 1
             raise AssertionError("validation ran the online training forward")
 
         stream_batch = mice._stream_batch
 
         def recording_stream_batch(streams, kind, weights):
             if kind is Segment.D:
-                calls["doc_batches"].append(len(streams))
+                doc_batches.append(len(streams))
             return stream_batch(streams, kind, weights)
 
         monkeypatch.setattr(mice, "mice_train_scores", train_scores)
         monkeypatch.setattr(training, "mice_train_scores", train_scores)
         monkeypatch.setattr(mice, "_stream_batch", recording_stream_batch)
-        training.evaluate_rr10(mw, tiny_data)
-        lengths = {min(len(t), mw.config.max_doc) for t in tiny_data.doc_tokens.values()}
-        assert calls["train"] == 0
-        assert len(lengths) > 1
-        assert len(calls["doc_batches"]) == len(lengths)
-        assert sum(calls["doc_batches"]) == len(tiny_data.doc_tokens)
+        training.evaluate_rr10(mw, data)
+        assert len(data.val_q) > 1
+        assert doc_batches == [32, 32, 6]
 
     def test_states_carry_the_digest_of_the_weights_they_were_encoded_with(
         self, tiny_data, monkeypatch
@@ -459,14 +461,14 @@ class TestValidation:
         validation's states must carry the digest recomputed at that moment,
         not one cached at an earlier validation."""
         seen = []
-        encode = training.encode_documents
+        encode = mice.encode_documents
 
         def recording_encode(docs, weights):
             states = encode(docs, weights)
             seen.append((weights_fingerprint(weights), {s.checkpoint_hash for s in states}))
             return states
 
-        monkeypatch.setattr(training, "encode_documents", recording_encode)
+        monkeypatch.setattr(mice, "encode_documents", recording_encode)
         train_in_memory(tiny_cfg(variant="mice"), tiny_data)
         assert len(seen) == 2
         assert seen[0][0] != seen[1][0]

@@ -13,7 +13,10 @@ mid-fusion model; ``encode-docs``; ``rerank`` in ``ce``, ``mice`` and
 cross-encoder, which cuts it into mid-fusion models. The cross-encoder has
 3 layers and split 1, so its ``ce`` lines score through its cut
 (``retrieval.CutScorer``); ``ablate --step 2`` is the line of the joint
-forward. A second, wide segment (hidden 256, ff 1024, under ``wide/``)
+forward. The ``mice`` lines encode each candidate document once, in padded
+batches (``retrieval.MiceScorer``), and the ``mice-precomp`` lines read the
+states ``encode-docs`` wrote one document at a time, so the two agree
+within rounding. A second, wide segment (hidden 256, ff 1024, under ``wide/``)
 trains a mid-fusion model for a few steps, encodes the corpus and reranks
 in ``mice`` and ``mice-precomp`` modes with the same three flag sets: its
 weights are wide enough for ``tensor.matmul`` to store them column-major.
